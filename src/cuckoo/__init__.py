@@ -17,7 +17,7 @@ from .core import (
     cuckoo_search,
 )
 from .harness import ExperimentSpec, load_experiment, run_experiment, summarize
-from .levy import LevyConfig, levy_tail_density, sample_levy_vector, sample_step_length
+from .levy import LevyConfig, sample_levy_vector, sample_step_length
 from .problems import (
     BEST_KNOWN,
     EvaluationError,
@@ -49,7 +49,6 @@ __all__ = [
     "evaluate",
     "get_problem",
     "hill_climb_restart",
-    "levy_tail_density",
     "load_experiment",
     "problem_names",
     "run_experiment",

@@ -49,22 +49,19 @@ def hill_climb_restart(
     params: Optional[HillClimbParams] = None,
     seed: int = 0,
     penalty: Optional[PenaltyConfig] = None,
-    accept_log: Optional[list] = None,
 ) -> RunResult:
     """Run the baseline on ``problem`` until the stop criterion fires.
 
     Only strict improvements are accepted.  The stop criterion is
     checked after every evaluation, so max_evaluations is never
-    overshot.  accept_log, when given, collects
-    (restart_index, objective) pairs for the start of each climb and
-    every accepted move; it exists for diagnostics and tests.
+    overshot.
     """
     if params is None:
         params = HillClimbParams()
     if penalty is None:
         penalty = PenaltyConfig()
     rng = np.random.default_rng(seed)
-    stop = params.stop
+    stop_reason = params.stop.reason
     lower, upper = problem.lower, problem.upper
     width = upper - lower
     dimension = problem.dimension
@@ -94,21 +91,12 @@ def hill_climb_restart(
             best_feasible = feasible
         history.append(best_objective)
         history_evaluations.append(evaluations)
-        # precedence: target over budget over stagnation
-        if stop.target_objective is not None and best_objective <= stop.target_objective:
-            reason = "target"
-        elif stop.max_evaluations is not None and evaluations >= stop.max_evaluations:
-            reason = "max_evaluations"
-        elif stop.stagnation_window is not None and stall_iterations >= stop.stagnation_window:
-            reason = "stagnation"
+        reason = stop_reason(best_objective, evaluations, stall_iterations)
         return value, feasible
 
-    restart_index = 0
     while reason is None:
         current = rng.uniform(lower, upper)
         current_value, _ = consume(current)
-        if accept_log is not None:
-            accept_log.append((restart_index, current_value))
         step = params.step_fraction * width
         failures = 0
         while reason is None:
@@ -120,14 +108,11 @@ def hill_climb_restart(
             if value < current_value:
                 current, current_value = candidate, value
                 failures = 0
-                if accept_log is not None:
-                    accept_log.append((restart_index, value))
             else:
                 failures += 1
                 step = step * params.shrink_factor
                 if failures >= params.stall_limit:
                     break
-        restart_index += 1
 
     assert best_position is not None
     return RunResult(

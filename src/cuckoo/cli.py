@@ -12,10 +12,8 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ALGORITHM_NAMES,
+    PARAM_KEYS,
     ConfigError,
-    _CUCKOO_PARAM_KEYS,
-    _HILL_CLIMB_PARAM_KEYS,
     format_summary,
     load_experiment,
     read_records,
@@ -81,17 +79,10 @@ def _run(args) -> int:
     rows = run_experiment(spec)
     print(format_summary(rows), end="")
     print(f"# wrote {Path(spec.output) / 'summary.tsv'}")
-    records = read_records(spec.output)
-    failed = [r for r in records if r["status"] != "ok"]
-    if failed:
-        for record in failed:
-            print(
-                f"# trial failed: {record['problem']}/{record['algorithm']}"
-                f" t{record['trial']:03d}: {record['error']}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    failed = [(row, trial, error) for row in rows for trial, error in row.failures]
+    for row, trial, error in failed:
+        print(f"# trial failed: {row.problem}/{row.algorithm} t{trial:03d}: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _summarize(args) -> int:
@@ -115,8 +106,8 @@ def _list_problems() -> int:
 
 
 def _list_algorithms() -> int:
-    print(f"cuckoo\tparams: {', '.join(sorted(_CUCKOO_PARAM_KEYS))}")
-    print(f"hill_climb\tparams: {', '.join(sorted(_HILL_CLIMB_PARAM_KEYS))}")
+    for name, keys in PARAM_KEYS.items():
+        print(f"{name}\tparams: {', '.join(sorted(keys))}")
     return 0
 
 

@@ -97,6 +97,31 @@ class StopCriterion:
         if self.stagnation_window is not None and self.stagnation_window < 1:
             raise ValueError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
 
+    @property
+    def target_only(self) -> bool:
+        """Only a target is set: a run that never reaches it never stops."""
+        return self.max_evaluations is None and self.stagnation_window is None
+
+    def reason(
+        self, best_objective: float, evaluations: int, stall: Optional[int] = None
+    ) -> Optional[str]:
+        """Why a run stops now, or None: target over budget over stagnation.
+
+        stall counts consecutive steps without a best improvement above
+        STAGNATION_EPS; stagnation is not checked when it is None.
+        """
+        if self.target_objective is not None and best_objective <= self.target_objective:
+            return "target"
+        if self.max_evaluations is not None and evaluations >= self.max_evaluations:
+            return "max_evaluations"
+        if (
+            stall is not None
+            and self.stagnation_window is not None
+            and stall >= self.stagnation_window
+        ):
+            return "stagnation"
+        return None
+
 
 @dataclass(frozen=True)
 class AlgorithmParams:
@@ -117,7 +142,6 @@ class AlgorithmParams:
     levy: LevyConfig = field(default_factory=LevyConfig)
     stop: StopCriterion = field(default_factory=lambda: StopCriterion(max_evaluations=50_000))
     compare_to: str = "random"
-    local_step_law: str = "uniform"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
@@ -128,8 +152,6 @@ class AlgorithmParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.compare_to not in ("random", "parent"):
             raise ValueError(f"compare_to must be 'random' or 'parent', got {self.compare_to!r}")
-        if self.local_step_law != "uniform":
-            raise ValueError(f"unsupported local_step_law {self.local_step_law!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,25 +303,6 @@ def _update_best(pop: Population) -> None:
         pop.best = Nest(contender.position.copy(), contender.objective, contender.feasible)
 
 
-def _target_met(stop: StopCriterion, pop: Population) -> bool:
-    return stop.target_objective is not None and pop.best.objective <= stop.target_objective
-
-
-def _check_stop(stop: StopCriterion, pop: Population, stall: Optional[int] = None) -> Optional[str]:
-    # precedence: target over budget over stagnation
-    if _target_met(stop, pop):
-        return "target"
-    if stop.max_evaluations is not None and pop.evaluations >= stop.max_evaluations:
-        return "max_evaluations"
-    if (
-        stall is not None
-        and stop.stagnation_window is not None
-        and stall >= stop.stagnation_window
-    ):
-        return "stagnation"
-    return None
-
-
 def cuckoo_search(
     problem: Problem,
     params: Optional[AlgorithmParams] = None,
@@ -325,7 +328,7 @@ def cuckoo_search(
     history = [pop.best.objective]
     history_evaluations = [pop.evaluations]
     stall = 0
-    reason = _check_stop(stop, pop, stall=None)
+    reason = stop.reason(pop.best.objective, pop.evaluations)
 
     while reason is None:
         previous_best = pop.best.objective
@@ -337,7 +340,7 @@ def cuckoo_search(
             j = int(rng.integers(n)) if params.compare_to == "random" else i
             pop.nests[j] = greedy_select(candidate, pop.nests[j])
         _update_best(pop)
-        reason = _check_stop(stop, pop)
+        reason = stop.reason(pop.best.objective, pop.evaluations)
 
         if reason is None:
             for i in range(n):
@@ -355,7 +358,7 @@ def cuckoo_search(
                 pop.evaluations += 1
                 pop.nests[i] = greedy_select(candidate, pop.nests[i])
             _update_best(pop)
-            reason = _check_stop(stop, pop)
+            reason = stop.reason(pop.best.objective, pop.evaluations)
 
         if reason is None:
             abandon_fraction(pop, problem, params, rng, penalty)
@@ -368,7 +371,7 @@ def cuckoo_search(
         else:
             stall += 1
         if reason is None:
-            reason = _check_stop(stop, pop, stall)
+            reason = stop.reason(pop.best.objective, pop.evaluations, stall)
 
     return RunResult(
         best_position=pop.best.position.copy(),

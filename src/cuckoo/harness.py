@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
 from .core import AlgorithmParams, StopCriterion, cuckoo_search
-from .levy import LevyConfig
 from .problems import PenaltyConfig, get_problem
 
 __all__ = [
     "ALGORITHM_NAMES",
+    "PARAM_KEYS",
     "AlgorithmRef",
     "ExperimentSpec",
     "ProblemRef",
@@ -48,25 +48,32 @@ __all__ = [
     "write_summary",
 ]
 
-ALGORITHM_NAMES = ("cuckoo", "hill_climb")
+_PARAMS_CLASSES = {"cuckoo": AlgorithmParams, "hill_climb": HillClimbParams}
+ALGORITHM_NAMES = tuple(_PARAMS_CLASSES)
+# field name -> resolved type, for each algorithm's params dataclass
+_PARAMS_FIELDS = {name: get_type_hints(cls) for name, cls in _PARAMS_CLASSES.items()}
 
-_CUCKOO_PARAM_KEYS = frozenset({"n", "p_a", "alpha", "tail_exponent", "min_step", "compare_to"})
-_HILL_CLIMB_PARAM_KEYS = frozenset({"step_fraction", "shrink_factor", "stall_limit"})
-_TOP_LEVEL_KEYS = frozenset(
-    {"problems", "algorithms", "trials", "base_seed", "stop", "penalty", "output", "workers"}
-)
 
-_SUMMARY_COLUMNS = (
-    "problem",
-    "algorithm",
-    "trials",
-    "success_rate",
-    "median_evals_to_target",
-    "best_final",
-    "median_final",
-    "worst_final",
-    "wall_time_seconds",
-)
+def _param_keys(name: str) -> frozenset:
+    """Keys an experiment may set for an algorithm: its params' fields.
+
+    A nested config (the step law) is flattened into its own fields; the
+    stop criterion is the experiment's and cannot be set per algorithm.
+    """
+    keys = set()
+    for key, hint in _PARAMS_FIELDS[name].items():
+        if not is_dataclass(hint):
+            keys.add(key)
+        elif hint is not StopCriterion:
+            keys.update(f.name for f in fields(hint))
+    return frozenset(keys)
+
+
+PARAM_KEYS = {name: _param_keys(name) for name in ALGORITHM_NAMES}
+
+
+class ConfigError(ValueError):
+    """The experiment file is malformed; raised before any run starts."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,25 @@ class ExperimentSpec:
     trials: int
     base_seed: int
     stop: StopCriterion
-    penalty: PenaltyConfig
-    output: str
-    workers: int
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+    output: str = "results"
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        names = [p.name for p in self.problems]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate problem names: {names}")
+        labels = [a.label for a in self.algorithms]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+            raise ConfigError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +127,14 @@ class SummaryRow:
     best_final: float
     median_final: float
     worst_final: float
+    feasible_rate: float
+    best_feasible_final: Optional[float]
     wall_time_seconds: float
+    # (trial, error) of each failed trial; not a column of summary.tsv
+    failures: tuple[tuple[int, str], ...] = ()
 
 
-class ConfigError(ValueError):
-    """The experiment file is malformed; raised before any run starts."""
+_SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))[:-1]
 
 
 def lower_median(values):
@@ -131,81 +157,49 @@ def load_experiment(path) -> ExperimentSpec:
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    """Build a validated spec from a plain dict (the YAML layout)."""
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-    for key in ("problems", "algorithms", "trials", "base_seed", "stop"):
-        if key not in data:
-            raise ConfigError(f"experiment is missing required key {key!r}")
+    """Build a validated spec from a plain dict (the YAML layout).
 
-    problems = tuple(_parse_problem(entry) for entry in _as_list(data["problems"], "problems"))
-    names = [p.name for p in problems]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate problem names: {names}")
-
-    stop = _parse_stop(data["stop"])
-    algorithms = tuple(
+    Only the keys given are passed on; the dataclasses supply the rest.
+    """
+    _check_keys(data, ExperimentSpec, "experiment")
+    for f in fields(ExperimentSpec):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"experiment is missing required key {f.name!r}")
+    given = dict(data)
+    given["problems"] = tuple(_parse_problem(entry) for entry in _as_list(data["problems"], "problems"))
+    given["stop"] = stop = _parse_config(StopCriterion, data["stop"], "stop")
+    if stop.target_only:
+        raise ConfigError(
+            "a stop block with only a target never ends a trial that misses it;"
+            " add a budget or a stagnation window"
+        )
+    given["algorithms"] = tuple(
         _parse_algorithm(entry, stop) for entry in _as_list(data["algorithms"], "algorithms")
     )
-    labels = [a.label for a in algorithms]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
+    if "penalty" in data:
+        given["penalty"] = _parse_config(PenaltyConfig, data["penalty"], "penalty")
+    return ExperimentSpec(**given)
 
-    trials = data["trials"]
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    base_seed = data["base_seed"]
-    if not isinstance(base_seed, int) or base_seed < 0:
-        raise ConfigError(f"base_seed must be a non-negative integer, got {base_seed!r}")
 
-    penalty_block = data.get("penalty", {})
-    if not isinstance(penalty_block, dict):
-        raise ConfigError("penalty must be a mapping")
-    unknown = set(penalty_block) - {"penalty_weight", "eq_tolerance"}
+def _check_keys(block: dict, cls, what: str) -> None:
+    unknown = set(block) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown penalty keys: {sorted(unknown)}")
-    try:
-        penalty = PenaltyConfig(**penalty_block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad penalty block: {exc}") from exc
-
-    output = data.get("output", "results")
-    if not isinstance(output, str) or not output:
-        raise ConfigError(f"output must be a non-empty string, got {output!r}")
-    workers = data.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-
-    return ExperimentSpec(
-        problems=problems,
-        algorithms=algorithms,
-        trials=trials,
-        base_seed=base_seed,
-        stop=stop,
-        penalty=penalty,
-        output=output,
-        workers=workers,
-    )
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _as_list(value, key: str) -> list:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a non-empty list")
     return value
 
 
 def _parse_problem(entry) -> ProblemRef:
     if isinstance(entry, str):
-        name, dimension = entry, None
-    elif isinstance(entry, dict):
-        unknown = set(entry) - {"name", "dimension"}
-        if unknown:
-            raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
-        name = entry.get("name")
-        dimension = entry.get("dimension")
-    else:
+        entry = {"name": entry}
+    if not isinstance(entry, dict):
         raise ConfigError(f"problem entries must be names or mappings, got {entry!r}")
+    _check_keys(entry, ProblemRef, "problem")
+    name, dimension = entry.get("name"), entry.get("dimension")
     if not isinstance(name, str):
         raise ConfigError(f"problem name must be a string, got {name!r}")
     if dimension is not None and not isinstance(dimension, int):
@@ -222,9 +216,7 @@ def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
         entry = {"name": entry}
     if not isinstance(entry, dict):
         raise ConfigError(f"algorithm entries must be names or mappings, got {entry!r}")
-    unknown = set(entry) - {"name", "label", "params"}
-    if unknown:
-        raise ConfigError(f"unknown algorithm keys: {sorted(unknown)}")
+    _check_keys(entry, AlgorithmRef, "algorithm")
     name = entry.get("name")
     if name not in ALGORITHM_NAMES:
         raise ConfigError(f"unknown algorithm {name!r}; available: {', '.join(ALGORITHM_NAMES)}")
@@ -234,10 +226,11 @@ def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("algorithm params must be a mapping")
-    allowed = _CUCKOO_PARAM_KEYS if name == "cuckoo" else _HILL_CLIMB_PARAM_KEYS
-    unknown = set(params) - allowed
+    unknown = set(params) - PARAM_KEYS[name]
     if unknown:
-        raise ConfigError(f"unknown {name} params: {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ConfigError(
+            f"unknown {name} params: {sorted(unknown)}; allowed: {sorted(PARAM_KEYS[name])}"
+        )
     try:
         _build_params(name, params, stop)
     except (TypeError, ValueError) as exc:
@@ -245,55 +238,38 @@ def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
     return AlgorithmRef(name=name, label=label, params=dict(params))
 
 
-def _parse_stop(block) -> StopCriterion:
+def _parse_config(cls, block, what: str):
     if not isinstance(block, dict):
-        raise ConfigError("stop must be a mapping")
-    unknown = set(block) - {"max_evaluations", "target_objective", "stagnation_window"}
-    if unknown:
-        raise ConfigError(f"unknown stop keys: {sorted(unknown)}")
+        raise ConfigError(f"{what} must be a mapping")
+    _check_keys(block, cls, what)
     try:
-        return StopCriterion(**block)
+        return cls(**block)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad stop block: {exc}") from exc
+        raise ConfigError(f"bad {what} block: {exc}") from exc
 
 
 def _build_params(name: str, block: dict, stop: StopCriterion):
-    if name == "cuckoo":
-        levy = LevyConfig(
-            tail_exponent=block.get("tail_exponent", 1.5),
-            min_step=block.get("min_step", 1e-3),
-        )
-        return AlgorithmParams(
-            n=block.get("n", 25),
-            p_a=block.get("p_a", 0.25),
-            alpha=block.get("alpha"),
-            levy=levy,
-            stop=stop,
-            compare_to=block.get("compare_to", "random"),
-        )
-    return HillClimbParams(
-        step_fraction=block.get("step_fraction", 0.1),
-        shrink_factor=block.get("shrink_factor", 0.5),
-        stall_limit=block.get("stall_limit", 20),
-        stop=stop,
-    )
+    """The algorithm's params from the keys given; the dataclasses supply the rest."""
+    kwargs = {}
+    for key, hint in _PARAMS_FIELDS[name].items():
+        if hint is StopCriterion:
+            kwargs[key] = stop
+        elif is_dataclass(hint):
+            nested = {f.name: block[f.name] for f in fields(hint) if f.name in block}
+            if nested:
+                kwargs[key] = hint(**nested)
+        elif key in block:
+            kwargs[key] = block[key]
+    return _PARAMS_CLASSES[name](**kwargs)
+
+
+def _stop_dict(stop: StopCriterion) -> dict:
+    return {k: v for k, v in asdict(stop).items() if v is not None}
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Plain-dict form of a spec; parseable by :func:`spec_from_dict`."""
-    return {
-        "problems": [{"name": p.name, "dimension": p.dimension} for p in spec.problems],
-        "algorithms": [
-            {"name": a.name, "label": a.label, "params": dict(a.params)}
-            for a in spec.algorithms
-        ],
-        "trials": spec.trials,
-        "base_seed": spec.base_seed,
-        "stop": {k: v for k, v in asdict(spec.stop).items() if v is not None},
-        "penalty": asdict(spec.penalty),
-        "output": spec.output,
-        "workers": spec.workers,
-    }
+    return {**asdict(spec), "stop": _stop_dict(spec.stop)}
 
 
 # --- running ------------------------------------------------------------------
@@ -349,7 +325,7 @@ def _execute_trial(task: dict) -> dict:
 
 
 def _tasks(spec: ExperimentSpec) -> list[dict]:
-    stop = {k: v for k, v in asdict(spec.stop).items() if v is not None}
+    stop = _stop_dict(spec.stop)
     penalty = asdict(spec.penalty)
     tasks = []
     for problem in spec.problems:
@@ -437,8 +413,7 @@ def read_target(output_dir) -> Optional[float]:
     path = Path(output_dir) / "experiment.yaml"
     if not path.is_file():
         raise FileNotFoundError(f"missing {path}; cannot recover the target objective")
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    return data.get("stop", {}).get("target_objective")
+    return load_experiment(path).stop.target_objective
 
 
 # --- summarizing --------------------------------------------------------------
@@ -449,7 +424,9 @@ def summarize(records: list[dict], target_objective: Optional[float]) -> list[Su
     Failed trials count as +inf finals (and as misses), keeping every
     statistic defined over exactly the requested number of trials.
     median_evals_to_target covers the successful trials only and is
-    absent when there are none (or no target was set).
+    absent when there are none (or no target was set).  feasible_rate is
+    the share of trials whose best is feasible, and best_feasible_final
+    the least of those bests (absent when no trial is feasible).
     """
     ordered = sorted(records, key=lambda r: (r["problem"], r["algorithm"], r["trial"]))
     groups: dict[tuple[str, str], list[dict]] = {}
@@ -473,6 +450,7 @@ def summarize(records: list[dict], target_objective: Optional[float]) -> list[Su
                         evals_to_target.append(evals)
                         break
         successes = len(evals_to_target)
+        feasible = [r["best_objective"] for r in group if r["best_feasible"]]
         rows.append(
             SummaryRow(
                 problem=problem,
@@ -483,7 +461,10 @@ def summarize(records: list[dict], target_objective: Optional[float]) -> list[Su
                 best_final=min(finals),
                 median_final=lower_median(finals),
                 worst_final=max(finals),
+                feasible_rate=len(feasible) / len(group),
+                best_feasible_final=min(feasible) if feasible else None,
                 wall_time_seconds=wall,
+                failures=tuple((r["trial"], r["error"]) for r in group if r["status"] != "ok"),
             )
         )
     return rows
@@ -493,21 +474,10 @@ def format_summary(rows: list[SummaryRow]) -> str:
     """Summary rows as TSV text (also what summary.tsv contains)."""
     lines = ["\t".join(_SUMMARY_COLUMNS)]
     for row in rows:
-        lines.append(
-            "\t".join(
-                (
-                    row.problem,
-                    row.algorithm,
-                    str(row.trials),
-                    "NA" if row.success_rate is None else repr(row.success_rate),
-                    "NA" if row.median_evals_to_target is None else str(row.median_evals_to_target),
-                    repr(row.best_final),
-                    repr(row.median_final),
-                    repr(row.worst_final),
-                    f"{row.wall_time_seconds:.3f}",
-                )
-            )
-        )
+        # floats round-trip through repr; wall time, the last column, is rounded
+        cells = [getattr(row, column) for column in _SUMMARY_COLUMNS[:-1]]
+        cells = ["NA" if v is None else repr(v) if isinstance(v, float) else str(v) for v in cells]
+        lines.append("\t".join(cells + [f"{row.wall_time_seconds:.3f}"]))
     return "\n".join(lines) + "\n"
 
 

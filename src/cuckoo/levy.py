@@ -9,17 +9,14 @@ magnitude, and replays bit-identically from a seeded generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LevyConfig",
-    "levy_tail_density",
     "sample_step_length",
     "sample_levy_vector",
-    "tail_prefactor",
 ]
 
 
@@ -29,13 +26,11 @@ class LevyConfig:
 
     tail_exponent must lie in (1, 3]; smaller values give heavier tails
     (1.5 is a good general-purpose default).  min_step is the lower
-    cutoff of the law; the density is truncated to zero below it.  seed
-    is only consulted by :meth:`rng`; optimizer runs own their stream.
+    cutoff of the law; the density is truncated to zero below it.
     """
 
     tail_exponent: float = 1.5
     min_step: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 1.0 < self.tail_exponent <= 3.0:
@@ -44,39 +39,6 @@ class LevyConfig:
             )
         if not self.min_step > 0.0:
             raise ValueError(f"min_step must be positive, got {self.min_step}")
-
-    def rng(self) -> np.random.Generator:
-        """Fresh generator seeded from this config."""
-        return np.random.default_rng(self.seed)
-
-
-def tail_prefactor(cfg: LevyConfig) -> float:
-    """Constant factor of the tail density for ``cfg``.
-
-    Positive only for tail_exponent < 2: the sine factor vanishes at 2
-    and is negative beyond, so the closed form stops being a usable
-    density there.  Sampling never consults this constant, so draws stay
-    valid across the whole configurable range.
-    """
-    lam = cfg.tail_exponent
-    return lam * math.gamma(lam) * math.sin(math.pi * lam / 2.0) / math.pi
-
-
-def levy_tail_density(s, cfg: LevyConfig):
-    """Density of the step-length law at ``s`` (scalar or array).
-
-    Zero below the cutoff, ``tail_prefactor(cfg) * s**-(1+tail_exponent)``
-    at and above it.  ``s`` must be positive.
-    """
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("step length must be positive")
-    out = np.where(
-        arr < cfg.min_step,
-        0.0,
-        tail_prefactor(cfg) * arr ** (-1.0 - cfg.tail_exponent),
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):

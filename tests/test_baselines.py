@@ -55,6 +55,13 @@ class TestRunContracts:
         assert result.best_objective <= 0.5
         assert result.evaluations < 100_000
 
+    def test_target_precedence_over_budget(self):
+        problem = get_problem("sphere", 2)
+        stop = StopCriterion(max_evaluations=1, target_objective=1e9)
+        result = hill_climb_restart(problem, HillClimbParams(stop=stop), seed=0)
+        assert result.terminated_by == "target"
+        assert result.evaluations == 1
+
     def test_stagnation_termination(self):
         flat = Problem("flat", [(0.0, 1.0)] * 2, objective=lambda x: 7.0)
         stop = StopCriterion(max_evaluations=100_000, stagnation_window=25)
@@ -75,17 +82,35 @@ class TestRunContracts:
 
 class TestMoveRule:
     def test_accepted_values_strictly_decrease_within_a_climb(self):
+        # replay the rule from outside: a move is accepted only if strictly
+        # better, and stall_limit rejections in a row end the climb; every
+        # recorded point must fit that replay
         problem = get_problem("ackley", 5)
+        params = HillClimbParams(stop=budget(3_000))
         for seed in range(6):
-            log = []
-            hill_climb_restart(
-                problem, HillClimbParams(stop=budget(3_000)), seed=seed, accept_log=log
-            )
-            by_restart = {}
-            for restart, value in log:
-                by_restart.setdefault(restart, []).append(value)
-            assert len(by_restart) >= 1
-            for values in by_restart.values():
+            seen = []
+
+            def recording(x):
+                seen.append((x.copy(), problem.objective(x)))
+                return seen[-1][1]
+
+            hill_climb_restart(Problem(problem.name, problem.bounds, recording), params, seed=seed)
+            climbs, current, failures = [], None, 0
+            for point, value in seen:
+                if current is None or failures >= params.stall_limit:
+                    if current is not None:
+                        assert np.all(point != current)  # a restart redraws every coordinate
+                    current, failures = point, 0
+                    climbs.append([value])
+                    continue
+                assert np.sum(point != current) <= 1  # a move starts from the last accepted point
+                if value < climbs[-1][-1]:
+                    current, failures = point, 0
+                    climbs[-1].append(value)
+                else:
+                    failures += 1
+            assert len(climbs) >= 2
+            for values in climbs:
                 assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_moves_touch_one_coordinate(self):
@@ -124,7 +149,6 @@ class TestMoveRule:
         assert np.all(stacked <= problem.upper)
 
     def test_restart_after_stall_draws_fresh_point(self):
-        flat = Problem("flat", [(0.0, 1.0)] * 4, objective=lambda x: 1.0)
         seen = []
 
         def recording(x):
@@ -133,15 +157,12 @@ class TestMoveRule:
 
         recorded = Problem("flat", [(0.0, 1.0)] * 4, recording)
         params = HillClimbParams(stall_limit=5, stop=budget(18))
-        log = []
-        hill_climb_restart(recorded, params, seed=8, accept_log=log)
-        # cycle: 1 fresh start + 5 rejected moves; starts at indices 0, 6, 12
-        assert [entry[0] for entry in log] == [0, 1, 2]
-        for start_index in (6, 12):
-            differs = np.sum(seen[start_index] != seen[start_index - 1])
-            assert differs == 4  # a move changes one coordinate, a restart all
-
-    def test_accept_log_not_required(self):
-        problem = get_problem("sphere", 2)
-        result = hill_climb_restart(problem, HillClimbParams(stop=budget(100)), seed=0)
-        assert result.evaluations == 100
+        hill_climb_restart(recorded, params, seed=8)
+        # flat objective: every move is rejected, so each climb is 1 fresh
+        # start plus 5 rejected moves, and climbs start at 0, 6 and 12
+        assert len(seen) == 18
+        for index in range(1, 18):
+            if index % 6 == 0:
+                assert np.sum(seen[index] != seen[index - 6]) == 4  # a restart changes all
+            else:
+                assert np.sum(seen[index] != seen[index - index % 6]) <= 1  # a move, one

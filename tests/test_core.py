@@ -49,8 +49,6 @@ class TestConfigs:
             AlgorithmParams(alpha=0.0)
         with pytest.raises(ValueError):
             AlgorithmParams(compare_to="best")
-        with pytest.raises(ValueError):
-            AlgorithmParams(local_step_law="levy")
 
     def test_stop_validation(self):
         with pytest.raises(ValueError):
@@ -60,6 +58,23 @@ class TestConfigs:
         with pytest.raises(ValueError):
             StopCriterion(max_evaluations=100, stagnation_window=0)
         StopCriterion(target_objective=0.5)
+
+    @pytest.mark.parametrize(
+        "stop, best, evaluations, stall, expected",
+        [
+            # target over budget over stagnation
+            (StopCriterion(100, 1.0, 3), 0.5, 100, 3, "target"),
+            (StopCriterion(100, 1.0, 3), 2.0, 100, 3, "max_evaluations"),
+            (StopCriterion(100, 1.0, 3), 2.0, 99, 3, "stagnation"),
+            (StopCriterion(100, 1.0, 3), 2.0, 99, 2, None),
+            # no stall count given: stagnation is not checked
+            (StopCriterion(100, 1.0, 3), 2.0, 99, None, None),
+            (StopCriterion(100, None, 3), 2.0, 100, None, "max_evaluations"),
+            (StopCriterion(None, 1.0, None), 1.0, 10**9, None, "target"),
+        ],
+    )
+    def test_stop_reason_precedence(self, stop, best, evaluations, stall, expected):
+        assert stop.reason(best, evaluations, stall) == expected
 
     def test_step_scale_default_and_override(self):
         problem = get_problem("rosenbrock", 4)  # width 15 per coordinate

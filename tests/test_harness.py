@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cuckoo import harness
 from cuckoo.cli import main
 from cuckoo.harness import (
     ConfigError,
@@ -86,6 +87,7 @@ class TestConfigParsing:
             {"penalty": {"weight": 10.0}},
             {"workers": 0},
             {"output": ""},
+            {"stop": {"target_objective": 1.0}},  # a missed target would never stop
         ],
     )
     def test_rejects_malformed(self, overrides):
@@ -172,6 +174,25 @@ class TestLowerMedianAndSummaries:
         assert row.worst_final == float("inf")
         assert row.best_final == 2.0
         assert row.success_rate == 0.0
+
+    def test_feasibility_columns(self):
+        records = [
+            self.record("welded_beam", "cuckoo", 0, [9.0, 3.0], [10, 20]),
+            self.record("welded_beam", "cuckoo", 1, [5.0, 2.0], [10, 20]),
+            self.record("welded_beam", "cuckoo", 2, [], [], status="error"),
+        ]
+        records[1]["best_feasible"] = False  # 2.0 is penalized, not a feasible best
+        (row,) = summarize(records, target_objective=None)
+        assert row.feasible_rate == pytest.approx(1 / 3)
+        assert row.best_feasible_final == 3.0
+        assert row.best_final == 2.0
+        records[0]["best_feasible"] = False
+        (row,) = summarize(records, target_objective=None)
+        assert row.feasible_rate == 0.0
+        assert row.best_feasible_final is None
+        header, line = format_summary([row]).splitlines()
+        cells = dict(zip(header.split("\t"), line.split("\t")))
+        assert (cells["feasible_rate"], cells["best_feasible_final"]) == ("0.0", "NA")
 
     def test_rows_sorted_by_problem_then_algorithm(self):
         records = [
@@ -329,6 +350,21 @@ class TestCli:
         path = write_spec(tmp_path, {"algorithms": ["annealing"]})
         assert main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_trial_exit_code(self, tmp_path, capsys, monkeypatch):
+        real = harness.hill_climb_restart
+
+        def failing(problem, params, seed, penalty):
+            if seed == 101:
+                raise RuntimeError("boom")
+            return real(problem, params, seed=seed, penalty=penalty)
+
+        monkeypatch.setattr(harness, "hill_climb_restart", failing)
+        assert main(["run", str(write_spec(tmp_path, {"workers": 1}))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("problem\talgorithm")
+        assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
+        assert len(list((tmp_path / "out" / "records").glob("*.tsv"))) == 4
 
     def test_missing_paths(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
