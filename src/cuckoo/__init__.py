@@ -10,7 +10,6 @@ command).
 from .baselines import HillClimbParams, hill_climb_restart
 from .core import (
     AlgorithmParams,
-    Nest,
     Population,
     RunResult,
     StopCriterion,
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "HillClimbParams",
     "LevyConfig",
-    "Nest",
     "PenaltyConfig",
     "Population",
     "Problem",

@@ -2,8 +2,9 @@
 
 Shares the problem, penalty, stop-criterion, and result contracts with
 the cuckoo search optimizer so the experiment harness can treat both
-uniformly.  One evaluation is one iteration here: history gains an entry
-per evaluation.
+uniformly.  One evaluation is one iteration here, and history keeps the
+evaluations where the best changes, plus the last one: the best-so-far
+curve is a step function, so those rows lose nothing of it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import STAGNATION_EPS, RunResult, StopCriterion
+from .core import STAGNATION_EPS, RunResult, StopCriterion, _is_count
 from .problems import PenaltyConfig, Problem, evaluate
 
 __all__ = ["HillClimbParams", "hill_climb_restart"]
@@ -40,8 +41,8 @@ class HillClimbParams:
             raise ValueError(f"step_fraction must be in (0, 1], got {self.step_fraction}")
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError(f"shrink_factor must be in (0, 1), got {self.shrink_factor}")
-        if self.stall_limit < 1:
-            raise ValueError(f"stall_limit must be >= 1, got {self.stall_limit}")
+        if not _is_count(self.stall_limit) or self.stall_limit < 1:
+            raise ValueError(f"stall_limit must be an integer >= 1, got {self.stall_limit!r}")
 
 
 def hill_climb_restart(
@@ -54,7 +55,8 @@ def hill_climb_restart(
 
     Only strict improvements are accepted.  The stop criterion is
     checked after every evaluation, so max_evaluations is never
-    overshot.
+    overshot.  history and history_evaluations hold a row for each
+    evaluation that improved the best, plus one for the last evaluation.
     """
     if params is None:
         params = HillClimbParams()
@@ -63,7 +65,11 @@ def hill_climb_restart(
     rng = np.random.default_rng(seed)
     stop_reason = params.stop.reason
     lower, upper = problem.lower, problem.upper
-    width = upper - lower
+    # per-coordinate bounds and steps as Python floats: the move below is
+    # scalar work, where numpy scalars cost several times as much
+    low, high = lower.tolist(), upper.tolist()
+    start_step = (params.step_fraction * (upper - lower)).tolist()
+    shrink = params.shrink_factor
     dimension = problem.dimension
 
     evaluations = 0
@@ -75,7 +81,7 @@ def hill_climb_restart(
     stall_iterations = 0
     reason: Optional[str] = None
 
-    def consume(position: np.ndarray) -> tuple[float, bool]:
+    def consume(position: np.ndarray) -> float:
         """Evaluate one point, update best/history, check termination."""
         nonlocal evaluations, best_position, best_objective, best_feasible
         nonlocal stall_iterations, reason
@@ -89,32 +95,38 @@ def hill_climb_restart(
             best_position = position.copy()
             best_objective = value
             best_feasible = feasible
-        history.append(best_objective)
-        history_evaluations.append(evaluations)
+            history.append(best_objective)
+            history_evaluations.append(evaluations)
         reason = stop_reason(best_objective, evaluations, stall_iterations)
-        return value, feasible
+        return value
 
     while reason is None:
         current = rng.uniform(lower, upper)
-        current_value, _ = consume(current)
-        step = params.step_fraction * width
+        current_value = consume(current)
+        step = start_step
         failures = 0
         while reason is None:
             coord = int(rng.integers(dimension))
-            offset = float(rng.uniform(-step[coord], step[coord]))
+            # rng.uniform(-half, half) computes exactly this, low + (high - low)
+            # * u from one draw, at a few times the call cost
+            half = step[coord]
+            offset = -half + 2.0 * half * rng.random()
             candidate = current.copy()
-            candidate[coord] = min(max(candidate[coord] + offset, lower[coord]), upper[coord])
-            value, _ = consume(candidate)
+            candidate[coord] = min(max(current.item(coord) + offset, low[coord]), high[coord])
+            value = consume(candidate)
             if value < current_value:
                 current, current_value = candidate, value
                 failures = 0
             else:
                 failures += 1
-                step = step * params.shrink_factor
+                step = [v * shrink for v in step]
                 if failures >= params.stall_limit:
                     break
 
     assert best_position is not None
+    if history_evaluations[-1] != evaluations:
+        history.append(best_objective)
+        history_evaluations.append(evaluations)
     return RunResult(
         best_position=best_position,
         best_objective=best_objective,

@@ -1,7 +1,7 @@
 """Cuckoo search optimizer.
 
 A population of candidate solutions ("nests") evolves through three
-moves per iteration, in this order:
+phases per iteration, in this order:
 
 1. global walk: every nest proposes a heavy-tailed random step, and the
    candidate competes greedily against a randomly chosen nest;
@@ -11,9 +11,24 @@ moves per iteration, in this order:
 3. abandonment: the worst ceil(p_a * n) nests are replaced by fresh
    uniform samples.
 
+The state is arrays: positions ``X`` (n, d), penalized objectives ``F``
+(n,) and feasibility flags (n,).  Each phase is synchronous: every
+candidate is proposed from the population as it stood when the phase
+began, all of them are scored by one batch :func:`evaluate` call, and
+then each slot keeps the better of its nest and the best candidate that
+targets it.  A phase that would pass the evaluation budget proposes
+only as many candidates as there are evaluations left, so a run spends
+exactly ``max_evaluations`` (the initial population is always evaluated
+whole).
+
 The best solution ever evaluated is tracked separately and can only
 improve (the abandonment step never touches it).  All randomness flows
 through one seeded numpy generator, so runs replay bit-identically.
+Per iteration the draws are: the global walk's step magnitudes, then
+its signs (one block each, row by row), then one defender per candidate
+under ``compare_to="random"``; the local walk's partners j (one per
+candidate), then k, then the step factors s, then the gates (one per
+component, row by row); then one uniform block per abandoned nest.
 """
 
 from __future__ import annotations
@@ -30,52 +45,78 @@ from .problems import PenaltyConfig, Problem, evaluate
 __all__ = [
     "STAGNATION_EPS",
     "AlgorithmParams",
-    "Nest",
     "Population",
     "RunResult",
     "StopCriterion",
     "abandon_fraction",
     "abandonment_count",
     "cuckoo_search",
-    "draw_partners",
     "global_walk",
-    "greedy_select",
     "initialize",
     "local_walk",
+    "partner_pairs",
     "step_scale",
+    "winning_bids",
 ]
 
 # an objective improvement at or below this is treated as stagnation
 STAGNATION_EPS = 1e-12
 
 
-@dataclass
-class Nest:
-    """One population slot: a position with its cached evaluation."""
-
-    position: np.ndarray
-    objective: float
-    feasible: bool
+def _is_count(value) -> bool:
+    """An integer that is not a bool (YAML's ``yes`` must not pass for 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
 class Population:
-    """Mutable optimizer state: nests, best-so-far record, eval count."""
+    """Mutable optimizer state.
 
-    nests: list[Nest]
-    best: Nest
+    Row i of X is nest i, with penalized objective F[i] and feasibility
+    flag feasible[i].  The best_* fields record the best point ever
+    evaluated, as a copy the population's later moves cannot touch;
+    evaluations counts every evaluation so far.
+    """
+
+    X: np.ndarray
+    F: np.ndarray
+    feasible: np.ndarray
+    best_position: np.ndarray
+    best_objective: float
+    best_feasible: bool
     evaluations: int
+
+    def replace(
+        self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
+    ) -> None:
+        """Slot ``slots[c]`` takes candidate c where strictly better.
+
+        Ties keep the incumbent.  The slots must be distinct.
+        """
+        better = F < self.F[slots]
+        slots = slots[better]
+        self.X[slots] = X[better]
+        self.F[slots] = F[better]
+        self.feasible[slots] = feasible[better]
+
+    def record_best(self) -> None:
+        """Copy the best nest (first on ties) into the record if it improves on it."""
+        i = int(self.F.argmin())
+        if self.F[i] < self.best_objective:
+            self.best_position = self.X[i].copy()
+            self.best_objective = float(self.F[i])
+            self.best_feasible = bool(self.feasible[i])
 
 
 @dataclass(frozen=True)
 class StopCriterion:
     """Termination rule; at least one field must be set.
 
-    max_evaluations stops once the evaluation count reaches the budget
-    (checked between phases, so the count may overshoot by at most one
-    phase of work: n + ceil(p_a * n) evaluations).  target_objective
-    stops when the best penalized objective is <= the target.
-    stagnation_window stops after that many consecutive iterations
+    max_evaluations stops once the evaluation count reaches the budget;
+    both optimizers spend it exactly (cuckoo search cuts the phase that
+    reaches it short).  target_objective stops when the best penalized
+    objective is <= the target.  stagnation_window stops after that many
+    consecutive iterations
     without a best improvement above 1e-12.  A criterion with only a
     target set never terminates if the target is unreachable, so keep a
     budget set unless the target is known attainable.
@@ -92,10 +133,10 @@ class StopCriterion:
             and self.stagnation_window is None
         ):
             raise ValueError("at least one stop criterion must be set")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError(f"max_evaluations must be >= 1, got {self.max_evaluations}")
-        if self.stagnation_window is not None and self.stagnation_window < 1:
-            raise ValueError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
+        for name in ("max_evaluations", "stagnation_window"):
+            value = getattr(self, name)
+            if value is not None and not (_is_count(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
     def target_only(self) -> bool:
@@ -144,7 +185,7 @@ class AlgorithmParams:
     compare_to: str = "random"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not _is_count(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError(f"p_a must be in [0, 1], got {self.p_a}")
@@ -185,32 +226,24 @@ def abandonment_count(p_a: float, n: int) -> int:
     return math.ceil(round(p_a * n, 9))
 
 
-def _evaluated_nest(problem: Problem, position: np.ndarray, penalty: PenaltyConfig) -> Nest:
-    value, feasible = evaluate(problem, position, penalty)
-    return Nest(position=position, objective=value, feasible=feasible)
-
-
 def initialize(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
     penalty: Optional[PenaltyConfig] = None,
 ) -> Population:
-    """Uniform random population inside the bounds, fully evaluated.
+    """Uniform random population inside the bounds, evaluated as one batch.
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
     The best-so-far record starts as a copy of the best initial nest
     (first one on ties).
     """
-    if penalty is None:
-        penalty = PenaltyConfig()
-    nests = [
-        _evaluated_nest(problem, rng.uniform(problem.lower, problem.upper), penalty)
-        for _ in range(params.n)
-    ]
-    best = min(nests, key=lambda nest: nest.objective)
-    best = Nest(best.position.copy(), best.objective, best.feasible)
-    return Population(nests=nests, best=best, evaluations=params.n)
+    X = rng.uniform(problem.lower, problem.upper, size=(params.n, problem.dimension))
+    F, feasible = evaluate(problem, X, penalty)
+    best = int(np.argmin(F))
+    return Population(
+        X, F, feasible, X[best].copy(), float(F[best]), bool(feasible[best]), params.n
+    )
 
 
 def global_walk(
@@ -220,14 +253,17 @@ def global_walk(
     rng: np.random.Generator,
     scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Heavy-tailed step from ``x``, clamped to the bounds.
+    """Heavy-tailed step from ``x`` (d,), or from each row of ``x`` (m, d).
 
-    Consumes one signed step vector from ``rng`` (two uniform blocks of
-    ``dimension`` draws, see :func:`cuckoo.levy.sample_levy_vector`).
+    Consumes one signed step vector from ``rng`` per point: all
+    magnitudes, then all signs (see
+    :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
+    the bounds.
     """
     if scale is None:
         scale = step_scale(problem, params)
-    step = sample_levy_vector(problem.dimension, params.levy, rng)
+    rows = None if x.ndim == 1 else x.shape[0]
+    step = sample_levy_vector(problem.dimension, params.levy, rng, rows)
     return np.clip(x + scale * step, problem.lower, problem.upper)
 
 
@@ -240,35 +276,53 @@ def local_walk(
     rng: np.random.Generator,
     scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Gated step from ``x_i`` along the difference of two members.
+    """Gated step from ``x_i`` along the difference ``x_j - x_k``.
 
-    Draws one scalar step factor s ~ U(0, 1), then one gate uniform per
-    component; a component moves only where its gate uniform falls below
-    p_a.  With p_a = 0, or with x_j identical to x_k, the result equals
-    x_i exactly.  The candidate is clamped to the bounds.
+    For one point (d,), draws one step factor s ~ U(0, 1), then one gate
+    uniform per component; for m points (m, d), draws m step factors,
+    then m * d gate uniforms row by row.  A component moves only where
+    its gate uniform falls below p_a.  With p_a = 0, or with x_j
+    identical to x_k, the result equals x_i exactly.  The candidate is
+    clamped to the bounds.
     """
-    if not (x_i.shape == x_j.shape == x_k.shape == (problem.dimension,)):
-        raise ValueError("positions must all have the problem dimension")
+    if not (
+        x_i.shape == x_j.shape == x_k.shape
+        and x_i.ndim in (1, 2)
+        and x_i.shape[-1] == problem.dimension
+    ):
+        raise ValueError("positions must all have the same shape, with the problem dimension last")
     if scale is None:
         scale = step_scale(problem, params)
-    s = rng.random()
-    gate = rng.random(problem.dimension) < params.p_a
+    s = rng.random() if x_i.ndim == 1 else rng.random((x_i.shape[0], 1))
+    gate = rng.random(x_i.shape) < params.p_a
     candidate = x_i + scale * s * gate * (x_j - x_k)
     return np.clip(candidate, problem.lower, problem.upper)
 
 
-def greedy_select(candidate: Nest, incumbent: Nest) -> Nest:
-    """The nest with the smaller objective; ties keep the incumbent."""
-    return candidate if candidate.objective < incumbent.objective else incumbent
+def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """m uniform ordered pairs (j, k) with j != k from range(n).
 
-
-def draw_partners(n: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform ordered pair (j, k) with j != k from range(n)."""
-    j = int(rng.integers(n))
-    k = int(rng.integers(n - 1))
-    if k >= j:
-        k += 1
+    Draws all m values of j, then m values of k from range(n - 1),
+    shifted up by one where they reach j.
+    """
+    j = rng.integers(n, size=m)
+    k = rng.integers(n - 1, size=m)
+    k += k >= j
     return j, k
+
+
+def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The best bid for each distinct target slot.
+
+    Candidate c bids ``values[c]`` for slot ``targets[c]``.  For each
+    slot the smallest value wins and ties go to the lowest candidate
+    index.  Returns the winning candidates' indices, in slot order.
+    """
+    order = np.lexsort((values, targets))  # by slot, then value; stable
+    slots = targets[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = slots[1:] != slots[:-1]
+    return order[first]
 
 
 def abandon_fraction(
@@ -277,30 +331,28 @@ def abandon_fraction(
     params: AlgorithmParams,
     rng: np.random.Generator,
     penalty: Optional[PenaltyConfig] = None,
+    limit: float = math.inf,
 ) -> Population:
     """Replace the worst ceil(p_a * n) nests with fresh uniform samples.
 
-    Ties on the objective are broken by slot order (stable sort).  The
-    best-so-far record is not consulted or modified here; evaluations
-    grow by the replacement count.  Mutates and returns ``pop``.
+    Ties on the objective are broken by slot order (stable sort).  One
+    block of ``dimension`` uniforms is drawn per replaced nest, from the
+    least bad of them to the worst, and the replacements are evaluated
+    as one batch.  ``limit`` caps the count (at the evaluations left in
+    a budget), keeping the worst.  The best-so-far record is not
+    consulted or modified here; evaluations grow by the replacement
+    count.  Mutates and returns ``pop``.
     """
-    if penalty is None:
-        penalty = PenaltyConfig()
-    count = abandonment_count(params.p_a, len(pop.nests))
+    n = len(pop.F)
+    count = min(abandonment_count(params.p_a, n), limit)
     if count == 0:
         return pop
-    order = np.argsort([nest.objective for nest in pop.nests], kind="stable")
-    for idx in order[len(pop.nests) - count :]:
-        position = rng.uniform(problem.lower, problem.upper)
-        pop.nests[idx] = _evaluated_nest(problem, position, penalty)
+    slots = pop.F.argsort(kind="stable")[n - count :]
+    X = rng.uniform(problem.lower, problem.upper, size=(count, problem.dimension))
+    pop.F[slots], pop.feasible[slots] = evaluate(problem, X, penalty)
+    pop.X[slots] = X
     pop.evaluations += count
     return pop
-
-
-def _update_best(pop: Population) -> None:
-    contender = min(pop.nests, key=lambda nest: nest.objective)
-    if contender.objective < pop.best.objective:
-        pop.best = Nest(contender.position.copy(), contender.objective, contender.feasible)
 
 
 def cuckoo_search(
@@ -311,72 +363,66 @@ def cuckoo_search(
 ) -> RunResult:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
 
-    Target and budget are also checked between phases, so a final
+    Target and budget are checked after every phase, so a final
     iteration may be cut short; it still contributes exactly one history
-    entry.  The same seed always reproduces the same result bit for bit.
+    entry.  Only the first nests propose in a phase that would pass the
+    budget, one per evaluation left.  The same seed always reproduces
+    the same result bit for bit.
     """
     if params is None:
         params = AlgorithmParams()
-    if penalty is None:
-        penalty = PenaltyConfig()
     rng = np.random.default_rng(seed)
     scale = step_scale(problem, params)
     stop = params.stop
     n = params.n
+    budget = math.inf if stop.max_evaluations is None else stop.max_evaluations
 
     pop = initialize(problem, params, rng, penalty)
-    history = [pop.best.objective]
+    history = [pop.best_objective]
     history_evaluations = [pop.evaluations]
     stall = 0
-    reason = stop.reason(pop.best.objective, pop.evaluations)
+    reason = stop.reason(pop.best_objective, pop.evaluations)
 
     while reason is None:
-        previous_best = pop.best.objective
+        previous_best = pop.best_objective
 
-        for i in range(n):
-            candidate_pos = global_walk(pop.nests[i].position, problem, params, rng, scale)
-            candidate = _evaluated_nest(problem, candidate_pos, penalty)
-            pop.evaluations += 1
-            j = int(rng.integers(n)) if params.compare_to == "random" else i
-            pop.nests[j] = greedy_select(candidate, pop.nests[j])
-        _update_best(pop)
-        reason = stop.reason(pop.best.objective, pop.evaluations)
-
-        if reason is None:
-            for i in range(n):
-                j, k = draw_partners(n, rng)
-                candidate_pos = local_walk(
-                    pop.nests[i].position,
-                    pop.nests[j].position,
-                    pop.nests[k].position,
-                    problem,
-                    params,
-                    rng,
-                    scale,
-                )
-                candidate = _evaluated_nest(problem, candidate_pos, penalty)
-                pop.evaluations += 1
-                pop.nests[i] = greedy_select(candidate, pop.nests[i])
-            _update_best(pop)
-            reason = stop.reason(pop.best.objective, pop.evaluations)
+        m = min(n, budget - pop.evaluations)
+        candidates = global_walk(pop.X[:m], problem, params, rng, scale)
+        F, feasible = evaluate(problem, candidates, penalty)
+        pop.evaluations += m
+        targets = rng.integers(n, size=m) if params.compare_to == "random" else np.arange(m)
+        won = winning_bids(targets, F)
+        pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        pop.record_best()
+        reason = stop.reason(pop.best_objective, pop.evaluations)
 
         if reason is None:
-            abandon_fraction(pop, problem, params, rng, penalty)
-            _update_best(pop)
+            m = min(n, budget - pop.evaluations)
+            j, k = partner_pairs(n, m, rng)
+            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale)
+            F, feasible = evaluate(problem, candidates, penalty)
+            pop.evaluations += m
+            pop.replace(np.arange(m), candidates, F, feasible)
+            pop.record_best()
+            reason = stop.reason(pop.best_objective, pop.evaluations)
 
-        history.append(pop.best.objective)
+        if reason is None:
+            abandon_fraction(pop, problem, params, rng, penalty, budget - pop.evaluations)
+            pop.record_best()
+
+        history.append(pop.best_objective)
         history_evaluations.append(pop.evaluations)
-        if pop.best.objective < previous_best - STAGNATION_EPS:
+        if pop.best_objective < previous_best - STAGNATION_EPS:
             stall = 0
         else:
             stall += 1
         if reason is None:
-            reason = stop.reason(pop.best.objective, pop.evaluations, stall)
+            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
     return RunResult(
-        best_position=pop.best.position.copy(),
-        best_objective=pop.best.objective,
-        best_feasible=pop.best.feasible,
+        best_position=pop.best_position.copy(),
+        best_objective=pop.best_objective,
+        best_feasible=pop.best_feasible,
         history=history,
         history_evaluations=history_evaluations,
         evaluations=pop.evaluations,

@@ -20,6 +20,7 @@ reported number is one that actually occurred.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -29,7 +30,7 @@ from typing import Optional, get_type_hints
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import AlgorithmParams, StopCriterion, cuckoo_search
+from .core import AlgorithmParams, StopCriterion, _is_count, cuckoo_search
 from .problems import PenaltyConfig, get_problem
 
 __all__ = [
@@ -107,13 +108,13 @@ class ExperimentSpec:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_count(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+        if not _is_count(self.base_seed) or self.base_seed < 0:
             raise ConfigError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_count(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
 
@@ -202,7 +203,7 @@ def _parse_problem(entry) -> ProblemRef:
     name, dimension = entry.get("name"), entry.get("dimension")
     if not isinstance(name, str):
         raise ConfigError(f"problem name must be a string, got {name!r}")
-    if dimension is not None and not isinstance(dimension, int):
+    if dimension is not None and not _is_count(dimension):
         raise ConfigError(f"problem dimension must be an integer, got {dimension!r}")
     try:
         built = get_problem(name, dimension)
@@ -394,6 +395,9 @@ def read_records(output_dir) -> list[dict]:
     records = []
     for meta_path in sorted(records_dir.glob("*.meta.yaml")):
         record = yaml.safe_load(meta_path.read_text(encoding="utf-8"))
+        # a grid repeats a few names in every record: share one copy of each
+        for key in ("problem", "algorithm", "status", "terminated_by"):
+            record[key] = sys.intern(record[key])
         tsv_path = meta_path.with_name(meta_path.name.replace(".meta.yaml", ".tsv"))
         history, history_evaluations = [], []
         for line in tsv_path.read_text(encoding="utf-8").splitlines()[1:]:

@@ -10,6 +10,7 @@ magnitude, and replays bit-identically from a seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,15 +56,20 @@ def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):
     return float(s) if size is None else s
 
 
-def sample_levy_vector(dim: int, cfg: LevyConfig, rng: np.random.Generator) -> np.ndarray:
+def sample_levy_vector(
+    dim: int, cfg: LevyConfig, rng: np.random.Generator, n: Optional[int] = None
+) -> np.ndarray:
     """Signed heavy-tailed step for each of ``dim`` coordinates.
 
     Consumes exactly two blocks from ``rng``: ``dim`` magnitude uniforms,
     then ``dim`` sign uniforms (< 0.5 maps to +1).  Components are
-    independent and symmetric about zero.
+    independent and symmetric about zero.  With ``n`` set, returns an
+    (n, dim) block of such steps: all n * dim magnitudes, then all
+    n * dim signs, each in row order.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    magnitudes = sample_step_length(cfg, rng, size=dim)
-    signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
+    shape = dim if n is None else (n, dim)
+    magnitudes = sample_step_length(cfg, rng, size=shape)
+    signs = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
     return signs * magnitudes

@@ -5,6 +5,14 @@ constraint functions.  Constraints enter the search through a quadratic
 exterior penalty (:func:`evaluate`), so optimizers only ever see a plain
 scalar objective plus a feasibility flag.
 
+Objective and constraint callables take coordinates on the first axis:
+one point ``x`` of shape (d,) gives a scalar, and a batch passed as
+``X.T`` of shape (d, m) gives one value per point, shape (m,).  Written
+with indexing (``x[0]``), unpacking (``w, D, N = x``), ``axis=0``
+reductions and numpy ufuncs, one function serves both.  Powers are
+written as products: scalar and array ``**`` can round differently in
+the last bit, and a batch row must score exactly like the same point.
+
 The corpus covers four classic unconstrained test functions (sphere,
 Rosenbrock, Ackley, Rastrigin, all scalable) and two constrained
 engineering designs (tension/compression spring, welded beam) with their
@@ -30,7 +38,7 @@ __all__ = [
     "problem_names",
 ]
 
-Objective = Callable[[np.ndarray], float]
+Objective = Callable[[np.ndarray], "float | np.ndarray"]
 
 
 class EvaluationError(RuntimeError):
@@ -72,7 +80,10 @@ class Problem:
 
     bounds is a (dimension, 2) array of [lower, upper] rows with
     lower < upper everywhere.  Inequality constraints are satisfied when
-    g(x) <= 0; equality constraints when |h(x)| <= eq_tolerance.
+    g(x) <= 0; equality constraints when |h(x)| <= eq_tolerance.  Every
+    callable takes one point (d,) and returns a scalar, or a batch of
+    points as columns (d, m) and returns shape (m,); for example
+    ``lambda x: x[0] * x[0] + x[1]`` does both.
     """
 
     name: str
@@ -105,17 +116,23 @@ class Problem:
         return self.bounds[:, 1]
 
 
-def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None) -> tuple[float, bool]:
-    """Penalized objective at ``x``.
+def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None):
+    """Penalized objective at one point ``x`` (d,) or at each row of a batch (m, d).
 
-    Returns ``(value, feasible)`` where value is the raw objective plus
-    ``penalty_weight`` times the summed squared violations, and feasible
-    is True iff every violation term is exactly zero.  Raises
-    :class:`EvaluationError` if the result is NaN or infinite.
+    For a point, returns ``(value, feasible)`` as a float and a bool,
+    where value is the raw objective plus ``penalty_weight`` times the
+    summed squared violations, and feasible is True iff no violation
+    term is positive.  For a batch, returns the same two as arrays of
+    shape (m,), computed by passing ``x.T`` to each callable once; a
+    callable that returns any other shape raises ValueError (a scalar is
+    never broadcast).  A batch row scores exactly like the same point.
+    Raises :class:`EvaluationError` if a result is NaN or infinite.
     """
     if penalty is None:
         penalty = PenaltyConfig()
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return _evaluate_batch(problem, x, penalty)
     raw = float(problem.objective(x))
     violation_sq = 0.0
     feasible = True
@@ -137,14 +154,50 @@ def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None) -> tu
     return value, feasible
 
 
+def _evaluate_batch(
+    problem: Problem, X: np.ndarray, penalty: PenaltyConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    columns = X.T
+    count = X.shape[0]
+
+    def batch_values(fn) -> np.ndarray:
+        out = np.asarray(fn(columns), dtype=float)
+        if out.shape != (count,):
+            raise ValueError(
+                f"a callable of {problem.name!r} returned shape {out.shape} for a batch of"
+                f" {count} points; given (d, m) coordinates it must return shape (m,)"
+            )
+        return out
+
+    raw = batch_values(problem.objective)
+    # the same terms in the same order as the point path, so rows match it bit for bit
+    violations = [batch_values(g) for g in problem.inequality_constraints]
+    violations += [np.abs(batch_values(h)) - penalty.eq_tolerance for h in problem.equality_constraints]
+    violation_sq = 0.0
+    feasible = np.ones(count, dtype=bool)
+    for v in violations:
+        violated = v > 0.0
+        v = np.where(violated, v, 0.0)
+        violation_sq = violation_sq + v * v
+        feasible &= ~violated
+    values = raw + penalty.penalty_weight * violation_sq
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise EvaluationError(
+            f"non-finite penalized objective ({values[row]!r}) on {problem.name!r}", X[row]
+        )
+    return values, feasible
+
+
 # --- unconstrained test functions -------------------------------------------
 
 def sphere(dimension: int = 10) -> Problem:
     """Sum of squares on [-5.12, 5.12]^d.  Global minimum f(0) = 0."""
     _check_dimension(dimension)
 
-    def f(x: np.ndarray) -> float:
-        return float(np.sum(x * x))
+    def f(x: np.ndarray):
+        return (x * x).sum(axis=0)
 
     return Problem("sphere", _box(-5.12, 5.12, dimension), f)
 
@@ -156,8 +209,10 @@ def rosenbrock(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension, minimum=2)
 
-    def f(x: np.ndarray) -> float:
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    def f(x: np.ndarray):
+        head = x[:-1]
+        valley = x[1:] - head * head
+        return (100.0 * (valley * valley) + (1.0 - head) * (1.0 - head)).sum(axis=0)
 
     return Problem("rosenbrock", _box(-5.0, 10.0, dimension), f)
 
@@ -169,11 +224,11 @@ def ackley(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension)
 
-    def f(x: np.ndarray) -> float:
-        d = x.size
-        root_mean_sq = math.sqrt(float(np.sum(x * x)) / d)
-        cos_mean = float(np.sum(np.cos(2.0 * math.pi * x))) / d
-        return -20.0 * math.exp(-0.2 * root_mean_sq) - math.exp(cos_mean) + 20.0 + math.e
+    def f(x: np.ndarray):
+        d = x.shape[0]
+        root_mean_sq = np.sqrt((x * x).sum(axis=0) / d)
+        cos_mean = np.cos(2.0 * math.pi * x).sum(axis=0) / d
+        return -20.0 * np.exp(-0.2 * root_mean_sq) - np.exp(cos_mean) + 20.0 + math.e
 
     return Problem("ackley", _box(-32.768, 32.768, dimension), f)
 
@@ -186,8 +241,8 @@ def rastrigin(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension)
 
-    def f(x: np.ndarray) -> float:
-        return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x)))
+    def f(x: np.ndarray):
+        return 10.0 * x.shape[0] + (x * x - 10.0 * np.cos(2.0 * math.pi * x)).sum(axis=0)
 
     return Problem("rastrigin", _box(-5.12, 5.12, dimension), f)
 
@@ -204,17 +259,30 @@ def spring_design() -> Problem:
     outside diameter.
     """
 
-    def f(x: np.ndarray) -> float:
-        w, D, N = x
-        return float((N + 2.0) * D * w * w)
+    # indexing, not unpacking: a point's callables run once per hill-climb
+    # evaluation, and x[0] costs a tenth of ``w, D, N = x``
+    def f(x: np.ndarray):
+        w = x[0]
+        return (x[2] + 2.0) * x[1] * w * w
+
+    def deflection(x: np.ndarray):
+        D = x[1]
+        w2 = x[0] * x[0]
+        return 1.0 - D * D * D * x[2] / (71785.0 * (w2 * w2))
+
+    def shear_stress(x: np.ndarray):
+        w, D = x[0], x[1]
+        w2 = w * w
+        return (
+            (4.0 * (D * D) - w * D) / (12566.0 * (D * (w2 * w) - w2 * w2))
+            + 1.0 / (5108.0 * w2)
+            - 1.0
+        )
 
     gs = (
-        lambda x: 1.0 - x[1] ** 3 * x[2] / (71785.0 * x[0] ** 4),
-        lambda x: (4.0 * x[1] ** 2 - x[0] * x[1])
-        / (12566.0 * (x[1] * x[0] ** 3 - x[0] ** 4))
-        + 1.0 / (5108.0 * x[0] ** 2)
-        - 1.0,
-        lambda x: 1.0 - 140.45 * x[0] / (x[1] ** 2 * x[2]),
+        deflection,
+        shear_stress,
+        lambda x: 1.0 - 140.45 * x[0] / (x[1] * x[1] * x[2]),
         lambda x: (x[0] + x[1]) / 1.5 - 1.0,
     )
     bounds = [(0.05, 2.0), (0.25, 1.3), (2.0, 15.0)]
@@ -235,32 +303,34 @@ def welded_beam() -> Problem:
     """
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
 
-    def f(x: np.ndarray) -> float:
-        h, l, t, b = x
-        return float(1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l))
+    def f(x: np.ndarray):
+        h, l = x[0], x[1]
+        return 1.10471 * h * h * l + 0.04811 * x[2] * x[3] * (14.0 + l)
 
-    def weld_shear(x: np.ndarray) -> float:
-        h, l, t, _ = x
+    def weld_shear(x: np.ndarray):
+        h, l, t = x[0], x[1], x[2]
+        half_ht = (h + t) / 2.0
         tau1 = P / (math.sqrt(2.0) * h * l)
         moment = P * (L + l / 2.0)
-        radius = math.sqrt(l * l / 4.0 + ((h + t) / 2.0) ** 2)
-        polar = 2.0 * (math.sqrt(2.0) * h * l * (l * l / 12.0 + ((h + t) / 2.0) ** 2))
+        radius = np.sqrt(l * l / 4.0 + half_ht * half_ht)
+        polar = 2.0 * (math.sqrt(2.0) * h * l * (l * l / 12.0 + half_ht * half_ht))
         tau2 = moment * radius / polar
-        return math.sqrt(tau1 * tau1 + 2.0 * tau1 * tau2 * l / (2.0 * radius) + tau2 * tau2)
+        return np.sqrt(tau1 * tau1 + 2.0 * tau1 * tau2 * l / (2.0 * radius) + tau2 * tau2)
 
-    def buckling_load(x: np.ndarray) -> float:
-        _, _, t, b = x
-        return (4.013 * E * math.sqrt(t * t * b**6 / 36.0) / L**2) * (
+    def buckling_load(x: np.ndarray):
+        t, b = x[2], x[3]
+        b3 = b * b * b
+        return (4.013 * E * np.sqrt(t * t * (b3 * b3) / 36.0) / (L * L)) * (
             1.0 - (t / (2.0 * L)) * math.sqrt(E / (4.0 * G))
         )
 
     gs = (
         lambda x: weld_shear(x) - 13600.0,
-        lambda x: 6.0 * P * L / (x[3] * x[2] ** 2) - 30000.0,
+        lambda x: 6.0 * P * L / (x[3] * (x[2] * x[2])) - 30000.0,
         lambda x: x[0] - x[3],
-        lambda x: 0.10471 * x[0] ** 2 + 0.04811 * x[2] * x[3] * (14.0 + x[1]) - 5.0,
+        lambda x: 0.10471 * (x[0] * x[0]) + 0.04811 * x[2] * x[3] * (14.0 + x[1]) - 5.0,
         lambda x: 0.125 - x[0],
-        lambda x: 4.0 * P * L**3 / (E * x[2] ** 3 * x[3]) - 0.25,
+        lambda x: 4.0 * P * (L * L * L) / (E * (x[2] * x[2] * x[2]) * x[3]) - 0.25,
         lambda x: P - buckling_load(x),
     )
     bounds = [(0.1, 2.0), (0.1, 10.0), (0.1, 10.0), (0.1, 2.0)]

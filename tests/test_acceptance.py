@@ -218,7 +218,7 @@ def test_criterion_7_determinism_and_accounting(tmp_path):
         inner = problem.objective
 
         def counting(x, _inner=inner, _calls=calls):
-            _calls["n"] += 1
+            _calls["n"] += x.shape[1] if x.ndim == 2 else 1  # points, not calls
             return _inner(x)
 
         counted = Problem(
@@ -260,9 +260,9 @@ def test_criterion_8_abandonment_contract():
             params = AlgorithmParams(n=n, p_a=p_a, stop=StopCriterion(max_evaluations=10))
             rng = np.random.default_rng(int(master.integers(2**31)))
             pop = initialize(problem, params, rng)
-            before_positions = [nest.position.copy() for nest in pop.nests]
-            before_objectives = [nest.objective for nest in pop.nests]
-            before_best = (pop.best.position.copy(), pop.best.objective)
+            before_positions = [x.copy() for x in pop.X]
+            before_objectives = pop.F.tolist()
+            before_best = (pop.best_position.copy(), pop.best_objective)
             before_evaluations = pop.evaluations
 
             abandon_fraction(pop, problem, params, rng)
@@ -270,11 +270,11 @@ def test_criterion_8_abandonment_contract():
             changed = {
                 i
                 for i in range(n)
-                if not np.array_equal(pop.nests[i].position, before_positions[i])
+                if not np.array_equal(pop.X[i], before_positions[i])
             }
             worst = set(sorted(range(n), key=lambda i: before_objectives[i])[n - expected :])
             coherent = all(
-                pop.nests[i].objective == evaluate(problem, pop.nests[i].position)[0]
+                pop.F[i] == evaluate(problem, pop.X[i])[0]
                 for i in changed
             )
             checked += 1
@@ -282,8 +282,8 @@ def test_criterion_8_abandonment_contract():
                 len(changed) == expected
                 and changed == worst
                 and pop.evaluations == before_evaluations + expected
-                and pop.best.objective == before_best[1]
-                and np.array_equal(pop.best.position, before_best[0])
+                and pop.best_objective == before_best[1]
+                and np.array_equal(pop.best_position, before_best[0])
                 and coherent
             ):
                 failures += 1

@@ -28,15 +28,40 @@ class TestParams:
 
 
 class TestRunContracts:
-    def test_history_is_per_evaluation(self):
+    def test_history_keeps_rows_where_best_changes(self):
         problem = get_problem("sphere", 4)
-        result = hill_climb_restart(problem, HillClimbParams(stop=budget(500)), seed=0)
+        values = []
+        inner = problem.objective
+
+        def recording(x):
+            values.append(float(inner(x)))
+            return values[-1]
+
+        recorded = Problem(problem.name, problem.bounds, recording)
+        result = hill_climb_restart(recorded, HillClimbParams(stop=budget(500)), seed=0)
         assert result.terminated_by == "max_evaluations"
         assert result.evaluations == 500  # checked per evaluation, never overshoots
-        assert len(result.history) == 500
-        assert result.history_evaluations == list(range(1, 501))
-        assert all(a >= b for a, b in zip(result.history, result.history[1:]))
+        # replay the best-so-far curve from every evaluation: the history is
+        # its change points plus the last evaluation, and loses nothing of it
+        best, rows = float("inf"), []
+        for count, value in enumerate(values, start=1):
+            if value < best:
+                best = value
+                rows.append((best, count))
+        if rows[-1][1] != 500:
+            rows.append((best, 500))
+        assert list(zip(result.history, result.history_evaluations)) == rows
+        assert len(rows) < 500
+        assert all(a > b for a, b in zip(result.history, result.history[1:-1]))
         assert result.history[-1] == result.best_objective
+
+    def test_history_ends_on_an_improvement_without_a_duplicate_row(self):
+        problem = get_problem("sphere", 2)
+        stop = StopCriterion(max_evaluations=100_000, target_objective=0.5)
+        result = hill_climb_restart(problem, HillClimbParams(stop=stop), seed=1)
+        assert result.terminated_by == "target"
+        assert result.history_evaluations[-1] == result.evaluations
+        assert result.history[-2] > result.history[-1]
 
     def test_determinism_and_seed_sensitivity(self):
         problem = get_problem("rastrigin", 3)

@@ -10,17 +10,17 @@ from scipy import stats
 
 from cuckoo.core import (
     AlgorithmParams,
-    Nest,
+    Population,
     StopCriterion,
     abandon_fraction,
     abandonment_count,
     cuckoo_search,
-    draw_partners,
     global_walk,
-    greedy_select,
     initialize,
     local_walk,
+    partner_pairs,
     step_scale,
+    winning_bids,
 )
 from cuckoo.levy import LevyConfig
 from cuckoo.problems import PenaltyConfig, Problem, evaluate, get_problem
@@ -28,7 +28,7 @@ from cuckoo.problems import PenaltyConfig, Problem, evaluate, get_problem
 
 def unit_box(dimension, lo=0.0, hi=1.0):
     return Problem(
-        "box", [(lo, hi)] * dimension, objective=lambda x: float(np.sum(x * x))
+        "box", [(lo, hi)] * dimension, objective=lambda x: np.sum(x * x, axis=0)
     )
 
 
@@ -57,6 +57,13 @@ class TestConfigs:
             StopCriterion(max_evaluations=0)
         with pytest.raises(ValueError):
             StopCriterion(max_evaluations=100, stagnation_window=0)
+        with pytest.raises(ValueError):
+            StopCriterion(max_evaluations=True)  # a bool is not a count
+        with pytest.raises(ValueError):
+            StopCriterion(max_evaluations=100.0)
+        with pytest.raises(ValueError):
+            StopCriterion(stagnation_window=False)
+        StopCriterion(max_evaluations=np.int64(5))
         StopCriterion(target_objective=0.5)
 
     @pytest.mark.parametrize(
@@ -89,22 +96,24 @@ class TestInitialize:
         problem = unit_box(2)
         params = AlgorithmParams(n=3, stop=budget(100))
         pop = initialize(problem, params, np.random.default_rng(0))
-        assert len(pop.nests) == 3
+        assert pop.X.shape == (3, 2) and pop.F.shape == pop.feasible.shape == (3,)
         assert pop.evaluations == 3
-        for nest in pop.nests:
-            assert np.all(nest.position >= 0.0) and np.all(nest.position <= 1.0)
-            assert nest.objective == evaluate(problem, nest.position)[0]
-        assert pop.best.objective == min(nest.objective for nest in pop.nests)
-        # the record is a copy, not an alias into the population
-        assert all(pop.best.position is not nest.position for nest in pop.nests)
+        assert np.all(pop.X >= 0.0) and np.all(pop.X <= 1.0)
+        for x, value, feasible in zip(pop.X, pop.F, pop.feasible):
+            assert (value, feasible) == evaluate(problem, x)
+        assert pop.best_objective == pop.F.min()
+        assert isinstance(pop.best_objective, float)
+        assert np.array_equal(pop.best_position, pop.X[np.argmin(pop.F)])
+        # the record is a copy, not a view into the population
+        assert not np.shares_memory(pop.best_position, pop.X)
 
     def test_draw_order_one_block_per_nest(self):
         problem = unit_box(4, lo=-2.0, hi=3.0)
         params = AlgorithmParams(n=3, stop=budget(100))
         pop = initialize(problem, params, np.random.default_rng(8))
         replay = np.random.default_rng(8)
-        for nest in pop.nests:
-            assert np.array_equal(nest.position, replay.uniform(problem.lower, problem.upper))
+        for x in pop.X:
+            assert np.array_equal(x, replay.uniform(problem.lower, problem.upper))
 
 
 class TestGlobalWalk:
@@ -128,6 +137,18 @@ class TestGlobalWalk:
         magnitudes = 1e-3 * (1.0 - replay.random(5)) ** (-1.0 / 1.5)
         signs = np.where(replay.random(5) < 0.5, 1.0, -1.0)
         assert np.array_equal(candidate, x + 2.0 * signs * magnitudes)
+        assert rng.random() == replay.random()
+
+    def test_batch_draws_magnitudes_then_signs(self):
+        problem = unit_box(3, lo=-100.0, hi=100.0)
+        params = AlgorithmParams(alpha=0.5, stop=budget(100))
+        X = np.arange(12.0).reshape(4, 3)
+        rng = np.random.default_rng(22)
+        candidates = global_walk(X, problem, params, rng)
+        replay = np.random.default_rng(22)
+        magnitudes = 1e-3 * (1.0 - replay.random((4, 3))) ** (-1.0 / 1.5)
+        signs = np.where(replay.random((4, 3)) < 0.5, 1.0, -1.0)
+        assert np.array_equal(candidates, X + 0.5 * signs * magnitudes)
         assert rng.random() == replay.random()
 
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 50.0))
@@ -187,43 +208,85 @@ class TestLocalWalk:
             moved = candidate != x_i
             assert moved.tolist() == [True, False, False, True]
 
+    def test_batch_draw_order_factors_then_gates(self):
+        problem = unit_box(3, lo=-10.0, hi=10.0)
+        params = AlgorithmParams(alpha=1.0, stop=budget(100))
+        rng = np.random.default_rng(5)
+        X_i, X_j, X_k = (rng.uniform(-10.0, 10.0, (4, 3)) for _ in range(3))
+        candidates = local_walk(X_i, X_j, X_k, problem, params, rng)
+        replay = np.random.default_rng(5)
+        for _ in range(3):
+            replay.uniform(-10.0, 10.0, (4, 3))
+        s = replay.random(4)
+        gate = replay.random((4, 3)) < 0.25
+        expected = np.clip(X_i + s[:, None] * gate * (X_j - X_k), -10.0, 10.0)
+        assert np.array_equal(candidates, expected)
+        assert rng.random() == replay.random()
+
     def test_dimension_mismatch(self):
         problem = unit_box(3)
         params = AlgorithmParams(stop=budget(100))
         with pytest.raises(ValueError):
             local_walk(np.zeros(3), np.zeros(2), np.zeros(3), problem, params, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            local_walk(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)), problem, params,
+                       np.random.default_rng(0))
 
 
 class TestSelectionAndPartners:
     def test_greedy_select(self):
-        a = Nest(np.zeros(1), 1.0, True)
-        b = Nest(np.ones(1), 2.0, True)
-        assert greedy_select(a, b) is a
-        assert greedy_select(b, a) is a
-        tied = Nest(np.full(1, 9.0), 1.0, False)
-        assert greedy_select(tied, a) is a  # ties keep the incumbent
+        # candidates 0, 2, 3 bid for slot 1 (2 and 3 tie), 1 for slot 0, 4 for slot 2
+        targets = np.array([1, 0, 1, 1, 2])
+        values = np.array([5.0, 9.0, 4.0, 4.0, 3.0])
+        assert winning_bids(targets, values).tolist() == [1, 2, 4]  # ties: lowest index
+        pop = Population(
+            X=np.zeros((3, 1)),
+            F=np.array([9.0, 6.0, 3.0]),
+            feasible=np.zeros(3, dtype=bool),
+            best_position=np.zeros(1),
+            best_objective=3.0,
+            best_feasible=False,
+            evaluations=3,
+        )
+        won = winning_bids(targets, values)
+        candidates = np.arange(5.0)[:, None] + 10.0
+        pop.replace(targets[won], candidates[won], values[won], np.ones(5, dtype=bool)[won])
+        # slot 0 ties and keeps its nest; slot 1 takes candidate 2; slot 2 ties too
+        assert pop.X[:, 0].tolist() == [0.0, 12.0, 0.0]
+        assert pop.F.tolist() == [9.0, 4.0, 3.0]
+        assert pop.feasible.tolist() == [False, True, False]
+        pop.record_best()
+        assert pop.best_objective == 3.0  # a tie does not replace the record
 
     def test_partners_valid(self):
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            j, k = draw_partners(6, rng)
-            assert 0 <= j < 6 and 0 <= k < 6 and j != k
+        j, k = partner_pairs(6, 2000, rng)
+        assert np.all((0 <= j) & (j < 6) & (0 <= k) & (k < 6) & (j != k))
 
     def test_partners_uniform_over_ordered_pairs(self):
         rng = np.random.default_rng(1)
         n, draws = 5, 40_000
         counts = np.zeros((n, n))
-        for _ in range(draws):
-            j, k = draw_partners(n, rng)
-            counts[j, k] += 1
+        j, k = partner_pairs(n, draws, rng)
+        np.add.at(counts, (j, k), 1)
         observed = counts[~np.eye(n, dtype=bool)]
         result = stats.chisquare(observed)
         assert result.pvalue > 1e-3
 
     def test_partners_two_nests(self):
         rng = np.random.default_rng(2)
-        pairs = {draw_partners(2, rng) for _ in range(50)}
-        assert pairs == {(0, 1), (1, 0)}
+        j, k = partner_pairs(2, 50, rng)
+        assert set(zip(j.tolist(), k.tolist())) == {(0, 1), (1, 0)}
+
+    def test_partner_draw_order(self):
+        rng = np.random.default_rng(3)
+        j, k = partner_pairs(7, 9, rng)
+        replay = np.random.default_rng(3)
+        expected_j = replay.integers(7, size=9)
+        expected_k = replay.integers(6, size=9)
+        assert np.array_equal(j, expected_j)
+        assert np.array_equal(k, expected_k + (expected_k >= expected_j))
+        assert rng.random() == replay.random()
 
 
 class TestAbandonment:
@@ -241,24 +304,21 @@ class TestAbandonment:
         params = AlgorithmParams(n=8, p_a=0.25, stop=budget(10_000))
         rng = np.random.default_rng(5)
         pop = initialize(problem, params, rng)
-        before = [(nest.position.copy(), nest.objective) for nest in pop.nests]
-        worst_two = sorted(range(8), key=lambda i: before[i][1])[-2:]
-        best_before = (pop.best.position.copy(), pop.best.objective)
+        before_X, before_F = pop.X.copy(), pop.F.copy()
+        worst_two = sorted(range(8), key=lambda i: before_F[i])[-2:]
+        best_before = (pop.best_position.copy(), pop.best_objective)
 
         abandon_fraction(pop, problem, params, rng)
 
-        changed = [
-            i for i in range(8) if not np.array_equal(pop.nests[i].position, before[i][0])
-        ]
+        changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
         assert sorted(changed) == sorted(worst_two)
         assert pop.evaluations == 8 + 2
-        assert pop.best.objective == best_before[1]
-        assert np.array_equal(pop.best.position, best_before[0])
+        assert pop.best_objective == best_before[1]
+        assert np.array_equal(pop.best_position, best_before[0])
         for i in changed:
-            nest = pop.nests[i]
-            assert np.all(nest.position >= problem.lower)
-            assert np.all(nest.position <= problem.upper)
-            assert nest.objective == evaluate(problem, nest.position)[0]
+            assert np.all(pop.X[i] >= problem.lower)
+            assert np.all(pop.X[i] <= problem.upper)
+            assert (pop.F[i], pop.feasible[i]) == evaluate(problem, pop.X[i])
 
     @given(
         n=st.integers(3, 50),
@@ -273,19 +333,17 @@ class TestAbandonment:
         params = AlgorithmParams(n=n, p_a=p_a, stop=budget(10_000))
         rng = np.random.default_rng(seed)
         pop = initialize(problem, params, rng)
-        before = [nest.position.copy() for nest in pop.nests]
-        best_before = (pop.best.position.copy(), pop.best.objective)
+        before = pop.X.copy()
+        best_before = (pop.best_position.copy(), pop.best_objective)
 
         abandon_fraction(pop, problem, params, rng)
 
         expected = math.ceil(Fraction(str(p_a)) * n)
-        changed = sum(
-            not np.array_equal(pop.nests[i].position, before[i]) for i in range(n)
-        )
+        changed = sum(not np.array_equal(pop.X[i], before[i]) for i in range(n))
         assert changed == expected
         assert pop.evaluations == n + expected
-        assert pop.best.objective == best_before[1]
-        assert np.array_equal(pop.best.position, best_before[0])
+        assert pop.best_objective == best_before[1]
+        assert np.array_equal(pop.best_position, best_before[0])
 
     def test_zero_fraction_is_noop(self):
         problem = get_problem("sphere", 2)
@@ -299,6 +357,17 @@ class TestAbandonment:
         for _ in range(5):
             replay.uniform(problem.lower, problem.upper)
         assert rng.random() == replay.random()
+
+    def test_limit_replaces_only_the_worst(self):
+        problem = get_problem("sphere", 2)
+        params = AlgorithmParams(n=8, p_a=0.5, stop=budget(10_000))
+        rng = np.random.default_rng(7)
+        pop = initialize(problem, params, rng)
+        before_X, before_F = pop.X.copy(), pop.F.copy()
+        abandon_fraction(pop, problem, params, rng, limit=3)
+        changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
+        assert sorted(changed) == sorted(np.argsort(before_F, kind="stable")[-3:].tolist())
+        assert pop.evaluations == 8 + 3
 
 
 class TestSearchLoop:
@@ -316,13 +385,17 @@ class TestSearchLoop:
         assert result.history_evaluations[0] == params.n
 
     def test_budget_overshoot_bound(self):
+        # the bound is zero: the phase that reaches the budget is cut to it
         problem = get_problem("ackley", 3)
-        for max_evals in (30, 77, 150, 999):
+        for max_evals in (26, 30, 57, 77, 150, 999):
             params = AlgorithmParams(stop=budget(max_evals))
             result = cuckoo_search(problem, params, seed=1)
-            allowance = params.n + abandonment_count(params.p_a, params.n)
-            assert max_evals <= result.evaluations <= max_evals + allowance
+            assert result.evaluations == max_evals
+            assert result.history_evaluations[-1] == max_evals
             assert result.terminated_by == "max_evaluations"
+        # the initial population is evaluated whole, whatever the budget
+        result = cuckoo_search(problem, AlgorithmParams(stop=budget(10)), seed=1)
+        assert result.evaluations == 25 and len(result.history) == 1
 
     def test_target_met_at_initialization(self):
         problem = get_problem("sphere", 2)
@@ -339,7 +412,7 @@ class TestSearchLoop:
         assert result.terminated_by == "target"
 
     def test_stagnation_on_flat_objective(self):
-        flat = Problem("flat", [(0.0, 1.0)] * 3, objective=lambda x: 1.0)
+        flat = Problem("flat", [(0.0, 1.0)] * 3, objective=lambda x: 1.0 + 0.0 * x[0])
         stop = StopCriterion(max_evaluations=100_000, stagnation_window=4)
         result = cuckoo_search(flat, AlgorithmParams(stop=stop), seed=0)
         assert result.terminated_by == "stagnation"
@@ -376,17 +449,22 @@ class TestSearchLoop:
 
     def test_evaluation_accounting_instrumented(self):
         problem = get_problem("sphere", 4)
-        calls = {"n": 0}
+        calls = {"calls": 0, "points": 0}
         inner = problem.objective
 
         def counting(x):
-            calls["n"] += 1
+            calls["calls"] += 1
+            calls["points"] += x.shape[1]
             return inner(x)
 
         counted = Problem(problem.name, problem.bounds, counting)
         params = AlgorithmParams(stop=budget(700))
         result = cuckoo_search(counted, params, seed=0)
-        assert calls["n"] == result.evaluations
+        assert calls["points"] == result.evaluations == 700
+        # one batch for the initial population, then one per phase; the
+        # last iteration may stop after any of its three phases
+        iterations = len(result.history) - 1
+        assert 1 + 3 * (iterations - 1) < calls["calls"] <= 1 + 3 * iterations
 
     def test_custom_levy_config_flows_through(self):
         problem = get_problem("sphere", 2)

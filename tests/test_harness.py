@@ -88,11 +88,28 @@ class TestConfigParsing:
             {"workers": 0},
             {"output": ""},
             {"stop": {"target_objective": 1.0}},  # a missed target would never stop
+            # YAML booleans are not integers, although isinstance(True, int) holds
+            {"trials": True},
+            {"base_seed": False},
+            {"workers": True},
+            {"stop": {"max_evaluations": True}},
+            {"stop": {"max_evaluations": 100, "stagnation_window": True}},
+            {"problems": [{"name": "sphere", "dimension": True}]},
+            {"algorithms": [{"name": "hill_climb", "params": {"stall_limit": True}}]},
         ],
     )
     def test_rejects_malformed(self, overrides):
         with pytest.raises(ConfigError):
             spec_from_dict({**BASE_SPEC, **overrides})
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.yaml")),
+        ids=lambda path: path.name,
+    )
+    def test_shipped_experiments_load(self, path):
+        spec = load_experiment(path)
+        assert spec.problems and spec.algorithms
 
     def test_missing_required_key(self):
         data = dict(BASE_SPEC)

@@ -47,6 +47,18 @@ class TestSampling:
         # streams stayed aligned after the call
         assert rng.random() == replay.random()
 
+    def test_block_draw_order(self):
+        # an (n, dim) block: all magnitudes, then all signs, row by row
+        cfg = LevyConfig(tail_exponent=2.0, min_step=0.01)
+        rng = np.random.default_rng(6)
+        block = sample_levy_vector(4, cfg, rng, n=3)
+        replay = np.random.default_rng(6)
+        magnitudes = 0.01 * (1.0 - replay.random((3, 4))) ** (-1.0 / 2.0)
+        signs = np.where(replay.random((3, 4)) < 0.5, 1.0, -1.0)
+        assert block.shape == (3, 4)
+        assert np.array_equal(block, signs * magnitudes)
+        assert rng.random() == replay.random()
+
     def test_never_below_cutoff(self):
         cfg = LevyConfig(tail_exponent=1.5, min_step=0.02)
         draws = sample_step_length(cfg, np.random.default_rng(0), size=200_000)

@@ -132,9 +132,9 @@ class TestPenalty:
         return Problem(
             "toy",
             bounds=[(-10.0, 10.0), (-10.0, 10.0)],
-            objective=lambda x: float(x[0] ** 2 + x[1] ** 2),
-            inequality_constraints=(lambda x: float(x[0] - 1.0),),
-            equality_constraints=(lambda x: float(x[1]),),
+            objective=lambda x: x[0] * x[0] + x[1] * x[1],
+            inequality_constraints=(lambda x: x[0] - 1.0,),
+            equality_constraints=(lambda x: x[1],),
         )
 
     def test_inequality_square_scales_with_weight(self):
@@ -184,6 +184,81 @@ class TestPenalty:
         nan = Problem("nan", [(0.0, 1.0)], objective=lambda x: float("nan"))
         with pytest.raises(EvaluationError):
             evaluate(nan, [0.5])
+
+
+def _cells():
+    for name in ALL_NAMES:
+        if name in ("spring_design", "welded_beam"):
+            yield name, None
+        else:
+            for dimension in (2, 5, 10, 13):
+                yield name, dimension
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("name, dimension", list(_cells()))
+    @pytest.mark.parametrize("m", [1, 7, 25])
+    def test_batch_row_matches_point_bit_for_bit(self, name, dimension, m):
+        problem = get_problem(name, dimension)
+        rng = np.random.default_rng(m * 1000 + problem.dimension)
+        X = rng.uniform(problem.lower, problem.upper, size=(m, problem.dimension))
+        values, feasible = evaluate(problem, X)
+        assert values.shape == feasible.shape == (m,)
+        objectives = problem.objective(X.T)
+        constraints = [g(X.T) for g in problem.inequality_constraints]
+        for i in range(m):
+            assert (values[i], feasible[i]) == evaluate(problem, X[i])
+            assert objectives[i] == problem.objective(X[i])
+            for g, batch in zip(problem.inequality_constraints, constraints):
+                assert batch[i] == g(X[i])
+
+    def test_batch_penalty_terms_match_point(self):
+        problem = TestPenalty._toy()
+        X = np.array([[2.0, 0.0], [0.5, 5e-5], [0.5, 2e-4], [1.0, 0.0], [3.0, -1.0]])
+        penalty = PenaltyConfig(penalty_weight=1e3, eq_tolerance=1e-4)
+        values, feasible = evaluate(problem, X, penalty)
+        for i, x in enumerate(X):
+            assert (values[i], feasible[i]) == evaluate(problem, x, penalty)
+        assert feasible.tolist() == [False, True, False, True, False]
+
+    def test_tiny_violation_is_infeasible_on_both_paths(self):
+        # 1e-200 squares to 0.0, so feasibility must come from the sign of
+        # each term, not from the summed squares
+        problem = Problem(
+            "tiny",
+            [(0.0, 1.0)],
+            objective=lambda x: x[0],
+            inequality_constraints=(lambda x: 1e-200 + 0.0 * x[0],),
+        )
+        value, feasible = evaluate(problem, np.array([0.5]))
+        assert (value, feasible) == (0.5, False)
+        values, feasible = evaluate(problem, np.array([[0.5], [0.25]]))
+        assert values.tolist() == [0.5, 0.25]
+        assert feasible.tolist() == [False, False]
+
+    def test_scalar_result_for_a_batch_is_rejected(self):
+        # a scalar must never be broadcast over the batch
+        scalar = Problem("scalar", [(0.0, 1.0)] * 2, objective=lambda x: float(np.sum(x * x)))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(scalar, np.full((3, 2), 0.5))
+        rows = Problem("rows", [(0.0, 1.0)] * 2, objective=lambda x: x)  # (d, m), not (m,)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(rows, np.full((3, 2), 0.5))
+        constant = Problem(
+            "constant",
+            [(0.0, 1.0)] * 2,
+            objective=lambda x: x[0],
+            inequality_constraints=(lambda x: -1.0,),
+        )
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(constant, np.full((3, 2), 0.5))
+
+    def test_nonfinite_batch_row_raises(self):
+        problem = Problem("pole", [(-1.0, 1.0)], objective=lambda x: 1.0 / x[0])
+        with np.errstate(divide="ignore"):
+            with pytest.raises(EvaluationError) as excinfo:
+                evaluate(problem, np.array([[0.5], [0.0], [0.25]]))
+        assert excinfo.value.x.tolist() == [0.0]
 
 
 class TestProblemValidation:
