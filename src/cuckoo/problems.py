@@ -61,7 +61,7 @@ class PenaltyConfig:
     below float-noise scale for objectives of order one.
 
     Equality constraints h(x) = 0 count as violated only beyond
-    eq_tolerance, i.e. when ``|h(x)| - eq_tolerance > 0``.
+    eq_tolerance, i.e. unless ``|h(x)| - eq_tolerance <= 0``.
     """
 
     penalty_weight: float = 1e8
@@ -121,12 +121,16 @@ def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None):
 
     For a point, returns ``(value, feasible)`` as a float and a bool,
     where value is the raw objective plus ``penalty_weight`` times the
-    summed squared violations, and feasible is True iff no violation
-    term is positive.  For a batch, returns the same two as arrays of
-    shape (m,), computed by passing ``x.T`` to each callable once; a
+    squared violations summed in constraint order, inequalities first.
+    A constraint is satisfied when ``g(x) <= 0`` or
+    ``|h(x)| - eq_tolerance <= 0`` (so ``-inf`` is satisfied); any other
+    value, NaN included, is a violation, and feasible is True iff no
+    constraint is violated.  For a batch, returns the same two as arrays
+    of shape (m,), computed by passing ``x.T`` to each callable once; a
     callable that returns any other shape raises ValueError (a scalar is
     never broadcast).  A batch row scores exactly like the same point.
-    Raises :class:`EvaluationError` if a result is NaN or infinite.
+    Raises :class:`EvaluationError` if the penalized value is NaN or
+    infinite, as a NaN or ``+inf`` constraint value makes it.
     """
     if penalty is None:
         penalty = PenaltyConfig()
@@ -138,12 +142,12 @@ def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None):
     feasible = True
     for g in problem.inequality_constraints:
         v = float(g(x))
-        if v > 0.0:
+        if not v <= 0.0:  # NaN counts as violated
             violation_sq += v * v
             feasible = False
     for h in problem.equality_constraints:
         v = abs(float(h(x))) - penalty.eq_tolerance
-        if v > 0.0:
+        if not v <= 0.0:
             violation_sq += v * v
             feasible = False
     value = raw + penalty.penalty_weight * violation_sq
@@ -159,27 +163,34 @@ def _evaluate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     columns = X.T
     count = X.shape[0]
-
-    def batch_values(fn) -> np.ndarray:
-        out = np.asarray(fn(columns), dtype=float)
-        if out.shape != (count,):
-            raise ValueError(
-                f"a callable of {problem.name!r} returned shape {out.shape} for a batch of"
-                f" {count} points; given (d, m) coordinates it must return shape (m,)"
-            )
-        return out
-
-    raw = batch_values(problem.objective)
-    # the same terms in the same order as the point path, so rows match it bit for bit
-    violations = [batch_values(g) for g in problem.inequality_constraints]
-    violations += [np.abs(batch_values(h)) - penalty.eq_tolerance for h in problem.equality_constraints]
+    raw = np.asarray(problem.objective(columns), dtype=float)
+    if raw.shape != (count,):
+        _reject_shapes(problem, [raw], count)
     violation_sq = 0.0
     feasible = np.ones(count, dtype=bool)
-    for v in violations:
-        violated = v > 0.0
-        v = np.where(violated, v, 0.0)
-        violation_sq = violation_sq + v * v
-        feasible &= ~violated
+    inequalities = len(problem.inequality_constraints)
+    if inequalities or problem.equality_constraints:
+        results = [g(columns) for g in problem.inequality_constraints]
+        results += [h(columns) for h in problem.equality_constraints]
+        try:
+            G = np.array(results, dtype=float)
+        except ValueError:  # results of different shapes, or not numbers
+            _reject_shapes(problem, results, count)
+            raise
+        if G.shape != (len(results), count):
+            _reject_shapes(problem, results, count)
+        if problem.equality_constraints:
+            equalities = G[inequalities:]
+            np.abs(equalities, out=equalities)
+            equalities -= penalty.eq_tolerance
+        # NaN fails ``<= 0``: it counts as violated and reaches the finiteness check
+        satisfied = G <= 0.0
+        feasible = satisfied.all(axis=0)
+        terms = np.maximum(G, 0.0)
+        terms *= terms
+        # accumulate adds row after row, in constraint order, as the point path
+        # does; sum(axis=0) may add a (k, 1) stack in another order
+        violation_sq = np.add.accumulate(terms, axis=0)[-1]
     values = raw + penalty.penalty_weight * violation_sq
     finite = np.isfinite(values)
     if not finite.all():
@@ -188,6 +199,17 @@ def _evaluate_batch(
             f"non-finite penalized objective ({values[row]!r}) on {problem.name!r}", X[row]
         )
     return values, feasible
+
+
+def _reject_shapes(problem: Problem, results: list, count: int) -> None:
+    """Raise ValueError at the first batch result whose shape is not (count,)."""
+    for result in results:
+        shape = np.shape(result)
+        if shape != (count,):
+            raise ValueError(
+                f"a callable of {problem.name!r} returned shape {shape} for a batch of"
+                f" {count} points; given (d, m) coordinates it must return shape (m,)"
+            )
 
 
 # --- unconstrained test functions -------------------------------------------

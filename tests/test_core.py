@@ -466,6 +466,33 @@ class TestSearchLoop:
         iterations = len(result.history) - 1
         assert 1 + 3 * (iterations - 1) < calls["calls"] <= 1 + 3 * iterations
 
+    def test_each_constraint_runs_once_per_batch(self):
+        problem = get_problem("welded_beam")
+        calls = {}
+
+        def counted(key, fn):
+            calls[key] = 0
+
+            def wrapper(x):
+                assert x.ndim == 2
+                calls[key] += 1
+                return fn(x)
+
+            return wrapper
+
+        constraints = tuple(
+            counted(i, g) for i, g in enumerate(problem.inequality_constraints)
+        )
+        wrapped = Problem(
+            problem.name,
+            problem.bounds,
+            counted("objective", problem.objective),
+            inequality_constraints=constraints,
+        )
+        cuckoo_search(wrapped, AlgorithmParams(stop=budget(700)), seed=0)
+        assert calls["objective"] > 1
+        assert [calls[i] for i in range(7)] == [calls["objective"]] * 7
+
     def test_custom_levy_config_flows_through(self):
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(

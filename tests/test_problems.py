@@ -91,8 +91,8 @@ class TestEngineeringDesigns:
         value = spring.objective(np.asarray(x))
         assert value == pytest.approx(0.012665084727517349, rel=1e-12)
         assert value == pytest.approx(reported, abs=5e-7)
-        # the 6-digit rounding of the published point leaves the slope
-        # constraint a hair violated; everything else has slack
+        # the 6-digit rounding of the published point leaves the shear
+        # stress constraint a hair violated; everything else has slack
         gs = [float(g(np.asarray(x))) for g in spring.inequality_constraints]
         assert gs[1] == pytest.approx(2.18e-5, rel=0.05)
         assert gs[0] < 0 and gs[2] < 0 and gs[3] < 0
@@ -186,6 +186,23 @@ class TestPenalty:
             evaluate(nan, [0.5])
 
 
+def _many_constraints() -> Problem:
+    """Nine inequality constraints and one equality, all violated, with
+    squared violations from ~1 to ~1e16: an unrolled sum of a (10, 1) stack
+    rounds differently from adding the terms one after another."""
+    scaled = tuple(
+        lambda x, i=i: (1.0 + x[i % 3] * i / 8.0) * (1e8 if i == 0 else 1.0)
+        for i in range(9)
+    )
+    return Problem(
+        "many_constraints",
+        [(0.0, 1.0)] * 3,
+        objective=lambda x: x[0] + x[1] * x[2],
+        inequality_constraints=scaled,
+        equality_constraints=(lambda x: 2.0 + x[1] - x[2],),
+    )
+
+
 def _cells():
     for name in ALL_NAMES:
         if name in ("spring_design", "welded_beam"):
@@ -193,24 +210,29 @@ def _cells():
         else:
             for dimension in (2, 5, 10, 13):
                 yield name, dimension
+    yield "many_constraints", None
 
 
 class TestBatchContract:
     @pytest.mark.parametrize("name, dimension", list(_cells()))
     @pytest.mark.parametrize("m", [1, 7, 25])
     def test_batch_row_matches_point_bit_for_bit(self, name, dimension, m):
-        problem = get_problem(name, dimension)
+        if name == "many_constraints":
+            problem = _many_constraints()
+        else:
+            problem = get_problem(name, dimension)
         rng = np.random.default_rng(m * 1000 + problem.dimension)
         X = rng.uniform(problem.lower, problem.upper, size=(m, problem.dimension))
         values, feasible = evaluate(problem, X)
         assert values.shape == feasible.shape == (m,)
         objectives = problem.objective(X.T)
-        constraints = [g(X.T) for g in problem.inequality_constraints]
+        callables = problem.inequality_constraints + problem.equality_constraints
+        constraints = [c(X.T) for c in callables]
         for i in range(m):
             assert (values[i], feasible[i]) == evaluate(problem, X[i])
             assert objectives[i] == problem.objective(X[i])
-            for g, batch in zip(problem.inequality_constraints, constraints):
-                assert batch[i] == g(X[i])
+            for c, batch in zip(callables, constraints):
+                assert batch[i] == c(X[i])
 
     def test_batch_penalty_terms_match_point(self):
         problem = TestPenalty._toy()
@@ -235,6 +257,25 @@ class TestBatchContract:
         values, feasible = evaluate(problem, np.array([[0.5], [0.25]]))
         assert values.tolist() == [0.5, 0.25]
         assert feasible.tolist() == [False, False]
+
+    def test_nan_constraint_raises_on_both_paths(self):
+        # NaN is not <= 0, so it counts as violated and makes the value NaN;
+        # -inf is <= 0 and stays satisfied
+        problem = Problem(
+            "nan_constraint",
+            [(0.0, 1.0)],
+            objective=lambda x: x[0],
+            inequality_constraints=(lambda x: np.where(x[0] > 0.4, np.nan, -np.inf),),
+        )
+        with pytest.raises(EvaluationError):
+            evaluate(problem, np.array([0.5]))
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(problem, np.array([[0.25], [0.5]]))
+        assert excinfo.value.x.tolist() == [0.5]
+        assert evaluate(problem, np.array([0.25])) == (0.25, True)
+        values, feasible = evaluate(problem, np.array([[0.25], [0.125]]))
+        assert values.tolist() == [0.25, 0.125]
+        assert feasible.tolist() == [True, True]
 
     def test_scalar_result_for_a_batch_is_rejected(self):
         # a scalar must never be broadcast over the batch
