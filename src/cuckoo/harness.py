@@ -16,14 +16,23 @@ reproduce every record byte for byte (sidecars are exempt: they carry
 wall times).  Medians use the lower-median convention: the element at
 index (k - 1) // 2 of the sorted k values, never an average, so every
 reported number is one that actually occurred.
+
+A trial's record files appear as soon as that trial ends, written by
+the process that ran it under a ``*.tmp`` name and then renamed, so a
+reader never sees a partial file and a crash or interrupt keeps every
+trial that finished (``experiment.yaml`` is written before the first
+trial, so they can be summarized).  A run first deletes the record
+files and the summary an earlier run left in the same output directory.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -32,6 +41,11 @@ import yaml
 from .baselines import HillClimbParams, hill_climb_restart
 from .core import AlgorithmParams, StopCriterion, _is_count, cuckoo_search
 from .problems import PenaltyConfig, get_problem
+
+try:  # libyaml's emitter and parser; the pure-Python ones where PyYAML lacks it
+    from yaml import CSafeDumper as _SidecarDumper, CSafeLoader as _SidecarLoader
+except ImportError:
+    from yaml import SafeDumper as _SidecarDumper, SafeLoader as _SidecarLoader
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -351,27 +365,46 @@ def _tasks(spec: ExperimentSpec) -> list[dict]:
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run the full grid, write records and summary, return the rows."""
     tasks = _tasks(spec)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_execute_trial, tasks))
-    else:
-        records = [_execute_trial(task) for task in tasks]
-
     out_dir = Path(spec.output)
     records_dir = out_dir / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        _write_record(record, records_dir)
+    for pattern in ("*.tsv", "*.meta.yaml", "*.tmp"):
+        for stale in records_dir.glob(pattern):
+            stale.unlink()
+    (out_dir / "summary.tsv").unlink(missing_ok=True)
+    # first, so that the records a crash leaves behind can be summarized
     (out_dir / "experiment.yaml").write_text(
         yaml.safe_dump(spec_to_dict(spec), sort_keys=False), encoding="utf-8"
     )
+    run = partial(_run_and_write, records_dir=records_dir)
+    if spec.workers > 1:
+        # multiprocessing.Pool.map's rule: about four chunks per worker
+        chunksize = -(-len(tasks) // (4 * spec.workers))
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            records = list(pool.map(run, tasks, chunksize=chunksize))
+    else:
+        records = list(map(run, tasks))
     rows = summarize(records, spec.stop.target_objective)
     write_summary(rows, out_dir / "summary.tsv")
     return rows
 
 
+def _run_and_write(task: dict, records_dir: Path) -> dict:
+    """Run one trial and write its record where it ran, as soon as it ends."""
+    record = _execute_trial(task)
+    _write_record(record, records_dir)
+    return record
+
+
 def _record_stem(record: dict) -> str:
     return f"{record['problem']}__{record['algorithm']}__t{record['trial']:03d}"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` under a ``*.tmp`` name, then rename it to ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _write_record(record: dict, records_dir: Path) -> None:
@@ -379,11 +412,11 @@ def _write_record(record: dict, records_dir: Path) -> None:
     lines = ["iteration\tbest_objective\tevaluations"]
     for i, (value, evals) in enumerate(zip(record["history"], record["history_evaluations"])):
         lines.append(f"{i}\t{value!r}\t{evals}")
-    (records_dir / f"{stem}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    _write_atomic(records_dir / f"{stem}.tsv", "\n".join(lines) + "\n")
+    # the sidecar last: a reader that finds it finds the whole record
     meta = {k: v for k, v in record.items() if k not in ("history", "history_evaluations")}
-    (records_dir / f"{stem}.meta.yaml").write_text(
-        yaml.safe_dump(meta, sort_keys=True), encoding="utf-8"
+    _write_atomic(
+        records_dir / f"{stem}.meta.yaml", yaml.dump(meta, Dumper=_SidecarDumper, sort_keys=True)
     )
 
 
@@ -394,7 +427,7 @@ def read_records(output_dir) -> list[dict]:
         raise FileNotFoundError(f"no records directory under {output_dir!r}")
     records = []
     for meta_path in sorted(records_dir.glob("*.meta.yaml")):
-        record = yaml.safe_load(meta_path.read_text(encoding="utf-8"))
+        record = yaml.load(meta_path.read_text(encoding="utf-8"), Loader=_SidecarLoader)
         # a grid repeats a few names in every record: share one copy of each
         for key in ("problem", "algorithm", "status", "terminated_by"):
             record[key] = sys.intern(record[key])

@@ -307,24 +307,64 @@ class TestRunExperiment:
             assert tsv_a.read_bytes() == tsv_b.read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = load_experiment(write_spec(tmp_path, {"output": str(tmp_path / "serial")}))
-        parallel = load_experiment(
-            write_spec(
-                tmp_path,
-                {"output": str(tmp_path / "parallel"), "workers": 2},
-                name="exp_par.yaml",
+        # 2 trials give one task per chunk on 2 workers; 5 trials, ten tasks, give two
+        for trials in (2, 5):
+            serial_dir, parallel_dir = tmp_path / f"serial{trials}", tmp_path / f"parallel{trials}"
+            serial = load_experiment(
+                write_spec(tmp_path, {"output": str(serial_dir), "trials": trials})
             )
-        )
-        run_experiment(serial)
-        run_experiment(parallel)
-        for tsv_a in sorted((tmp_path / "serial" / "records").glob("*.tsv")):
-            tsv_b = tmp_path / "parallel" / "records" / tsv_a.name
-            assert tsv_a.read_bytes() == tsv_b.read_bytes()
-        summary_serial = (tmp_path / "serial" / "summary.tsv").read_text().splitlines()
-        summary_parallel = (tmp_path / "parallel" / "summary.tsv").read_text().splitlines()
-        # identical apart from wall time, which is the last column
-        for line_a, line_b in zip(summary_serial, summary_parallel):
-            assert line_a.rsplit("\t", 1)[0] == line_b.rsplit("\t", 1)[0]
+            parallel = load_experiment(
+                write_spec(
+                    tmp_path,
+                    {"output": str(parallel_dir), "workers": 2, "trials": trials},
+                    name="exp_par.yaml",
+                )
+            )
+            run_experiment(serial)
+            run_experiment(parallel)
+            names = sorted(p.name for p in (serial_dir / "records").iterdir())
+            assert len(names) == 2 * 2 * trials
+            assert names == sorted(p.name for p in (parallel_dir / "records").iterdir())
+            for name in names:
+                a, b = serial_dir / "records" / name, parallel_dir / "records" / name
+                if name.endswith(".tsv"):
+                    assert a.read_bytes() == b.read_bytes()
+                else:
+                    meta_a, meta_b = yaml.safe_load(a.read_text()), yaml.safe_load(b.read_text())
+                    del meta_a["wall_time_seconds"], meta_b["wall_time_seconds"]
+                    assert meta_a == meta_b
+            summary_serial = (serial_dir / "summary.tsv").read_text().splitlines()
+            summary_parallel = (parallel_dir / "summary.tsv").read_text().splitlines()
+            # identical apart from wall time, which is the last column
+            for line_a, line_b in zip(summary_serial, summary_parallel):
+                assert line_a.rsplit("\t", 1)[0] == line_b.rsplit("\t", 1)[0]
+
+    def test_interrupt_keeps_finished_records(self, tmp_path, monkeypatch, capsys):
+        real = harness.cuckoo_search
+        seeds = []
+
+        def interrupted(problem, params, seed, penalty):
+            seeds.append(seed)
+            if len(seeds) == 3:
+                raise KeyboardInterrupt
+            return real(problem, params, seed=seed, penalty=penalty)
+
+        monkeypatch.setattr(harness, "cuckoo_search", interrupted)
+        spec = load_experiment(write_spec(tmp_path, {"algorithms": ["cuckoo"], "trials": 4}))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.tsv").write_text("an earlier run's summary\n")
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec)
+        records = read_records(out)
+        assert [(r["trial"], r["status"]) for r in records] == [(0, "ok"), (1, "ok")]
+        assert all(r["history"] for r in records)
+        assert not list((out / "records").glob("*.tmp"))
+        assert not (out / "summary.tsv").exists()
+        # the resolved spec was written first, so the kept trials can be summarized
+        assert main(["summarize", str(out)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()[1:]
+        assert line.split("\t")[:3] == ["sphere", "cuckoo", "2"]
 
     def test_read_records_roundtrip(self, tmp_path):
         spec = load_experiment(write_spec(tmp_path))
@@ -336,6 +376,46 @@ class TestRunExperiment:
             assert record["history"], "history came back empty"
             assert len(record["history"]) == len(record["history_evaluations"])
             assert record["best_objective"] == record["history"][-1]
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("libyaml", [False, True])
+    def test_libyaml_loads_what_pure_python_loads(self, tmp_path, monkeypatch, libyaml):
+        if libyaml and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        message = (
+            'a "double-quoted" name,\ta tab and \'single quotes\', then a newline\n'
+            "and enough text after it to run past eighty characters on one line"
+        )
+        real = harness.hill_climb_restart
+
+        def failing(problem, params, seed, penalty):
+            if seed == 101:
+                raise RuntimeError(message)
+            return real(problem, params, seed=seed, penalty=penalty)
+
+        monkeypatch.setattr(harness, "hill_climb_restart", failing)
+        records = [harness._execute_trial(task) for task in harness._tasks(spec_from_dict(BASE_SPEC))]
+        assert records[-1]["error"] == f"RuntimeError: {message}"
+        pure = (yaml.SafeDumper, yaml.SafeLoader)
+        native = (yaml.CSafeDumper, yaml.CSafeLoader) if libyaml else pure
+
+        def write(dumper, name):
+            monkeypatch.setattr(harness, "_SidecarDumper", dumper)
+            (tmp_path / name / "records").mkdir(parents=True)
+            for record in records:
+                harness._write_record(record, tmp_path / name / "records")
+            return tmp_path / name
+
+        def read(loader, out):
+            monkeypatch.setattr(harness, "_SidecarLoader", loader)
+            return read_records(out)
+
+        expected = read(pure[1], write(pure[0], "pure"))
+        assert expected == sorted(records, key=harness._record_stem)
+        written = write(native[0], "native")
+        assert read(native[1], written) == expected
+        assert read(pure[1], written) == expected
 
 
 class TestCli:
@@ -382,6 +462,22 @@ class TestCli:
         assert captured.out.startswith("problem\talgorithm")
         assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
         assert len(list((tmp_path / "out" / "records").glob("*.tsv"))) == 4
+
+    def test_rerun_clears_old_records(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path, {"trials": 4}))]) == 0
+        (out / "records" / "sphere__cuckoo__t009.tsv.tmp").write_text("partial")
+        assert main(["run", str(write_spec(tmp_path, {"trials": 2}, name="exp2.yaml"))]) == 0
+        assert sorted(p.name for p in (out / "records").iterdir()) == [
+            f"sphere__{label}__t00{trial}.{ext}"
+            for label in ("cuckoo", "hill_climb")
+            for trial in (0, 1)
+            for ext in ("meta.yaml", "tsv")
+        ]
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("\t")[2] for row in rows] == ["2", "2"]
 
     def test_missing_paths(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
