@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import STAGNATION_EPS, RunResult, StopCriterion, _is_count
-from .problems import PenaltyConfig, Problem, evaluate
+from .core import STAGNATION_EPS, RunResult, StopCriterion
+from .problems import PenaltyConfig, Problem, _is_count, evaluate
 
 __all__ = ["HillClimbParams", "hill_climb_restart"]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -68,13 +69,8 @@ def _run(args) -> int:
     if args.output is not None:
         overrides["output"] = args.output
     if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
         overrides["workers"] = args.workers
     if overrides:
-        from dataclasses import replace
-
         spec = replace(spec, **overrides)
     rows = run_experiment(spec)
     print(format_summary(rows), end="")

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .levy import LevyConfig, sample_levy_vector
-from .problems import PenaltyConfig, Problem, evaluate
+from .problems import PenaltyConfig, Problem, _is_count, evaluate
 
 __all__ = [
     "STAGNATION_EPS",
@@ -61,11 +61,6 @@ __all__ = [
 
 # an objective improvement at or below this is treated as stagnation
 STAGNATION_EPS = 1e-12
-
-
-def _is_count(value) -> bool:
-    """An integer that is not a bool (YAML's ``yes`` must not pass for 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -110,56 +105,37 @@ class Population:
 
 @dataclass(frozen=True)
 class StopCriterion:
-    """Termination rule; at least one field must be set.
+    """Termination rule: a budget, optionally with a target and a window.
 
     max_evaluations stops once the evaluation count reaches the budget;
     both optimizers spend it exactly (cuckoo search cuts the phase that
     reaches it short).  target_objective stops when the best penalized
     objective is <= the target.  stagnation_window stops after that many
-    consecutive iterations
-    without a best improvement above 1e-12.  A criterion with only a
-    target set never terminates if the target is unreachable, so keep a
-    budget set unless the target is known attainable.
+    consecutive iterations without a best improvement above 1e-12.
     """
 
-    max_evaluations: Optional[int] = None
+    max_evaluations: int
     target_objective: Optional[float] = None
     stagnation_window: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (
-            self.max_evaluations is None
-            and self.target_objective is None
-            and self.stagnation_window is None
-        ):
-            raise ValueError("at least one stop criterion must be set")
-        for name in ("max_evaluations", "stagnation_window"):
+        window = () if self.stagnation_window is None else ("stagnation_window",)
+        for name in ("max_evaluations", *window):
             value = getattr(self, name)
-            if value is not None and not (_is_count(value) and value >= 1):
+            if not (_is_count(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
-    @property
-    def target_only(self) -> bool:
-        """Only a target is set: a run that never reaches it never stops."""
-        return self.max_evaluations is None and self.stagnation_window is None
-
-    def reason(
-        self, best_objective: float, evaluations: int, stall: Optional[int] = None
-    ) -> Optional[str]:
+    def reason(self, best_objective: float, evaluations: int, stall: int) -> Optional[str]:
         """Why a run stops now, or None: target over budget over stagnation.
 
         stall counts consecutive steps without a best improvement above
-        STAGNATION_EPS; stagnation is not checked when it is None.
+        STAGNATION_EPS.
         """
         if self.target_objective is not None and best_objective <= self.target_objective:
             return "target"
-        if self.max_evaluations is not None and evaluations >= self.max_evaluations:
+        if evaluations >= self.max_evaluations:
             return "max_evaluations"
-        if (
-            stall is not None
-            and self.stagnation_window is not None
-            and stall >= self.stagnation_window
-        ):
+        if self.stagnation_window is not None and stall >= self.stagnation_window:
             return "stagnation"
         return None
 
@@ -375,13 +351,14 @@ def cuckoo_search(
     scale = step_scale(problem, params)
     stop = params.stop
     n = params.n
-    budget = math.inf if stop.max_evaluations is None else stop.max_evaluations
+    budget = stop.max_evaluations
 
     pop = initialize(problem, params, rng, penalty)
     history = [pop.best_objective]
     history_evaluations = [pop.evaluations]
+    # between phases stall is the last iteration's count, which is below any window
     stall = 0
-    reason = stop.reason(pop.best_objective, pop.evaluations)
+    reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
     while reason is None:
         previous_best = pop.best_objective
@@ -394,7 +371,7 @@ def cuckoo_search(
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
         pop.record_best()
-        reason = stop.reason(pop.best_objective, pop.evaluations)
+        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
         if reason is None:
             m = min(n, budget - pop.evaluations)
@@ -404,7 +381,7 @@ def cuckoo_search(
             pop.evaluations += m
             pop.replace(np.arange(m), candidates, F, feasible)
             pop.record_best()
-            reason = stop.reason(pop.best_objective, pop.evaluations)
+            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
         if reason is None:
             abandon_fraction(pop, problem, params, rng, penalty, budget - pop.evaluations)

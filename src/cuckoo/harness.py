@@ -39,8 +39,8 @@ from typing import Optional, get_type_hints
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import AlgorithmParams, StopCriterion, _is_count, cuckoo_search
-from .problems import PenaltyConfig, get_problem
+from .core import AlgorithmParams, StopCriterion, cuckoo_search
+from .problems import PenaltyConfig, _is_count, get_problem
 
 try:  # libyaml's emitter and parser; the pure-Python ones where PyYAML lacks it
     from yaml import CSafeDumper as _SidecarDumper, CSafeLoader as _SidecarLoader
@@ -183,11 +183,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     given = dict(data)
     given["problems"] = tuple(_parse_problem(entry) for entry in _as_list(data["problems"], "problems"))
     given["stop"] = stop = _parse_config(StopCriterion, data["stop"], "stop")
-    if stop.target_only:
-        raise ConfigError(
-            "a stop block with only a target never ends a trial that misses it;"
-            " add a budget or a stagnation window"
-        )
     given["algorithms"] = tuple(
         _parse_algorithm(entry, stop) for entry in _as_list(data["algorithms"], "algorithms")
     )
@@ -217,8 +212,6 @@ def _parse_problem(entry) -> ProblemRef:
     name, dimension = entry.get("name"), entry.get("dimension")
     if not isinstance(name, str):
         raise ConfigError(f"problem name must be a string, got {name!r}")
-    if dimension is not None and not _is_count(dimension):
-        raise ConfigError(f"problem dimension must be an integer, got {dimension!r}")
     try:
         built = get_problem(name, dimension)
     except ValueError as exc:
@@ -278,28 +271,20 @@ def _build_params(name: str, block: dict, stop: StopCriterion):
     return _PARAMS_CLASSES[name](**kwargs)
 
 
-def _stop_dict(stop: StopCriterion) -> dict:
-    return {k: v for k, v in asdict(stop).items() if v is not None}
-
-
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Plain-dict form of a spec; parseable by :func:`spec_from_dict`."""
-    return {**asdict(spec), "stop": _stop_dict(spec.stop)}
+    return {**asdict(spec), "stop": {k: v for k, v in asdict(spec.stop).items() if v is not None}}
 
 
 # --- running ------------------------------------------------------------------
 
 def _execute_trial(task: dict) -> dict:
-    """Run one (problem, algorithm, trial) cell; never raises.
-
-    Takes and returns plain data only, so it can cross a process
-    boundary, and so serial and parallel execution share one code path.
-    """
+    """Run one (problem, algorithm, trial) cell; never raises."""
     started = time.perf_counter()
     record = {
         "problem": task["problem"],
         "dimension": task["dimension"],
-        "algorithm": task["label"],
+        "algorithm": task["algorithm"],
         "trial": task["trial"],
         "seed": task["seed"],
         "status": "ok",
@@ -307,13 +292,9 @@ def _execute_trial(task: dict) -> dict:
     }
     try:
         problem = get_problem(task["problem"], task["dimension"])
-        stop = StopCriterion(**task["stop"])
-        penalty = PenaltyConfig(**task["penalty"])
-        params = _build_params(task["name"], task["params"], stop)
-        if task["name"] == "cuckoo":
-            result = cuckoo_search(problem, params, seed=task["seed"], penalty=penalty)
-        else:
-            result = hill_climb_restart(problem, params, seed=task["seed"], penalty=penalty)
+        params = task["params"]
+        optimizer = cuckoo_search if isinstance(params, AlgorithmParams) else hill_climb_restart
+        result = optimizer(problem, params, seed=task["seed"], penalty=task["penalty"])
         record.update(
             history=[float(v) for v in result.history],
             history_evaluations=[int(e) for e in result.history_evaluations],
@@ -340,26 +321,21 @@ def _execute_trial(task: dict) -> dict:
 
 
 def _tasks(spec: ExperimentSpec) -> list[dict]:
-    stop = _stop_dict(spec.stop)
-    penalty = asdict(spec.penalty)
-    tasks = []
-    for problem in spec.problems:
-        for algorithm in spec.algorithms:
-            for trial in range(spec.trials):
-                tasks.append(
-                    {
-                        "problem": problem.name,
-                        "dimension": problem.dimension,
-                        "name": algorithm.name,
-                        "label": algorithm.label,
-                        "params": dict(algorithm.params),
-                        "stop": stop,
-                        "penalty": penalty,
-                        "trial": trial,
-                        "seed": spec.base_seed + trial,
-                    }
-                )
-    return tasks
+    built = [(a.label, _build_params(a.name, a.params, spec.stop)) for a in spec.algorithms]
+    return [
+        {
+            "problem": problem.name,
+            "dimension": problem.dimension,
+            "algorithm": label,
+            "params": params,
+            "penalty": spec.penalty,
+            "trial": trial,
+            "seed": spec.base_seed + trial,
+        }
+        for problem in spec.problems
+        for label, params in built
+        for trial in range(spec.trials)
+    ]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:

@@ -41,6 +41,11 @@ __all__ = [
 Objective = Callable[[np.ndarray], "float | np.ndarray"]
 
 
+def _is_count(value) -> bool:
+    """An integer that is not a bool (YAML's ``yes`` must not pass for 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class EvaluationError(RuntimeError):
     """Objective or penalty evaluation produced a non-finite value."""
 
@@ -400,7 +405,7 @@ def get_problem(name: str, dimension: Optional[int] = None) -> Problem:
         return _SCALABLE[name](DEFAULT_DIMENSION if dimension is None else dimension)
     if name in _FIXED:
         built = _FIXED[name]()
-        if dimension is not None and dimension != built.dimension:
+        if dimension is not None and (not _is_count(dimension) or dimension != built.dimension):
             raise ValueError(
                 f"{name} has fixed dimension {built.dimension}, got request for {dimension}"
             )
@@ -418,5 +423,5 @@ def _box(lo: float, hi: float, dimension: int) -> list[tuple[float, float]]:
 
 
 def _check_dimension(dimension: int, minimum: int = 1) -> None:
-    if not isinstance(dimension, (int, np.integer)) or dimension < minimum:
+    if not _is_count(dimension) or dimension < minimum:
         raise ValueError(f"dimension must be an integer >= {minimum}, got {dimension!r}")

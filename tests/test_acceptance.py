@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
 Each test prints one PASS/FAIL line with the measured quantities (run
-pytest with -s to watch them).  The whole module takes a few minutes;
-the constrained-design and multimodal cells dominate.
+pytest with -s to watch them).  The whole module takes about half a
+minute on 2 cores; the multimodal and constrained-design cells dominate.
 """
 
 import math

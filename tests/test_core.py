@@ -51,8 +51,12 @@ class TestConfigs:
             AlgorithmParams(compare_to="best")
 
     def test_stop_validation(self):
+        # every rule has a budget
+        for budgetless in ({}, {"target_objective": 0.5}, {"stagnation_window": 5}):
+            with pytest.raises(TypeError):
+                StopCriterion(**budgetless)
         with pytest.raises(ValueError):
-            StopCriterion()
+            StopCriterion(max_evaluations=None)
         with pytest.raises(ValueError):
             StopCriterion(max_evaluations=0)
         with pytest.raises(ValueError):
@@ -62,9 +66,8 @@ class TestConfigs:
         with pytest.raises(ValueError):
             StopCriterion(max_evaluations=100.0)
         with pytest.raises(ValueError):
-            StopCriterion(stagnation_window=False)
+            StopCriterion(max_evaluations=100, stagnation_window=False)
         StopCriterion(max_evaluations=np.int64(5))
-        StopCriterion(target_objective=0.5)
 
     @pytest.mark.parametrize(
         "stop, best, evaluations, stall, expected",
@@ -74,10 +77,8 @@ class TestConfigs:
             (StopCriterion(100, 1.0, 3), 2.0, 100, 3, "max_evaluations"),
             (StopCriterion(100, 1.0, 3), 2.0, 99, 3, "stagnation"),
             (StopCriterion(100, 1.0, 3), 2.0, 99, 2, None),
-            # no stall count given: stagnation is not checked
-            (StopCriterion(100, 1.0, 3), 2.0, 99, None, None),
-            (StopCriterion(100, None, 3), 2.0, 100, None, "max_evaluations"),
-            (StopCriterion(None, 1.0, None), 1.0, 10**9, None, "target"),
+            (StopCriterion(100, None, 3), 2.0, 100, 0, "max_evaluations"),
+            (StopCriterion(10**9, 1.0, None), 1.0, 10**9, 0, "target"),
         ],
     )
     def test_stop_reason_precedence(self, stop, best, evaluations, stall, expected):

@@ -6,7 +6,9 @@ import pytest
 import yaml
 
 from cuckoo import harness
+from cuckoo.baselines import HillClimbParams
 from cuckoo.cli import main
+from cuckoo.core import AlgorithmParams, StopCriterion
 from cuckoo.harness import (
     ConfigError,
     ExperimentSpec,
@@ -20,6 +22,7 @@ from cuckoo.harness import (
     spec_to_dict,
     summarize,
 )
+from cuckoo.problems import PenaltyConfig
 
 BASE_SPEC = {
     "problems": [{"name": "sphere", "dimension": 3}],
@@ -87,7 +90,7 @@ class TestConfigParsing:
             {"penalty": {"weight": 10.0}},
             {"workers": 0},
             {"output": ""},
-            {"stop": {"target_objective": 1.0}},  # a missed target would never stop
+            {"stop": {"target_objective": 1.0}},  # no budget
             # YAML booleans are not integers, although isinstance(True, int) holds
             {"trials": True},
             {"base_seed": False},
@@ -230,11 +233,9 @@ class TestExecuteTrial:
         task = {
             "problem": "no_such_problem",
             "dimension": 2,
-            "name": "cuckoo",
-            "label": "cuckoo",
-            "params": {},
-            "stop": {"max_evaluations": 50},
-            "penalty": {},
+            "algorithm": "cuckoo",
+            "params": AlgorithmParams(stop=StopCriterion(max_evaluations=50)),
+            "penalty": PenaltyConfig(),
             "trial": 0,
             "seed": 0,
         }
@@ -248,16 +249,15 @@ class TestExecuteTrial:
         task = {
             "problem": "sphere",
             "dimension": 2,
-            "name": "hill_climb",
-            "label": "hill_climb",
-            "params": {"stall_limit": 5},
-            "stop": {"max_evaluations": 60},
-            "penalty": {"penalty_weight": 1e8, "eq_tolerance": 1e-4},
+            "algorithm": "hill_climb",
+            "params": HillClimbParams(stall_limit=5, stop=StopCriterion(max_evaluations=60)),
+            "penalty": PenaltyConfig(penalty_weight=1e8, eq_tolerance=1e-4),
             "trial": 3,
             "seed": 103,
         }
         record = _execute_trial(task)
         assert record["status"] == "ok"
+        assert harness._record_stem(record) == harness._record_stem(task)
         assert record["seed"] == 103
         assert record["evaluations"] == 60
         assert len(record["history"]) == len(record["history_evaluations"])
@@ -447,6 +447,10 @@ class TestCli:
         path = write_spec(tmp_path, {"algorithms": ["annealing"]})
         assert main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_workers_override_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(write_spec(tmp_path)), "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "error: workers must be a positive integer, got 0\n"
 
     def test_failed_trial_exit_code(self, tmp_path, capsys, monkeypatch):
         real = harness.hill_climb_restart

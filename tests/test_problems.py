@@ -39,6 +39,8 @@ class TestRegistry:
             get_problem("rosenbrock", 1)
         with pytest.raises(ValueError):
             get_problem("sphere", 0)
+        with pytest.raises(ValueError):
+            get_problem("sphere", True)  # a bool is not a dimension
 
     def test_fixed_dimensions(self):
         assert get_problem("spring_design").dimension == 3
@@ -46,6 +48,8 @@ class TestRegistry:
         assert get_problem("welded_beam").dimension == 4
         with pytest.raises(ValueError, match="fixed dimension"):
             get_problem("spring_design", 4)
+        with pytest.raises(ValueError, match="fixed dimension"):
+            get_problem("welded_beam", 4.0)
 
 
 class TestDefinitions:
