@@ -43,6 +43,7 @@ class HillClimbParams:
             raise ValueError(f"shrink_factor must be in (0, 1), got {self.shrink_factor}")
         if not _is_count(self.stall_limit) or self.stall_limit < 1:
             raise ValueError(f"stall_limit must be an integer >= 1, got {self.stall_limit!r}")
+        object.__setattr__(self, "stall_limit", int(self.stall_limit))  # a numpy count as an int
 
 
 def hill_climb_restart(
@@ -80,32 +81,13 @@ def hill_climb_restart(
     best_feasible = False
     stall_iterations = 0
     reason: Optional[str] = None
-
-    def consume(position: np.ndarray) -> float:
-        """Evaluate one point, update best/history, check termination."""
-        nonlocal evaluations, best_position, best_objective, best_feasible
-        nonlocal stall_iterations, reason
-        value, feasible = evaluate(problem, position, penalty)
-        evaluations += 1
-        if value < best_objective - STAGNATION_EPS:
-            stall_iterations = 0
-        else:
-            stall_iterations += 1
-        if value < best_objective:
-            best_position = position.copy()
-            best_objective = value
-            best_feasible = feasible
-            history.append(best_objective)
-            history_evaluations.append(evaluations)
-        reason = stop_reason(best_objective, evaluations, stall_iterations)
-        return value
+    current: Optional[np.ndarray] = None  # None: the next point is a restart
+    step = start_step
 
     while reason is None:
-        current = rng.uniform(lower, upper)
-        current_value = consume(current)
-        step = start_step
-        failures = 0
-        while reason is None:
+        if current is None:
+            candidate = rng.uniform(lower, upper)
+        else:
             coord = int(rng.integers(dimension))
             # rng.uniform(-half, half) computes exactly this, low + (high - low)
             # * u from one draw, at a few times the call cost
@@ -113,15 +95,27 @@ def hill_climb_restart(
             offset = -half + 2.0 * half * rng.random()
             candidate = current.copy()
             candidate[coord] = min(max(current.item(coord) + offset, low[coord]), high[coord])
-            value = consume(candidate)
-            if value < current_value:
-                current, current_value = candidate, value
-                failures = 0
-            else:
-                failures += 1
-                step = [v * shrink for v in step]
-                if failures >= params.stall_limit:
-                    break
+        value, feasible = evaluate(problem, candidate, penalty)
+        evaluations += 1
+        if value < best_objective - STAGNATION_EPS:
+            stall_iterations = 0
+        else:
+            stall_iterations += 1
+        if value < best_objective:
+            best_position = candidate.copy()
+            best_objective = value
+            best_feasible = feasible
+            history.append(best_objective)
+            history_evaluations.append(evaluations)
+        reason = stop_reason(best_objective, evaluations, stall_iterations)
+        if current is None or value < current_value:
+            current, current_value = candidate, value
+            failures = 0
+        else:
+            failures += 1
+            step = [v * shrink for v in step]
+            if failures >= params.stall_limit:
+                current, step = None, start_step
 
     assert best_position is not None
     if history_evaluations[-1] != evaluations:

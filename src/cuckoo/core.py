@@ -124,6 +124,7 @@ class StopCriterion:
             value = getattr(self, name)
             if not (_is_count(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy count as an int
 
     def reason(self, best_objective: float, evaluations: int, stall: int) -> Optional[str]:
         """Why a run stops now, or None: target over budget over stagnation.
@@ -163,6 +164,7 @@ class AlgorithmParams:
     def __post_init__(self) -> None:
         if not _is_count(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy count as an int
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError(f"p_a must be in [0, 1], got {self.p_a}")
         if self.alpha is not None and not self.alpha > 0.0:

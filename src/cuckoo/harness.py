@@ -6,10 +6,11 @@ under the output directory:
 
 * ``records/<problem>__<algorithm>__t<NNN>.tsv`` - one convergence
   record per trial (columns: iteration, best_objective, evaluations),
-* ``records/<...>.meta.yaml`` - sidecar metadata per trial (seed, final
-  result, termination reason, wall time),
+* ``records/<...>.meta.json`` - sidecar metadata per trial (seed, final
+  result, termination reason, wall time), one key per line,
 * ``summary.tsv`` - one statistics row per (problem, algorithm) cell,
-* ``experiment.yaml`` - the fully resolved experiment for provenance.
+* ``experiment.yaml`` - the fully resolved experiment for provenance,
+  every param listed; it reloads to a spec equal to the one that ran.
 
 Trial seeds are ``base_seed + trial``, so reruns of the same file
 reproduce every record byte for byte (sidecars are exempt: they carry
@@ -27,25 +28,21 @@ files and the summary an earlier run left in the same output directory.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
 from .core import AlgorithmParams, StopCriterion, cuckoo_search
 from .problems import PenaltyConfig, _is_count, get_problem
-
-try:  # libyaml's emitter and parser; the pure-Python ones where PyYAML lacks it
-    from yaml import CSafeDumper as _SidecarDumper, CSafeLoader as _SidecarLoader
-except ImportError:
-    from yaml import SafeDumper as _SidecarDumper, SafeLoader as _SidecarLoader
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -65,26 +62,22 @@ __all__ = [
 
 _PARAMS_CLASSES = {"cuckoo": AlgorithmParams, "hill_climb": HillClimbParams}
 ALGORITHM_NAMES = tuple(_PARAMS_CLASSES)
-# field name -> resolved type, for each algorithm's params dataclass
-_PARAMS_FIELDS = {name: get_type_hints(cls) for name, cls in _PARAMS_CLASSES.items()}
 
 
-def _param_keys(name: str) -> frozenset:
-    """Keys an experiment may set for an algorithm: its params' fields.
-
-    A nested config (the step law) is flattened into its own fields; the
-    stop criterion is the experiment's and cannot be set per algorithm.
-    """
-    keys = set()
-    for key, hint in _PARAMS_FIELDS[name].items():
-        if not is_dataclass(hint):
-            keys.add(key)
-        elif hint is not StopCriterion:
-            keys.update(f.name for f in fields(hint))
-    return frozenset(keys)
+def _flat_params(params) -> dict:
+    """Params as an experiment file gives them: step law inline, stop criterion left out."""
+    flat = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not is_dataclass(value):
+            flat[f.name] = value
+        elif not isinstance(value, StopCriterion):
+            flat.update(asdict(value))
+    return flat
 
 
-PARAM_KEYS = {name: _param_keys(name) for name in ALGORITHM_NAMES}
+# the keys an experiment may set for each algorithm are the keys it writes
+PARAM_KEYS = {name: frozenset(_flat_params(cls())) for name, cls in _PARAMS_CLASSES.items()}
 
 
 class ConfigError(ValueError):
@@ -101,7 +94,7 @@ class ProblemRef:
 class AlgorithmRef:
     name: str
     label: str
-    params: dict
+    params: AlgorithmParams | HillClimbParams
 
 
 @dataclass(frozen=True)
@@ -122,6 +115,8 @@ class ExperimentSpec:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
+        if any(a.params.stop != self.stop for a in self.algorithms):
+            raise ConfigError("every algorithm's params must carry the experiment's stop criterion")
         if not _is_count(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_count(self.base_seed) or self.base_seed < 0:
@@ -130,6 +125,8 @@ class ExperimentSpec:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
         if not _is_count(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        for name in ("trials", "base_seed", "workers"):  # a numpy count as an int
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -203,12 +200,18 @@ def _as_list(value, key: str) -> list:
     return value
 
 
-def _parse_problem(entry) -> ProblemRef:
+def _entry(entry, cls, what: str) -> dict:
+    """A problem or algorithm entry as a mapping; a bare name is its name."""
     if isinstance(entry, str):
         entry = {"name": entry}
     if not isinstance(entry, dict):
-        raise ConfigError(f"problem entries must be names or mappings, got {entry!r}")
-    _check_keys(entry, ProblemRef, "problem")
+        raise ConfigError(f"{what} entries must be names or mappings, got {entry!r}")
+    _check_keys(entry, cls, what)
+    return entry
+
+
+def _parse_problem(entry) -> ProblemRef:
+    entry = _entry(entry, ProblemRef, "problem")
     name, dimension = entry.get("name"), entry.get("dimension")
     if not isinstance(name, str):
         raise ConfigError(f"problem name must be a string, got {name!r}")
@@ -220,11 +223,7 @@ def _parse_problem(entry) -> ProblemRef:
 
 
 def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
-    if isinstance(entry, str):
-        entry = {"name": entry}
-    if not isinstance(entry, dict):
-        raise ConfigError(f"algorithm entries must be names or mappings, got {entry!r}")
-    _check_keys(entry, AlgorithmRef, "algorithm")
+    entry = _entry(entry, AlgorithmRef, "algorithm")
     name = entry.get("name")
     if name not in ALGORITHM_NAMES:
         raise ConfigError(f"unknown algorithm {name!r}; available: {', '.join(ALGORITHM_NAMES)}")
@@ -240,10 +239,10 @@ def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
             f"unknown {name} params: {sorted(unknown)}; allowed: {sorted(PARAM_KEYS[name])}"
         )
     try:
-        _build_params(name, params, stop)
+        built = _build_params(name, params, stop)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} params: {exc}") from exc
-    return AlgorithmRef(name=name, label=label, params=dict(params))
+    return AlgorithmRef(name=name, label=label, params=built)
 
 
 def _parse_config(cls, block, what: str):
@@ -257,23 +256,24 @@ def _parse_config(cls, block, what: str):
 
 
 def _build_params(name: str, block: dict, stop: StopCriterion):
-    """The algorithm's params from the keys given; the dataclasses supply the rest."""
+    """The inverse of :func:`_flat_params`; defaults fill the keys not given."""
+    default = _PARAMS_CLASSES[name]()
     kwargs = {}
-    for key, hint in _PARAMS_FIELDS[name].items():
-        if hint is StopCriterion:
-            kwargs[key] = stop
-        elif is_dataclass(hint):
-            nested = {f.name: block[f.name] for f in fields(hint) if f.name in block}
-            if nested:
-                kwargs[key] = hint(**nested)
-        elif key in block:
-            kwargs[key] = block[key]
-    return _PARAMS_CLASSES[name](**kwargs)
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if isinstance(value, StopCriterion):
+            kwargs[f.name] = stop
+        elif is_dataclass(value):
+            kwargs[f.name] = replace(value, **{k: block[k] for k in asdict(value) if k in block})
+        elif f.name in block:
+            kwargs[f.name] = block[f.name]
+    return replace(default, **kwargs)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    """Plain-dict form of a spec; parseable by :func:`spec_from_dict`."""
-    return {**asdict(spec), "stop": {k: v for k, v in asdict(spec.stop).items() if v is not None}}
+    """Plain-dict form of a spec, every field written; parseable by :func:`spec_from_dict`."""
+    algorithms = [{**asdict(a), "params": _flat_params(a.params)} for a in spec.algorithms]
+    return {**asdict(spec), "algorithms": algorithms}
 
 
 # --- running ------------------------------------------------------------------
@@ -321,19 +321,18 @@ def _execute_trial(task: dict) -> dict:
 
 
 def _tasks(spec: ExperimentSpec) -> list[dict]:
-    built = [(a.label, _build_params(a.name, a.params, spec.stop)) for a in spec.algorithms]
     return [
         {
             "problem": problem.name,
             "dimension": problem.dimension,
-            "algorithm": label,
-            "params": params,
+            "algorithm": algorithm.label,
+            "params": algorithm.params,
             "penalty": spec.penalty,
             "trial": trial,
             "seed": spec.base_seed + trial,
         }
         for problem in spec.problems
-        for label, params in built
+        for algorithm in spec.algorithms
         for trial in range(spec.trials)
     ]
 
@@ -341,17 +340,18 @@ def _tasks(spec: ExperimentSpec) -> list[dict]:
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run the full grid, write records and summary, return the rows."""
     tasks = _tasks(spec)
+    # before anything is cleared, so that a spec that cannot be written loses nothing
+    resolved = yaml.safe_dump(spec_to_dict(spec), sort_keys=False)
     out_dir = Path(spec.output)
     records_dir = out_dir / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
-    for pattern in ("*.tsv", "*.meta.yaml", "*.tmp"):
+    # *.meta.* also takes the *.meta.yaml sidecars that earlier versions wrote
+    for pattern in ("*.tsv", "*.meta.*", "*.tmp"):
         for stale in records_dir.glob(pattern):
             stale.unlink()
     (out_dir / "summary.tsv").unlink(missing_ok=True)
     # first, so that the records a crash leaves behind can be summarized
-    (out_dir / "experiment.yaml").write_text(
-        yaml.safe_dump(spec_to_dict(spec), sort_keys=False), encoding="utf-8"
-    )
+    (out_dir / "experiment.yaml").write_text(resolved, encoding="utf-8")
     run = partial(_run_and_write, records_dir=records_dir)
     if spec.workers > 1:
         # multiprocessing.Pool.map's rule: about four chunks per worker
@@ -391,9 +391,8 @@ def _write_record(record: dict, records_dir: Path) -> None:
     _write_atomic(records_dir / f"{stem}.tsv", "\n".join(lines) + "\n")
     # the sidecar last: a reader that finds it finds the whole record
     meta = {k: v for k, v in record.items() if k not in ("history", "history_evaluations")}
-    _write_atomic(
-        records_dir / f"{stem}.meta.yaml", yaml.dump(meta, Dumper=_SidecarDumper, sort_keys=True)
-    )
+    text = json.dumps(meta, sort_keys=True, indent=0) + "\n"  # one key per line
+    _write_atomic(records_dir / f"{stem}.meta.json", text)
 
 
 def read_records(output_dir) -> list[dict]:
@@ -402,12 +401,12 @@ def read_records(output_dir) -> list[dict]:
     if not records_dir.is_dir():
         raise FileNotFoundError(f"no records directory under {output_dir!r}")
     records = []
-    for meta_path in sorted(records_dir.glob("*.meta.yaml")):
-        record = yaml.load(meta_path.read_text(encoding="utf-8"), Loader=_SidecarLoader)
+    for meta_path in sorted(records_dir.glob("*.meta.json")):
+        record = json.loads(meta_path.read_text(encoding="utf-8"))
         # a grid repeats a few names in every record: share one copy of each
         for key in ("problem", "algorithm", "status", "terminated_by"):
             record[key] = sys.intern(record[key])
-        tsv_path = meta_path.with_name(meta_path.name.replace(".meta.yaml", ".tsv"))
+        tsv_path = meta_path.with_name(meta_path.name.replace(".meta.json", ".tsv"))
         history, history_evaluations = [], []
         for line in tsv_path.read_text(encoding="utf-8").splitlines()[1:]:
             _, value, evals = line.split("\t")

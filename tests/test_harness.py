@@ -1,7 +1,10 @@
 """Experiment harness: config parsing, records, summaries, CLI."""
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -10,6 +13,7 @@ from cuckoo.baselines import HillClimbParams
 from cuckoo.cli import main
 from cuckoo.core import AlgorithmParams, StopCriterion
 from cuckoo.harness import (
+    PARAM_KEYS,
     ConfigError,
     ExperimentSpec,
     _execute_trial,
@@ -66,6 +70,18 @@ class TestConfigParsing:
     def test_roundtrip_through_dict(self):
         spec = spec_from_dict(dict(BASE_SPEC))
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_params_compare_resolved(self):
+        def cuckoo(params):
+            entry = {"name": "cuckoo", "params": params}
+            return spec_from_dict({**BASE_SPEC, "algorithms": [entry]})
+
+        bare = spec_from_dict({**BASE_SPEC, "algorithms": ["cuckoo"]})
+        assert bare == cuckoo({"n": 25}) == cuckoo({"n": 25, "p_a": 0.25, "tail_exponent": 1.5})
+        assert bare != cuckoo({"n": 26})
+        # the params carry the experiment's stop criterion; a spec where the two differ is refused
+        with pytest.raises(ConfigError, match="stop criterion"):
+            replace(bare, stop=StopCriterion(max_evaluations=10))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -280,7 +296,7 @@ class TestRunExperiment:
         body = (out / "records" / "sphere__cuckoo__t000.tsv").read_text()
         assert body.startswith("iteration\tbest_objective\tevaluations\n0\t")
 
-        meta = yaml.safe_load((out / "records" / "sphere__cuckoo__t001.meta.yaml").read_text())
+        meta = json.loads((out / "records" / "sphere__cuckoo__t001.meta.json").read_text())
         assert meta["seed"] == 101
         assert meta["status"] == "ok"
         assert meta["algorithm"] == "cuckoo"
@@ -293,9 +309,41 @@ class TestRunExperiment:
         assert [r.algorithm for r in rows] == ["cuckoo", "hill_climb"]
         assert all(r.trials == 2 for r in rows)
 
-        # the resolved copy reloads to the same spec
+        # the resolved copy lists every param, defaults included, and reloads to the same spec
+        stored = yaml.safe_load((out / "experiment.yaml").read_text())
+        assert [set(a["params"]) for a in stored["algorithms"]] == [
+            PARAM_KEYS["cuckoo"],
+            PARAM_KEYS["hill_climb"],
+        ]
         reloaded = load_experiment(out / "experiment.yaml")
         assert reloaded == spec
+
+    def test_numpy_counts(self, tmp_path):
+        out = tmp_path / "out"
+        data = {
+            **BASE_SPEC,
+            "output": str(out),
+            "trials": np.int64(2),
+            "base_seed": np.int64(100),
+            "stop": {"max_evaluations": np.int64(400), "stagnation_window": np.int64(50)},
+            "algorithms": [
+                {"name": "cuckoo", "params": {"n": np.int64(10)}},
+                {"name": "hill_climb", "params": {"stall_limit": np.int64(5)}},
+            ],
+        }
+        spec = spec_from_dict(data)
+        run_experiment(spec)
+        assert load_experiment(out / "experiment.yaml") == spec
+        assert [r["seed"] for r in read_records(out)] == [100, 101, 100, 101]
+        # a spec that cannot be written fails before the earlier run's files are cleared
+        before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
+        cuckoo = spec.algorithms[0]
+        unwritable = replace(cuckoo, params=replace(cuckoo.params, p_a=np.float64(0.3)))
+        with pytest.raises(yaml.YAMLError):
+            run_experiment(replace(spec, algorithms=(unwritable,)))
+        assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
+        assert (out / "summary.tsv").is_file()
+        assert load_experiment(out / "experiment.yaml") == spec
 
     def test_records_reproduce_byte_identically(self, tmp_path):
         first = load_experiment(write_spec(tmp_path, {"output": str(tmp_path / "a")}))
@@ -330,7 +378,7 @@ class TestRunExperiment:
                 if name.endswith(".tsv"):
                     assert a.read_bytes() == b.read_bytes()
                 else:
-                    meta_a, meta_b = yaml.safe_load(a.read_text()), yaml.safe_load(b.read_text())
+                    meta_a, meta_b = json.loads(a.read_text()), json.loads(b.read_text())
                     del meta_a["wall_time_seconds"], meta_b["wall_time_seconds"]
                     assert meta_a == meta_b
             summary_serial = (serial_dir / "summary.tsv").read_text().splitlines()
@@ -379,10 +427,7 @@ class TestRunExperiment:
 
 
 class TestSidecars:
-    @pytest.mark.parametrize("libyaml", [False, True])
-    def test_libyaml_loads_what_pure_python_loads(self, tmp_path, monkeypatch, libyaml):
-        if libyaml and not yaml.__with_libyaml__:
-            pytest.skip("PyYAML was built without libyaml")
+    def test_json_roundtrip(self, tmp_path, monkeypatch):
         message = (
             'a "double-quoted" name,\ta tab and \'single quotes\', then a newline\n'
             "and enough text after it to run past eighty characters on one line"
@@ -395,27 +440,15 @@ class TestSidecars:
             return real(problem, params, seed=seed, penalty=penalty)
 
         monkeypatch.setattr(harness, "hill_climb_restart", failing)
-        records = [harness._execute_trial(task) for task in harness._tasks(spec_from_dict(BASE_SPEC))]
+        # enough budget for a cuckoo best below 1e-4, which repr writes in exponent form
+        spec = spec_from_dict({**BASE_SPEC, "stop": {"max_evaluations": 5000}})
+        records = [harness._execute_trial(task) for task in harness._tasks(spec)]
         assert records[-1]["error"] == f"RuntimeError: {message}"
-        pure = (yaml.SafeDumper, yaml.SafeLoader)
-        native = (yaml.CSafeDumper, yaml.CSafeLoader) if libyaml else pure
-
-        def write(dumper, name):
-            monkeypatch.setattr(harness, "_SidecarDumper", dumper)
-            (tmp_path / name / "records").mkdir(parents=True)
-            for record in records:
-                harness._write_record(record, tmp_path / name / "records")
-            return tmp_path / name
-
-        def read(loader, out):
-            monkeypatch.setattr(harness, "_SidecarLoader", loader)
-            return read_records(out)
-
-        expected = read(pure[1], write(pure[0], "pure"))
-        assert expected == sorted(records, key=harness._record_stem)
-        written = write(native[0], "native")
-        assert read(native[1], written) == expected
-        assert read(pure[1], written) == expected
+        assert "e-" in repr(records[0]["best_objective"])
+        (tmp_path / "records").mkdir()
+        for record in records:
+            harness._write_record(record, tmp_path / "records")
+        assert read_records(tmp_path) == sorted(records, key=harness._record_stem)
 
 
 class TestCli:
@@ -471,12 +504,13 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", str(write_spec(tmp_path, {"trials": 4}))]) == 0
         (out / "records" / "sphere__cuckoo__t009.tsv.tmp").write_text("partial")
+        (out / "records" / "sphere__cuckoo__t000.meta.yaml").write_text("an older sidecar")
         assert main(["run", str(write_spec(tmp_path, {"trials": 2}, name="exp2.yaml"))]) == 0
         assert sorted(p.name for p in (out / "records").iterdir()) == [
             f"sphere__{label}__t00{trial}.{ext}"
             for label in ("cuckoo", "hill_climb")
             for trial in (0, 1)
-            for ext in ("meta.yaml", "tsv")
+            for ext in ("meta.json", "tsv")
         ]
         capsys.readouterr()
         assert main(["summarize", str(out)]) == 0
