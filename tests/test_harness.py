@@ -450,6 +450,20 @@ class TestSidecars:
             harness._write_record(record, tmp_path / "records")
         assert read_records(tmp_path) == sorted(records, key=harness._record_stem)
 
+    @pytest.mark.parametrize("libyaml", [False, True])
+    def test_libyaml_loads_what_pure_python_loads(self, tmp_path, libyaml):
+        # beside the JSON sidecars, experiment.yaml is the one YAML file a results directory holds
+        if libyaml and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        spec = load_experiment(write_spec(tmp_path))
+        run_experiment(spec)
+        text = (tmp_path / "out" / "experiment.yaml").read_text()
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        loaded = yaml.load(text, Loader=yaml.CSafeLoader if libyaml else yaml.SafeLoader)
+        assert loaded == expected
+        assert loaded["stop"]["target_objective"] == 1e-9
+        assert spec_from_dict(loaded) == spec
+
 
 class TestCli:
     def test_listings(self, capsys):
