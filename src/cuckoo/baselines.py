@@ -9,13 +9,13 @@ curve is a step function, so those rows lose nothing of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import STAGNATION_EPS, RunResult, StopCriterion
-from .problems import PenaltyConfig, Problem, _is_count, evaluate
+from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, check_number, evaluate
 
 __all__ = ["HillClimbParams", "hill_climb_restart"]
 
@@ -34,23 +34,19 @@ class HillClimbParams:
     step_fraction: float = 0.1
     shrink_factor: float = 0.5
     stall_limit: int = 20
-    stop: StopCriterion = field(default_factory=lambda: StopCriterion(max_evaluations=50_000))
+    stop: StopCriterion = StopCriterion(max_evaluations=50_000)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step_fraction <= 1.0:
-            raise ValueError(f"step_fraction must be in (0, 1], got {self.step_fraction}")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError(f"shrink_factor must be in (0, 1), got {self.shrink_factor}")
-        if not _is_count(self.stall_limit) or self.stall_limit < 1:
-            raise ValueError(f"stall_limit must be an integer >= 1, got {self.stall_limit!r}")
-        object.__setattr__(self, "stall_limit", int(self.stall_limit))  # a numpy count as an int
+        check_number(self, "step_fraction", "(0, 1]")
+        check_number(self, "shrink_factor", "(0, 1)")
+        check_number(self, "stall_limit", "[1, inf)", integer=True)
 
 
 def hill_climb_restart(
     problem: Problem,
-    params: Optional[HillClimbParams] = None,
+    params: HillClimbParams = HillClimbParams(),
     seed: int = 0,
-    penalty: Optional[PenaltyConfig] = None,
+    penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> RunResult:
     """Run the baseline on ``problem`` until the stop criterion fires.
 
@@ -59,10 +55,6 @@ def hill_climb_restart(
     overshot.  history and history_evaluations hold a row for each
     evaluation that improved the best, plus one for the last evaluation.
     """
-    if params is None:
-        params = HillClimbParams()
-    if penalty is None:
-        penalty = PenaltyConfig()
     rng = np.random.default_rng(seed)
     stop_reason = params.stop.reason
     lower, upper = problem.lower, problem.upper

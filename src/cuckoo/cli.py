@@ -15,6 +15,7 @@ from pathlib import Path
 from .harness import (
     PARAM_KEYS,
     ConfigError,
+    SummaryRow,
     format_summary,
     load_experiment,
     read_records,
@@ -23,7 +24,7 @@ from .harness import (
     summarize,
     write_summary,
 )
-from .problems import get_problem, problem_names
+from .problems import FIXED_DESIGNS, get_problem, problem_names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,19 +52,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        if args.command == "summarize":
-            return _summarize(args)
         if args.command == "list-problems":
             return _list_problems()
-        return _list_algorithms()
+        if args.command == "list-algorithms":
+            return _list_algorithms()
+        rows = _run(args) if args.command == "run" else _summarize(args)
     except (ConfigError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    failed = [(row, trial, error) for row in rows for trial, error in row.failures]
+    for row, trial, error in failed:
+        print(f"# trial failed: {row.problem}/{row.algorithm} t{trial:03d}: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _run(args) -> int:
+def _run(args) -> list[SummaryRow]:
     spec = load_experiment(args.experiment)
     overrides = {}
     if args.output is not None:
@@ -75,25 +78,22 @@ def _run(args) -> int:
     rows = run_experiment(spec)
     print(format_summary(rows), end="")
     print(f"# wrote {Path(spec.output) / 'summary.tsv'}")
-    failed = [(row, trial, error) for row in rows for trial, error in row.failures]
-    for row, trial, error in failed:
-        print(f"# trial failed: {row.problem}/{row.algorithm} t{trial:03d}: {error}", file=sys.stderr)
-    return 1 if failed else 0
+    return rows
 
 
-def _summarize(args) -> int:
+def _summarize(args) -> list[SummaryRow]:
     records = read_records(args.results)
     rows = summarize(records, read_target(args.results))
     write_summary(rows, Path(args.results) / "summary.tsv")
     print(format_summary(rows), end="")
-    return 0
+    return rows
 
 
 def _list_problems() -> int:
     for name in problem_names():
         problem = get_problem(name)
         constraints = len(problem.inequality_constraints) + len(problem.equality_constraints)
-        if name in ("spring_design", "welded_beam"):
+        if name in FIXED_DESIGNS:
             shape = f"fixed d={problem.dimension}, {constraints} inequality constraints"
         else:
             shape = f"scalable, default d={problem.dimension}"

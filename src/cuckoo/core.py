@@ -34,13 +34,13 @@ component, row by row); then one uniform block per abandoned nest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .levy import LevyConfig, sample_levy_vector
-from .problems import PenaltyConfig, Problem, _is_count, evaluate
+from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, check_number, evaluate
 
 __all__ = [
     "STAGNATION_EPS",
@@ -119,12 +119,9 @@ class StopCriterion:
     stagnation_window: Optional[int] = None
 
     def __post_init__(self) -> None:
-        window = () if self.stagnation_window is None else ("stagnation_window",)
-        for name in ("max_evaluations", *window):
-            value = getattr(self, name)
-            if not (_is_count(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy count as an int
+        check_number(self, "max_evaluations", "[1, inf)", integer=True)
+        check_number(self, "target_objective", "(-inf, inf)", optional=True)
+        check_number(self, "stagnation_window", "[1, inf)", integer=True, optional=True)
 
     def reason(self, best_objective: float, evaluations: int, stall: int) -> Optional[str]:
         """Why a run stops now, or None: target over budget over stagnation.
@@ -157,18 +154,14 @@ class AlgorithmParams:
     n: int = 25
     p_a: float = 0.25
     alpha: Optional[float] = None
-    levy: LevyConfig = field(default_factory=LevyConfig)
-    stop: StopCriterion = field(default_factory=lambda: StopCriterion(max_evaluations=50_000))
+    levy: LevyConfig = LevyConfig()
+    stop: StopCriterion = StopCriterion(max_evaluations=50_000)
     compare_to: str = "random"
 
     def __post_init__(self) -> None:
-        if not _is_count(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # a numpy count as an int
-        if not 0.0 <= self.p_a <= 1.0:
-            raise ValueError(f"p_a must be in [0, 1], got {self.p_a}")
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_number(self, "n", "[2, inf)", integer=True)
+        check_number(self, "p_a", "[0, 1]")
+        check_number(self, "alpha", "(0, inf)", optional=True)
         if self.compare_to not in ("random", "parent"):
             raise ValueError(f"compare_to must be 'random' or 'parent', got {self.compare_to!r}")
 
@@ -208,7 +201,7 @@ def initialize(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    penalty: Optional[PenaltyConfig] = None,
+    penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> Population:
     """Uniform random population inside the bounds, evaluated as one batch.
 
@@ -308,7 +301,7 @@ def abandon_fraction(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    penalty: Optional[PenaltyConfig] = None,
+    penalty: PenaltyConfig = DEFAULT_PENALTY,
     limit: float = math.inf,
 ) -> Population:
     """Replace the worst ceil(p_a * n) nests with fresh uniform samples.
@@ -335,9 +328,9 @@ def abandon_fraction(
 
 def cuckoo_search(
     problem: Problem,
-    params: Optional[AlgorithmParams] = None,
+    params: AlgorithmParams = AlgorithmParams(),
     seed: int = 0,
-    penalty: Optional[PenaltyConfig] = None,
+    penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> RunResult:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
 
@@ -347,8 +340,6 @@ def cuckoo_search(
     budget, one per evaluation left.  The same seed always reproduces
     the same result bit for bit.
     """
-    if params is None:
-        params = AlgorithmParams()
     rng = np.random.default_rng(seed)
     scale = step_scale(problem, params)
     stop = params.stop

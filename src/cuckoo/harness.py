@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -42,7 +42,7 @@ import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
 from .core import AlgorithmParams, StopCriterion, cuckoo_search
-from .problems import PenaltyConfig, _is_count, get_problem
+from .problems import DEFAULT_PENALTY, PenaltyConfig, check_number, get_problem
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -104,7 +104,7 @@ class ExperimentSpec:
     trials: int
     base_seed: int
     stop: StopCriterion
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+    penalty: PenaltyConfig = DEFAULT_PENALTY
     output: str = "results"
     workers: int = 1
 
@@ -117,16 +117,11 @@ class ExperimentSpec:
             raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
         if any(a.params.stop != self.stop for a in self.algorithms):
             raise ConfigError("every algorithm's params must carry the experiment's stop criterion")
-        if not _is_count(self.trials) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_count(self.base_seed) or self.base_seed < 0:
-            raise ConfigError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        check_number(self, "trials", "[1, inf)", integer=True, error=ConfigError)
+        check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
+        check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
-        if not _is_count(self.workers) or self.workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
-        for name in ("trials", "base_seed", "workers"):  # a numpy count as an int
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

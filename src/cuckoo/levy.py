@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .problems import check_number
+
 __all__ = [
     "LevyConfig",
     "sample_step_length",
@@ -34,12 +36,8 @@ class LevyConfig:
     min_step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.tail_exponent <= 3.0:
-            raise ValueError(
-                f"tail_exponent must be in (1, 3], got {self.tail_exponent}"
-            )
-        if not self.min_step > 0.0:
-            raise ValueError(f"min_step must be positive, got {self.min_step}")
+        check_number(self, "tail_exponent", "(1, 3]")
+        check_number(self, "min_step", "(0, inf)")
 
 
 def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):

@@ -1,4 +1,4 @@
-"""Benchmark problems and constraint handling.
+"""Benchmark problems, constraint handling and the rule for numeric settings.
 
 A :class:`Problem` bundles an objective with box bounds and optional
 constraint functions.  Constraints enter the search through a quadratic
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,9 +42,31 @@ __all__ = [
 Objective = Callable[[np.ndarray], "float | np.ndarray"]
 
 
-def _is_count(value) -> bool:
-    """An integer that is not a bool (YAML's ``yes`` must not pass for 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_number(value, integer: bool) -> bool:
+    """A number (an integer if ``integer``) that is not a bool, which YAML reads ``yes`` as."""
+    return isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
+
+
+def check_number(config, name: str, interval: str, *, integer=False, optional=False,
+                 error=ValueError) -> None:
+    """Check the numeric setting ``config.<name>`` and store it as a plain int or float.
+
+    The setting must be a number (an integer if ``integer``) in ``interval``,
+    written like ``"(0, 1]"``, or None if ``optional``; anything else raises
+    ``error``.  A numpy scalar is stored as the Python number it equals.
+    """
+    value = getattr(config, name)
+    if value is None and optional:
+        return
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not (
+        _is_number(value, integer)
+        and (low <= value if interval[0] == "[" else low < value)
+        and (value <= high if interval[-1] == "]" else value < high)
+    ):
+        kind = "an integer" if integer else "a number"
+        raise error(f"{name} must be {kind} in {interval}, got {value!r}")
+    object.__setattr__(config, name, int(value) if integer else float(value))
 
 
 class EvaluationError(RuntimeError):
@@ -73,10 +96,11 @@ class PenaltyConfig:
     eq_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not self.penalty_weight > 0.0:
-            raise ValueError(f"penalty_weight must be positive, got {self.penalty_weight}")
-        if not self.eq_tolerance >= 0.0:
-            raise ValueError(f"eq_tolerance must be >= 0, got {self.eq_tolerance}")
+        check_number(self, "penalty_weight", "(0, inf)")
+        check_number(self, "eq_tolerance", "[0, inf)")
+
+
+DEFAULT_PENALTY = PenaltyConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +145,7 @@ class Problem:
         return self.bounds[:, 1]
 
 
-def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None):
+def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     """Penalized objective at one point ``x`` (d,) or at each row of a batch (m, d).
 
     For a point, returns ``(value, feasible)`` as a float and a bool,
@@ -137,8 +161,6 @@ def evaluate(problem: Problem, x, penalty: Optional[PenaltyConfig] = None):
     Raises :class:`EvaluationError` if the penalized value is NaN or
     infinite, as a NaN or ``+inf`` constraint value makes it.
     """
-    if penalty is None:
-        penalty = PenaltyConfig()
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return _evaluate_batch(problem, x, penalty)
@@ -382,7 +404,7 @@ _SCALABLE: dict[str, Callable[[int], Problem]] = {
     "ackley": ackley,
     "rastrigin": rastrigin,
 }
-_FIXED: dict[str, Callable[[], Problem]] = {
+FIXED_DESIGNS: dict[str, Callable[[], Problem]] = {
     "spring_design": spring_design,
     "welded_beam": welded_beam,
 }
@@ -392,7 +414,7 @@ DEFAULT_DIMENSION = 10
 
 def problem_names() -> list[str]:
     """Names accepted by :func:`get_problem`."""
-    return list(_SCALABLE) + list(_FIXED)
+    return list(_SCALABLE) + list(FIXED_DESIGNS)
 
 
 def get_problem(name: str, dimension: Optional[int] = None) -> Problem:
@@ -403,9 +425,10 @@ def get_problem(name: str, dimension: Optional[int] = None) -> Problem:
     """
     if name in _SCALABLE:
         return _SCALABLE[name](DEFAULT_DIMENSION if dimension is None else dimension)
-    if name in _FIXED:
-        built = _FIXED[name]()
-        if dimension is not None and (not _is_count(dimension) or dimension != built.dimension):
+    if name in FIXED_DESIGNS:
+        built = FIXED_DESIGNS[name]()
+        wrong = not _is_number(dimension, integer=True) or dimension != built.dimension
+        if dimension is not None and wrong:
             raise ValueError(
                 f"{name} has fixed dimension {built.dimension}, got request for {dimension}"
             )
@@ -423,5 +446,5 @@ def _box(lo: float, hi: float, dimension: int) -> list[tuple[float, float]]:
 
 
 def _check_dimension(dimension: int, minimum: int = 1) -> None:
-    if not _is_count(dimension) or dimension < minimum:
+    if not _is_number(dimension, integer=True) or dimension < minimum:
         raise ValueError(f"dimension must be an integer >= {minimum}, got {dimension!r}")

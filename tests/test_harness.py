@@ -325,20 +325,31 @@ class TestRunExperiment:
             "output": str(out),
             "trials": np.int64(2),
             "base_seed": np.int64(100),
-            "stop": {"max_evaluations": np.int64(400), "stagnation_window": np.int64(50)},
+            "stop": {
+                "max_evaluations": np.int64(400),
+                "target_objective": np.float64(1e-9),
+                "stagnation_window": np.int64(50),
+            },
             "algorithms": [
-                {"name": "cuckoo", "params": {"n": np.int64(10)}},
+                {
+                    "name": "cuckoo",
+                    "params": {"n": np.int64(10), "p_a": np.float64(0.3), "alpha": np.float64(0.05)},
+                },
                 {"name": "hill_climb", "params": {"stall_limit": np.int64(5)}},
             ],
+            # an integer for a float setting is written back as a float
+            "penalty": {"penalty_weight": np.float64(1e6), "eq_tolerance": 0},
         }
         spec = spec_from_dict(data)
         run_experiment(spec)
         assert load_experiment(out / "experiment.yaml") == spec
+        stored = yaml.safe_load((out / "experiment.yaml").read_text())
+        assert stored["penalty"] == {"penalty_weight": 1e6, "eq_tolerance": 0.0}
+        assert isinstance(stored["penalty"]["eq_tolerance"], float)
         assert [r["seed"] for r in read_records(out)] == [100, 101, 100, 101]
         # a spec that cannot be written fails before the earlier run's files are cleared
         before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
-        cuckoo = spec.algorithms[0]
-        unwritable = replace(cuckoo, params=replace(cuckoo.params, p_a=np.float64(0.3)))
+        unwritable = replace(spec.algorithms[0], label=np.str_("cuckoo"))
         with pytest.raises(yaml.YAMLError):
             run_experiment(replace(spec, algorithms=(unwritable,)))
         assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
@@ -497,7 +508,28 @@ class TestCli:
 
     def test_bad_workers_override_exit_code(self, tmp_path, capsys):
         assert main(["run", str(write_spec(tmp_path)), "--workers", "0"]) == 2
-        assert capsys.readouterr().err == "error: workers must be a positive integer, got 0\n"
+        assert capsys.readouterr().err == "error: workers must be an integer in [1, inf), got 0\n"
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("algorithms: [{name: cuckoo, params: {alpha: yes}}]", "alpha"),  # a bool
+            # YAML reads an exponent without a dot as a string
+            ("stop: {max_evaluations: 400, target_objective: 1e-3}", "target_objective"),
+            ('algorithms: [{name: cuckoo, params: {p_a: "0.3"}}]', "p_a"),
+        ],
+    )
+    def test_yaml_values_that_are_not_numbers(self, tmp_path, capsys, text, name):
+        key = next(iter(yaml.safe_load(text)))
+        data = {k: v for k, v in BASE_SPEC.items() if k != key}
+        data["output"] = str(tmp_path / "out")
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(data) + text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            load_experiment(path)
+        assert main(["run", str(path)]) == 2
+        assert f"{name} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_trial_exit_code(self, tmp_path, capsys, monkeypatch):
         real = harness.hill_climb_restart
@@ -513,6 +545,11 @@ class TestCli:
         assert captured.out.startswith("problem\talgorithm")
         assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
         assert len(list((tmp_path / "out" / "records").glob("*.tsv"))) == 4
+        # summarizing the stored records reports the failure the same way
+        assert main(["summarize", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("problem\talgorithm")
+        assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
 
     def test_rerun_clears_old_records(self, tmp_path, capsys):
         out = tmp_path / "out"
