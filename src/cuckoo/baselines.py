@@ -19,6 +19,8 @@ from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, check_number, eva
 
 __all__ = ["HillClimbParams", "hill_climb_restart"]
 
+MOVE_BLOCK = 256  # moves per pair of generator calls, instead of two calls (~1 µs) a move
+
 
 @dataclass(frozen=True)
 class HillClimbParams:
@@ -54,14 +56,20 @@ def hill_climb_restart(
     checked after every evaluation, so max_evaluations is never
     overshot.  history and history_evaluations hold a row for each
     evaluation that improved the best, plus one for the last evaluation.
+
+    Draw order: a restart point is ``lower + (upper - lower) * u`` from one
+    block of ``dimension`` uniforms, as ``rng.uniform`` computes it.  The
+    first move, and each one after a block is used up, draws MOVE_BLOCK
+    coordinates, then MOVE_BLOCK offset uniforms; blocks outlive restarts.
     """
     rng = np.random.default_rng(seed)
     stop_reason = params.stop.reason
     lower, upper = problem.lower, problem.upper
+    width = upper - lower
     # per-coordinate bounds and steps as Python floats: the move below is
     # scalar work, where numpy scalars cost several times as much
     low, high = lower.tolist(), upper.tolist()
-    start_step = (params.step_fraction * (upper - lower)).tolist()
+    start_step = (params.step_fraction * width).tolist()
     shrink = params.shrink_factor
     dimension = problem.dimension
 
@@ -74,40 +82,40 @@ def hill_climb_restart(
     stall_iterations = 0
     reason: Optional[str] = None
     current: Optional[np.ndarray] = None  # None: the next point is a restart
-    step = start_step
+    scale = 1.0  # the step is start_step * scale
+    moves = iter(())  # the (coordinate, uniform) pairs left in the block
 
     while reason is None:
         if current is None:
-            candidate = rng.uniform(lower, upper)
+            candidate = lower + width * rng.random(dimension)
         else:
-            coord = int(rng.integers(dimension))
-            # rng.uniform(-half, half) computes exactly this, low + (high - low)
-            # * u from one draw, at a few times the call cost
-            half = step[coord]
-            offset = -half + 2.0 * half * rng.random()
+            move = next(moves, None)
+            if move is None:
+                coords = rng.integers(dimension, size=MOVE_BLOCK).tolist()
+                moves = zip(coords, rng.random(MOVE_BLOCK).tolist())
+                move = next(moves)
+            coord, u = move
+            # rng.uniform(-half, half) computes exactly this offset from the
+            # move's uniform u, at a few times the cost
+            half = start_step[coord] * scale
+            offset = -half + 2.0 * half * u
             candidate = current.copy()
             candidate[coord] = min(max(current.item(coord) + offset, low[coord]), high[coord])
         value, feasible = evaluate(problem, candidate, penalty)
         evaluations += 1
-        if value < best_objective - STAGNATION_EPS:
-            stall_iterations = 0
-        else:
-            stall_iterations += 1
+        stall_iterations = 0 if value < best_objective - STAGNATION_EPS else stall_iterations + 1
         if value < best_objective:
-            best_position = candidate.copy()
-            best_objective = value
-            best_feasible = feasible
+            best_position, best_objective, best_feasible = candidate.copy(), value, feasible
             history.append(best_objective)
             history_evaluations.append(evaluations)
         reason = stop_reason(best_objective, evaluations, stall_iterations)
         if current is None or value < current_value:
-            current, current_value = candidate, value
-            failures = 0
+            current, current_value, failures = candidate, value, 0
         else:
             failures += 1
-            step = [v * shrink for v in step]
+            scale *= shrink
             if failures >= params.stall_limit:
-                current, step = None, start_step
+                current, scale = None, 1.0
 
     assert best_position is not None
     if history_evaluations[-1] != evaluations:

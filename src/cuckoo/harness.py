@@ -348,10 +348,12 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     # first, so that the records a crash leaves behind can be summarized
     (out_dir / "experiment.yaml").write_text(resolved, encoding="utf-8")
     run = partial(_run_and_write, records_dir=records_dir)
-    if spec.workers > 1:
+    # the pool forks every worker at the first submit, so start none that would idle
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
         # multiprocessing.Pool.map's rule: about four chunks per worker
-        chunksize = -(-len(tasks) // (4 * spec.workers))
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        chunksize = -(-len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, tasks, chunksize=chunksize))
     else:
         records = list(map(run, tasks))

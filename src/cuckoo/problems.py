@@ -59,14 +59,17 @@ def check_number(config, name: str, interval: str, *, integer=False, optional=Fa
     if value is None and optional:
         return
     low, high = (float(end) for end in interval[1:-1].split(","))
-    if not (
-        _is_number(value, integer)
-        and (low <= value if interval[0] == "[" else low < value)
-        and (value <= high if interval[-1] == "]" else value < high)
+    try:  # converted before the check, so an integer too large for a float fails it
+        number = (int if integer else float)(value) if _is_number(value, integer) else None
+    except OverflowError:
+        number = None
+    if number is None or not (
+        (low <= number if interval[0] == "[" else low < number)
+        and (number <= high if interval[-1] == "]" else number < high)
     ):
         kind = "an integer" if integer else "a number"
         raise error(f"{name} must be {kind} in {interval}, got {value!r}")
-    object.__setattr__(config, name, int(value) if integer else float(value))
+    object.__setattr__(config, name, number)
 
 
 class EvaluationError(RuntimeError):

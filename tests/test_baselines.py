@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cuckoo.baselines import HillClimbParams, hill_climb_restart
+from cuckoo.baselines import MOVE_BLOCK, HillClimbParams, hill_climb_restart
 from cuckoo.core import StopCriterion
 from cuckoo.problems import Problem, evaluate, get_problem
 
@@ -191,3 +191,47 @@ class TestMoveRule:
                 assert np.sum(seen[index] != seen[index - 6]) == 4  # a restart changes all
             else:
                 assert np.sum(seen[index] != seen[index - index % 6]) <= 1  # a move, one
+
+    def test_draw_order_restarts_and_move_blocks(self):
+        # rebuild every evaluated point from a second generator in the
+        # documented order: the first restart point, then blocks of
+        # MOVE_BLOCK coordinates followed by MOVE_BLOCK uniforms, kept across
+        # the later restarts, whose points come from the stream in between
+        problem = get_problem("sphere", 3)
+        params = HillClimbParams(stall_limit=8, stop=budget(1_500))
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return problem.objective(x)
+
+        hill_climb_restart(Problem(problem.name, problem.bounds, recording), params, seed=9)
+        replay = np.random.default_rng(9)
+        lower, upper = problem.lower, problem.upper
+        start_step = (params.step_fraction * (upper - lower)).tolist()
+        moves, blocks, restarts, current = [], 0, 0, None
+        for point in seen:
+            if current is None:
+                expected = lower + (upper - lower) * replay.random(3)
+                restarts += 1
+                scale, failures = 1.0, 0
+            else:
+                if not moves:
+                    coords = replay.integers(3, size=MOVE_BLOCK).tolist()
+                    moves = list(zip(coords, replay.random(MOVE_BLOCK).tolist()))[::-1]
+                    blocks += 1
+                coord, u = moves.pop()
+                half = start_step[coord] * scale
+                expected = current.copy()
+                moved = current.item(coord) + (-half + 2.0 * half * u)
+                expected[coord] = min(max(moved, lower[coord]), upper[coord])
+            assert np.array_equal(point, expected)
+            value = problem.objective(point)
+            if current is None or value < current_value:
+                current, current_value, failures = point, value, 0
+            else:
+                failures += 1
+                scale *= params.shrink_factor
+                if failures >= params.stall_limit:
+                    current = None
+        assert len(seen) == 1_500 and blocks >= 3 and restarts >= 3

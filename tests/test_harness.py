@@ -398,6 +398,32 @@ class TestRunExperiment:
             for line_a, line_b in zip(summary_serial, summary_parallel):
                 assert line_a.rsplit("\t", 1)[0] == line_b.rsplit("\t", 1)[0]
 
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:  # runs the chunks in this process, starting nothing
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # 4 tasks start 4 workers, not 64; 1 task runs serially, with no pool
+        cases = ((2, BASE_SPEC["algorithms"], [4]), (1, ["cuckoo"], []))
+        for trials, algorithms, expected in cases:
+            overrides = {"workers": 64, "trials": trials, "algorithms": algorithms}
+            started.clear()
+            rows = run_experiment(load_experiment(write_spec(tmp_path, overrides)))
+            assert started == expected
+            assert sum(row.trials for row in rows) == trials * len(algorithms)
+
     def test_interrupt_keeps_finished_records(self, tmp_path, monkeypatch, capsys):
         real = harness.cuckoo_search
         seeds = []
@@ -517,6 +543,8 @@ class TestCli:
             # YAML reads an exponent without a dot as a string
             ("stop: {max_evaluations: 400, target_objective: 1e-3}", "target_objective"),
             ('algorithms: [{name: cuckoo, params: {p_a: "0.3"}}]', "p_a"),
+            # an integer too large for a float
+            ("penalty: {penalty_weight: 1" + "0" * 400 + "}", "penalty_weight"),
         ],
     )
     def test_yaml_values_that_are_not_numbers(self, tmp_path, capsys, text, name):

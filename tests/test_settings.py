@@ -44,7 +44,10 @@ OPTIONAL = {"target_objective", "stagnation_window", "alpha"}
 )
 def test_numeric_setting(config, name, value):
     error = ConfigError if config is SPEC else ValueError
-    for bad in (True, str(value), float("nan")) + (() if name in OPTIONAL else (None,)):
+    bad_values = (True, str(value), float("nan")) + (() if name in OPTIONAL else (None,))
+    if isinstance(value, float):
+        bad_values += (10**400,)  # an integer too large for a float
+    for bad in bad_values:
         with pytest.raises(error, match=f"^{name} must be an? ") as excinfo:
             replace(config, **{name: bad})
         assert excinfo.type is error
