@@ -64,8 +64,7 @@ def hill_climb_restart(
     """
     rng = np.random.default_rng(seed)
     stop_reason = params.stop.reason
-    lower, upper = problem.lower, problem.upper
-    width = upper - lower
+    lower, upper, width = problem.lower, problem.upper, problem.width
     # per-coordinate bounds and steps as Python floats: the move below is
     # scalar work, where numpy scalars cost several times as much
     low, high = lower.tolist(), upper.tolist()

@@ -24,15 +24,16 @@ whole).
 The best solution ever evaluated is tracked separately and can only
 improve (the abandonment step never touches it).  All randomness flows
 through one seeded numpy generator, so runs replay bit-identically.
-Per iteration the draws are: the global walk's step magnitudes, then
-its signs (one block each, row by row), then one defender per candidate
-under ``compare_to="random"``; the local walk's partners j (one per
-candidate), then k, then the step factors s, then the gates (one per
-component, row by row); then one uniform block per abandoned nest.
+Each iteration draws uniforms only, one ``rng.random`` block per group:
+the global walk's magnitudes then signs; the defenders (under
+``compare_to="random"``); the partners j then k; the local walk's step
+factors then gates (row by row); one row per abandoned nest.  An index
+below n is ``floor(u * n)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -189,9 +190,10 @@ def step_scale(problem: Problem, params: AlgorithmParams) -> np.ndarray:
     """Per-coordinate step scale: alpha, or bound width / 100."""
     if params.alpha is not None:
         return np.full(problem.dimension, float(params.alpha))
-    return (problem.upper - problem.lower) / 100.0
+    return problem.width / 100.0
 
 
+@functools.cache
 def abandonment_count(p_a: float, n: int) -> int:
     """ceil(p_a * n), guarding the product against binary-float drift."""
     return math.ceil(round(p_a * n, 9))
@@ -210,7 +212,7 @@ def initialize(
     (first one on ties).
     """
     # what rng.uniform(lower, upper, size) computes, at a fraction of the call cost
-    X = problem.lower + (problem.upper - problem.lower) * rng.random((params.n, problem.dimension))
+    X = problem.lower + problem.width * rng.random((params.n, problem.dimension))
     F, feasible = evaluate(problem, X, penalty)
     best = int(np.argmin(F))
     return Population(
@@ -227,16 +229,17 @@ def global_walk(
 ) -> np.ndarray:
     """Heavy-tailed step from ``x`` (d,), or from each row of ``x`` (m, d).
 
-    Consumes one signed step vector from ``rng`` per point: all
-    magnitudes, then all signs (see
+    Consumes one signed step vector from ``rng`` per point, in one
+    block: all magnitudes, then all signs (see
     :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
     the bounds.
     """
     if scale is None:
         scale = step_scale(problem, params)
     rows = None if x.ndim == 1 else x.shape[0]
-    step = sample_levy_vector(problem.dimension, params.levy, rng, rows)
-    return np.clip(x + scale * step, problem.lower, problem.upper)
+    step = x + scale * sample_levy_vector(problem.dimension, params.levy, rng, rows)
+    np.maximum(step, problem.lower, out=step)  # clamp in place
+    return np.minimum(step, problem.upper, out=step)
 
 
 def local_walk(
@@ -250,12 +253,12 @@ def local_walk(
 ) -> np.ndarray:
     """Gated step from ``x_i`` along the difference ``x_j - x_k``.
 
-    For one point (d,), draws one step factor s ~ U(0, 1), then one gate
-    uniform per component; for m points (m, d), draws m step factors,
-    then m * d gate uniforms row by row.  A component moves only where
-    its gate uniform falls below p_a.  With p_a = 0, or with x_j
-    identical to x_k, the result equals x_i exactly.  The candidate is
-    clamped to the bounds.
+    Draws one block: for one point (d,), one step factor s ~ U(0, 1),
+    then one gate uniform per component; for m points (m, d), m step
+    factors, then m * d gate uniforms row by row.  A component moves
+    only where its gate uniform falls below p_a.  With p_a = 0, or with
+    x_j identical to x_k, the result equals x_i exactly.  The candidate
+    is clamped to the bounds.
     """
     if not (
         x_i.shape == x_j.shape == x_k.shape
@@ -265,20 +268,23 @@ def local_walk(
         raise ValueError("positions must all have the same shape, with the problem dimension last")
     if scale is None:
         scale = step_scale(problem, params)
-    s = rng.random() if x_i.ndim == 1 else rng.random((x_i.shape[0], 1))
-    gate = rng.random(x_i.shape) < params.p_a
+    u = rng.random(x_i.size // problem.dimension + x_i.size)  # step factors, then gates
+    s = u[0] if x_i.ndim == 1 else u[: len(x_i), None]
+    gate = u[-x_i.size :].reshape(x_i.shape) < params.p_a
     candidate = x_i + scale * s * gate * (x_j - x_k)
-    return np.clip(candidate, problem.lower, problem.upper)
+    np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
+    return np.minimum(candidate, problem.upper, out=candidate)
 
 
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """m uniform ordered pairs (j, k) with j != k from range(n).
 
-    Draws all m values of j, then m values of k from range(n - 1),
-    shifted up by one where they reach j.
+    Draws one block of 2m uniforms: j is ``floor(u * n)`` of the first m,
+    k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
     """
-    j = rng.integers(n, size=m)
-    k = rng.integers(n - 1, size=m)
+    u = rng.random(2 * m)
+    j = (u[:m] * n).astype(np.intp)
+    k = (u[m:] * (n - 1)).astype(np.intp)
     k += k >= j
     return j, k
 
@@ -320,7 +326,7 @@ def abandon_fraction(
     if count == 0:
         return pop
     slots = pop.F.argsort(kind="stable")[n - count :]
-    X = problem.lower + (problem.upper - problem.lower) * rng.random((count, problem.dimension))
+    X = problem.lower + problem.width * rng.random((count, problem.dimension))
     pop.F[slots], pop.feasible[slots] = evaluate(problem, X, penalty)
     pop.X[slots] = X
     pop.evaluations += count
@@ -346,6 +352,7 @@ def cuckoo_search(
     stop = params.stop
     n = params.n
     budget = stop.max_evaluations
+    slots = np.arange(n)
 
     pop = initialize(problem, params, rng, penalty)
     history = [pop.best_objective]
@@ -361,7 +368,7 @@ def cuckoo_search(
         candidates = global_walk(pop.X[:m], problem, params, rng, scale)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
-        targets = rng.integers(n, size=m) if params.compare_to == "random" else np.arange(m)
+        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
         pop.record_best()
@@ -373,7 +380,7 @@ def cuckoo_search(
             candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale)
             F, feasible = evaluate(problem, candidates, penalty)
             pop.evaluations += m
-            pop.replace(np.arange(m), candidates, F, feasible)
+            pop.replace(slots[:m], candidates, F, feasible)
             pop.record_best()
             reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 

@@ -49,9 +49,13 @@ def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):
     ``1 - rng.random()``.  Returns a float when size is None, otherwise
     an array of the requested shape.
     """
-    u = 1.0 - rng.random(size)
-    s = cfg.min_step * u ** (-1.0 / cfg.tail_exponent)
+    s = _step_lengths(cfg, rng.random(size))
     return float(s) if size is None else s
+
+
+def _step_lengths(cfg: LevyConfig, u):
+    """The step lengths of uniforms ``u`` on [0, 1), by the rule above."""
+    return cfg.min_step * (1.0 - u) ** (-1.0 / cfg.tail_exponent)
 
 
 def sample_levy_vector(
@@ -59,15 +63,12 @@ def sample_levy_vector(
 ) -> np.ndarray:
     """Signed heavy-tailed step for each of ``dim`` coordinates.
 
-    Consumes exactly two blocks from ``rng``: ``dim`` magnitude uniforms,
-    then ``dim`` sign uniforms (< 0.5 maps to +1).  Components are
-    independent and symmetric about zero.  With ``n`` set, returns an
-    (n, dim) block of such steps: all n * dim magnitudes, then all
-    n * dim signs, each in row order.
+    Consumes one block from ``rng``: ``dim`` magnitude uniforms, then
+    ``dim`` sign uniforms (< 0.5 maps to +1).  Components are independent
+    and symmetric about zero.  With ``n`` set, returns an (n, dim) block
+    of such steps: all n * dim magnitudes, then all signs, row by row.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    shape = dim if n is None else (n, dim)
-    magnitudes = sample_step_length(cfg, rng, size=shape)
-    signs = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
-    return signs * magnitudes
+    magnitudes, signs = rng.random((2, dim) if n is None else (2, n, dim))
+    return np.where(signs < 0.5, 1.0, -1.0) * _step_lengths(cfg, magnitudes)

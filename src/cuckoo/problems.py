@@ -22,6 +22,7 @@ standard bounds and best-known reference points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Optional
@@ -53,7 +54,8 @@ def check_number(config, name: str, interval: str, *, integer=False, optional=Fa
 
     The setting must be a number (an integer if ``integer``) in ``interval``,
     written like ``"(0, 1]"``, or None if ``optional``; anything else raises
-    ``error``.  A numpy scalar is stored as the Python number it equals.
+    ``error``.  An integer must also fit an array size (``sys.maxsize``).  A
+    numpy scalar is stored as the Python number it equals.
     """
     value = getattr(config, name)
     if value is None and optional:
@@ -66,6 +68,7 @@ def check_number(config, name: str, interval: str, *, integer=False, optional=Fa
     if number is None or not (
         (low <= number if interval[0] == "[" else low < number)
         and (number <= high if interval[-1] == "]" else number < high)
+        and not (integer and number > sys.maxsize)
     ):
         kind = "an integer" if integer else "a number"
         raise error(f"{name} must be {kind} in {interval}, got {value!r}")
@@ -115,7 +118,8 @@ class Problem:
     g(x) <= 0; equality constraints when |h(x)| <= eq_tolerance.  Every
     callable takes one point (d,) and returns a scalar, or a batch of
     points as columns (d, m) and returns shape (m,); for example
-    ``lambda x: x[0] * x[0] + x[1]`` does both.
+    ``lambda x: x[0] * x[0] + x[1]`` does both.  lower, upper and their
+    difference width are read-only (d,) arrays derived from bounds.
     """
 
     name: str
@@ -132,20 +136,16 @@ class Problem:
             raise ValueError("bounds must be finite")
         if not np.all(arr[:, 0] < arr[:, 1]):
             raise ValueError("each lower bound must be strictly below its upper bound")
+        width = arr[:, 1] - arr[:, 0]
         arr.setflags(write=False)
-        object.__setattr__(self, "bounds", arr)
+        width.setflags(write=False)
+        # attributes, not properties: the optimizers read them in every phase
+        for name, value in zip(("bounds", "lower", "upper", "width"), (arr, *arr.T, width)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
         return self.bounds.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.bounds[:, 0]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.bounds[:, 1]
 
 
 def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
@@ -193,11 +193,11 @@ def _evaluate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     columns = X.T
     count = X.shape[0]
-    raw = np.asarray(problem.objective(columns), dtype=float)
-    if raw.shape != (count,):
-        _reject_shapes(problem, [raw], count)
-    violation_sq = 0.0
-    feasible = np.ones(count, dtype=bool)
+    # a copy, so that values returned without a penalty pass never alias the input
+    values = np.array(problem.objective(columns), dtype=float)
+    if values.shape != (count,):
+        _reject_shapes(problem, [values], count)
+    feasible = None
     inequalities = len(problem.inequality_constraints)
     if inequalities or problem.equality_constraints:
         results = [g(columns) for g in problem.inequality_constraints]
@@ -220,15 +220,15 @@ def _evaluate_batch(
         terms *= terms
         # accumulate adds row after row, in constraint order, as the point path
         # does; sum(axis=0) may add a (k, 1) stack in another order
-        violation_sq = np.add.accumulate(terms, axis=0)[-1]
-    values = raw + penalty.penalty_weight * violation_sq
+        values += penalty.penalty_weight * np.add.accumulate(terms, axis=0)[-1]
     finite = np.isfinite(values)
     if not finite.all():
         row = int(np.argmin(finite))
         raise EvaluationError(
             f"non-finite penalized objective ({values[row]!r}) on {problem.name!r}", X[row]
         )
-    return values, feasible
+    # without constraints every point is feasible, and finite is all True here
+    return values, finite if feasible is None else feasible
 
 
 def _reject_shapes(problem: Problem, results: list, count: int) -> None:
@@ -449,5 +449,7 @@ def _box(lo: float, hi: float, dimension: int) -> list[tuple[float, float]]:
 
 
 def _check_dimension(dimension: int, minimum: int = 1) -> None:
-    if not _is_number(dimension, integer=True) or dimension < minimum:
-        raise ValueError(f"dimension must be an integer >= {minimum}, got {dimension!r}")
+    if not _is_number(dimension, integer=True) or not minimum <= dimension <= sys.maxsize:
+        raise ValueError(
+            f"dimension must be an integer in [{minimum}, {sys.maxsize}], got {dimension!r}"
+        )

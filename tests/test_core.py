@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cuckoo import core
 from cuckoo.core import (
     AlgorithmParams,
     Population,
@@ -280,14 +281,36 @@ class TestSelectionAndPartners:
         assert set(zip(j.tolist(), k.tolist())) == {(0, 1), (1, 0)}
 
     def test_partner_draw_order(self):
+        # one block of 2m uniforms: j = floor(u * n) from the first m, then
+        # k = floor(u * (n - 1)) from the last m, shifted up where it reaches j
         rng = np.random.default_rng(3)
         j, k = partner_pairs(7, 9, rng)
         replay = np.random.default_rng(3)
-        expected_j = replay.integers(7, size=9)
-        expected_k = replay.integers(6, size=9)
+        u = replay.random(18)
+        expected_j = np.floor(u[:9] * 7)
+        expected_k = np.floor(u[9:] * 6)
         assert np.array_equal(j, expected_j)
         assert np.array_equal(k, expected_k + (expected_k >= expected_j))
         assert rng.random() == replay.random()
+
+    def test_largest_uniform_floors_below_n(self):
+        # rng.random() < 1; even its largest value, times n, floors to n - 1
+        n = np.arange(2, 10**6 + 1)
+        assert np.array_equal(np.floor(np.nextafter(1.0, 0.0) * n), n - 1)
+
+    def test_defenders_uniform(self, monkeypatch):
+        n, seen = 5, []
+
+        def recording(targets, values):
+            seen.append(targets.copy())
+            return winning_bids(targets, values)
+
+        monkeypatch.setattr(core, "winning_bids", recording)
+        cuckoo_search(get_problem("sphere", 2), AlgorithmParams(n=n, stop=budget(40_000)), seed=0)
+        defenders = np.concatenate(seen)
+        assert len(defenders) > 15_000
+        result = stats.chisquare(np.bincount(defenders, minlength=n))
+        assert result.pvalue > 1e-3
 
 
 class TestAbandonment:
@@ -372,6 +395,48 @@ class TestAbandonment:
 
 
 class TestSearchLoop:
+    def test_draw_order_first_iteration(self, monkeypatch):
+        # a budget of one whole iteration, rebuilt from a second generator in
+        # the documented order: initial block, Levy block, defenders,
+        # partners, step factors and gates, abandonment block
+        problem = unit_box(3, lo=-2.0, hi=3.0)
+        params = AlgorithmParams(n=6, alpha=0.5, stop=budget(6 + 6 + 6 + 2))
+        batches = []
+
+        def recording(problem, X, penalty):
+            batches.append(X.copy())
+            return evaluate(problem, X, penalty)
+
+        monkeypatch.setattr(core, "evaluate", recording)
+        result = cuckoo_search(problem, params, seed=4)
+        replay = np.random.default_rng(4)
+        lower, upper = problem.lower, problem.upper
+        initial = lower + 5.0 * replay.random((6, 3))
+        X, F = initial.copy(), evaluate(problem, initial)[0]
+        magnitudes, signs = replay.random((2, 6, 3))
+        step = np.where(signs < 0.5, 1.0, -1.0) * 1e-3 * (1.0 - magnitudes) ** (-1.0 / 1.5)
+        candidates = np.clip(X + 0.5 * step, lower, upper)
+        bids = evaluate(problem, candidates)[0]
+        defenders = np.floor(replay.random(6) * 6).astype(int)
+        for slot in set(defenders.tolist()):
+            c = min(np.flatnonzero(defenders == slot), key=lambda c: bids[c])
+            if bids[c] < F[slot]:
+                X[slot], F[slot] = candidates[c], bids[c]
+        u = replay.random(12)
+        j, k = np.floor(u[:6] * 6).astype(int), np.floor(u[6:] * 5).astype(int)
+        k += k >= j
+        u = replay.random(6 + 18)
+        gate = u[6:].reshape(6, 3) < 0.25
+        local = np.clip(X + 0.5 * u[:6, None] * gate * (X[j] - X[k]), lower, upper)
+        improved = evaluate(problem, local)[0] < F
+        X[improved] = local[improved]
+        fresh = lower + 5.0 * replay.random((2, 3))
+        assert len(batches) == 4
+        for batch, points in zip(batches, (initial, candidates, local, fresh)):
+            assert np.array_equal(batch, points)
+        assert result.evaluations == 20
+        assert result.best_objective == min(evaluate(problem, b)[0].min() for b in batches)
+
     def test_history_contract(self):
         problem = get_problem("rastrigin", 4)
         params = AlgorithmParams(stop=budget(2_000))

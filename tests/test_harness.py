@@ -559,6 +559,26 @@ class TestCli:
         assert f"{name} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("algorithms: [{name: cuckoo, params: {n: 1" + "0" * 400 + "}}]", "n must be"),
+            ("problems: [{name: sphere, dimension: 1" + "0" * 400 + "}]", "dimension must be"),
+        ],
+        ids=["n", "dimension"],
+    )
+    def test_counts_too_large_for_an_array(self, tmp_path, capsys, text, message):
+        key = next(iter(yaml.safe_load(text)))
+        data = {k: v for k, v in BASE_SPEC.items() if k != key}
+        data["output"] = str(tmp_path / "out")
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(data) + text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_experiment(path)
+        assert main(["run", str(path)]) == 2
+        assert f"{message} an integer in [" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_trial_exit_code(self, tmp_path, capsys, monkeypatch):
         real = harness.hill_climb_restart
 

@@ -298,6 +298,14 @@ class TestBatchContract:
         with pytest.raises(ValueError, match="shape"):
             evaluate(constant, np.full((3, 2), 0.5))
 
+    def test_batch_values_are_a_copy(self):
+        # without constraints the objective's values are returned as they are
+        problem = Problem("first", [(-1.0, 1.0)] * 2, objective=lambda x: x[0])
+        X = np.array([[0.5, 0.0], [-0.25, 1.0]])
+        values, feasible = evaluate(problem, X)
+        assert values.tolist() == [0.5, -0.25] and feasible.tolist() == [True, True]
+        assert not np.shares_memory(values, X)
+
     def test_nonfinite_batch_row_raises(self):
         problem = Problem("pole", [(-1.0, 1.0)], objective=lambda x: 1.0 / x[0])
         with np.errstate(divide="ignore"):
@@ -319,10 +327,12 @@ class TestProblemValidation:
 
     def test_bounds_are_read_only(self):
         problem = get_problem("sphere", 2)
-        with pytest.raises(ValueError):
-            problem.bounds[0, 0] = -1.0
+        for array in (problem.bounds[0], problem.lower, problem.upper, problem.width):
+            with pytest.raises(ValueError):
+                array[0] = -1.0
 
     def test_lower_upper_views(self):
         problem = get_problem("rosenbrock", 3)
         assert np.all(problem.lower == -5.0)
         assert np.all(problem.upper == 10.0)
+        assert np.all(problem.width == 15.0)

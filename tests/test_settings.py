@@ -1,5 +1,6 @@
 """The numeric settings of every config dataclass follow one rule."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,8 @@ def test_numeric_setting(config, name, value):
     bad_values = (True, str(value), float("nan")) + (() if name in OPTIONAL else (None,))
     if isinstance(value, float):
         bad_values += (10**400,)  # an integer too large for a float
+    else:
+        bad_values += (sys.maxsize + 1, 10**400)  # too large to size an array
     for bad in bad_values:
         with pytest.raises(error, match=f"^{name} must be an? ") as excinfo:
             replace(config, **{name: bad})
