@@ -16,10 +16,11 @@ The state is arrays: positions ``X`` (n, d), penalized objectives ``F``
 candidate is proposed from the population as it stood when the phase
 began, all of them are scored by one batch :func:`evaluate` call, and
 then each slot keeps the better of its nest and the best candidate that
-targets it.  A phase that would pass the evaluation budget proposes
-only as many candidates as there are evaluations left, so a run spends
-exactly ``max_evaluations`` (the initial population is always evaluated
-whole).
+targets it (without a target, the local walk and the abandonment share
+one call: see :func:`cuckoo_search`).  A phase that would pass the
+evaluation budget proposes only as many candidates as there are
+evaluations left, so a run spends exactly ``max_evaluations`` (the
+initial population is always evaluated whole).
 
 The best solution ever evaluated is tracked separately and can only
 improve (the abandonment step never touches it).  All randomness flows
@@ -211,8 +212,7 @@ def initialize(
     The best-so-far record starts as a copy of the best initial nest
     (first one on ties).
     """
-    # what rng.uniform(lower, upper, size) computes, at a fraction of the call cost
-    X = problem.lower + problem.width * rng.random((params.n, problem.dimension))
+    X = _fresh_nests(problem, params.n, rng)
     F, feasible = evaluate(problem, X, penalty)
     best = int(np.argmin(F))
     return Population(
@@ -303,6 +303,11 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order[first]
 
 
+def _fresh_nests(problem: Problem, count: int, rng: np.random.Generator) -> np.ndarray:
+    """What ``rng.uniform(lower, upper, (count, d))`` draws, at a fraction of the call cost."""
+    return problem.lower + problem.width * rng.random((count, problem.dimension))
+
+
 def abandon_fraction(
     pop: Population,
     problem: Problem,
@@ -310,6 +315,7 @@ def abandon_fraction(
     rng: np.random.Generator,
     penalty: PenaltyConfig = DEFAULT_PENALTY,
     limit: float = math.inf,
+    scored: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Population:
     """Replace the worst ceil(p_a * n) nests with fresh uniform samples.
 
@@ -317,18 +323,21 @@ def abandon_fraction(
     block of ``dimension`` uniforms is drawn per replaced nest, from the
     least bad of them to the worst, and the replacements are evaluated
     as one batch.  ``limit`` caps the count (at the evaluations left in
-    a budget), keeping the worst.  The best-so-far record is not
-    consulted or modified here; evaluations grow by the replacement
-    count.  Mutates and returns ``pop``.
+    a budget), keeping the worst.  ``scored``, if given, is those
+    replacements already drawn and evaluated (positions, values, flags).
+    The best-so-far record is not consulted or modified here;
+    evaluations grow by the replacement count.  Mutates and returns ``pop``.
     """
     n = len(pop.F)
-    count = min(abandonment_count(params.p_a, n), limit)
-    if count == 0:
-        return pop
+    if scored is None:
+        count = min(abandonment_count(params.p_a, n), limit)
+        if count == 0:
+            return pop
+        X = _fresh_nests(problem, count, rng)
+        scored = (X, *evaluate(problem, X, penalty))
+    count = len(scored[0])
     slots = pop.F.argsort(kind="stable")[n - count :]
-    X = problem.lower + problem.width * rng.random((count, problem.dimension))
-    pop.F[slots], pop.feasible[slots] = evaluate(problem, X, penalty)
-    pop.X[slots] = X
+    pop.X[slots], pop.F[slots], pop.feasible[slots] = scored
     pop.evaluations += count
     return pop
 
@@ -344,8 +353,11 @@ def cuckoo_search(
     Target and budget are checked after every phase, so a final
     iteration may be cut short; it still contributes exactly one history
     entry.  Only the first nests propose in a phase that would pass the
-    budget, one per evaluation left.  The same seed always reproduces
-    the same result bit for bit.
+    budget, one per evaluation left.  Without a target nothing but the
+    budget can stop a run before the abandonment, so its fresh nests,
+    next in the stream anyway, share the local walk's :func:`evaluate`
+    call; with one, each phase has its own, so no uncounted point is
+    scored.  The same seed always reproduces the same result bit for bit.
     """
     rng = np.random.default_rng(seed)
     scale = step_scale(problem, params)
@@ -353,6 +365,8 @@ def cuckoo_search(
     n = params.n
     budget = stop.max_evaluations
     slots = np.arange(n)
+    abandoned = abandonment_count(params.p_a, n)
+    scored = None  # the abandonment's nests, when drawn and evaluated ahead of it
 
     pop = initialize(problem, params, rng, penalty)
     history = [pop.best_objective]
@@ -378,14 +392,20 @@ def cuckoo_search(
             m = min(n, budget - pop.evaluations)
             j, k = partner_pairs(n, m, rng)
             candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale)
-            F, feasible = evaluate(problem, candidates, penalty)
+            if stop.target_objective is None:
+                # the abandonment's nests are next in the stream: score them now
+                fresh = _fresh_nests(problem, min(abandoned, budget - pop.evaluations - m), rng)
+                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
+                scored, F, feasible = (fresh, F[m:], feasible[m:]), F[:m], feasible[:m]
+            else:
+                F, feasible = evaluate(problem, candidates, penalty)
             pop.evaluations += m
             pop.replace(slots[:m], candidates, F, feasible)
             pop.record_best()
             reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
         if reason is None:
-            abandon_fraction(pop, problem, params, rng, penalty, budget - pop.evaluations)
+            abandon_fraction(pop, problem, params, rng, penalty, budget - pop.evaluations, scored)
             pop.record_best()
 
         history.append(pop.best_objective)

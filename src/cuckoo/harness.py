@@ -120,6 +120,11 @@ class ExperimentSpec:
         check_number(self, "trials", "[1, inf)", integer=True, error=ConfigError)
         check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
         check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)
+        d = max((p.dimension for p in self.problems), default=1)
+        for a in self.algorithms:  # the global walk's (2, n, d) uniforms are the largest array
+            if isinstance(a.params, AlgorithmParams) and 16 * a.params.n * d > sys.maxsize:
+                raise ConfigError(f"{a.label}: n={a.params.n} at dimension {d} needs a"
+                                  f" (2, n, d) array of {16 * a.params.n * d} bytes, above sys.maxsize")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
 

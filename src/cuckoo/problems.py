@@ -160,7 +160,8 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     constraint is violated.  For a batch, returns the same two as arrays
     of shape (m,), computed by passing ``x.T`` to each callable once; a
     callable that returns any other shape raises ValueError (a scalar is
-    never broadcast).  A batch row scores exactly like the same point.
+    never broadcast).  A batch row scores exactly like the same point,
+    and like the same row inside any larger batch.
     Raises :class:`EvaluationError` if the penalized value is NaN or
     infinite, as a NaN or ``+inf`` constraint value makes it.
     """

@@ -24,7 +24,7 @@ from cuckoo.core import (
     winning_bids,
 )
 from cuckoo.levy import LevyConfig
-from cuckoo.problems import PenaltyConfig, Problem, evaluate, get_problem
+from cuckoo.problems import EvaluationError, PenaltyConfig, Problem, evaluate, get_problem
 
 
 def unit_box(dimension, lo=0.0, hi=1.0):
@@ -396,11 +396,21 @@ class TestAbandonment:
 
 class TestSearchLoop:
     def test_draw_order_first_iteration(self, monkeypatch):
+        self.check_first_iteration(monkeypatch, target=None)
+
+    def test_draw_order_first_iteration_with_target(self, monkeypatch):
+        # a target the run cannot reach keeps one batch per phase
+        self.check_first_iteration(monkeypatch, target=-1.0)
+
+    @staticmethod
+    def check_first_iteration(monkeypatch, target):
         # a budget of one whole iteration, rebuilt from a second generator in
         # the documented order: initial block, Levy block, defenders,
-        # partners, step factors and gates, abandonment block
+        # partners, step factors and gates, abandonment block; without a
+        # target the local walk and the fresh nests are scored as one batch
         problem = unit_box(3, lo=-2.0, hi=3.0)
-        params = AlgorithmParams(n=6, alpha=0.5, stop=budget(6 + 6 + 6 + 2))
+        stop = StopCriterion(max_evaluations=6 + 6 + 6 + 2, target_objective=target)
+        params = AlgorithmParams(n=6, alpha=0.5, stop=stop)
         batches = []
 
         def recording(problem, X, penalty):
@@ -431,11 +441,46 @@ class TestSearchLoop:
         improved = evaluate(problem, local)[0] < F
         X[improved] = local[improved]
         fresh = lower + 5.0 * replay.random((2, 3))
-        assert len(batches) == 4
-        for batch, points in zip(batches, (initial, candidates, local, fresh)):
+        if target is None:
+            expected = (initial, candidates, np.concatenate((local, fresh)))
+        else:
+            expected = (initial, candidates, local, fresh)
+        assert len(batches) == len(expected)
+        for batch, points in zip(batches, expected):
             assert np.array_equal(batch, points)
         assert result.evaluations == 20
         assert result.best_objective == min(evaluate(problem, b)[0].min() for b in batches)
+
+    @given(
+        name=st.sampled_from(["sphere", "rosenbrock", "ackley", "rastrigin", "spring_design",
+                              "welded_beam", "nan_corner"]),
+        n=st.integers(2, 12),
+        p_a=st.sampled_from([0.0, 0.25, 1.0]),
+        compare_to=st.sampled_from(["random", "parent"]),
+        extra=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unreachable_target_changes_nothing(self, name, n, p_a, compare_to, extra, seed):
+        # without a target the local walk and the fresh nests share one
+        # evaluate call; with one they take two, and the run must not tell
+        if name == "nan_corner":
+            problem = Problem("nan_corner", [(0.0, 1.0)] * 2,
+                              objective=lambda x: np.where(x[0] > 0.98, np.nan, x[0] + x[1] * x[1]))
+        else:
+            problem = get_problem(name, 3 if name in ("sphere", "rosenbrock", "ackley", "rastrigin") else None)
+        outcomes = []
+        for target in (None, -1.0):
+            stop = StopCriterion(max_evaluations=n + extra, target_objective=target)
+            params = AlgorithmParams(n=n, p_a=p_a, compare_to=compare_to, stop=stop)
+            try:
+                r = cuckoo_search(problem, params, seed=seed)
+            except EvaluationError as exc:
+                outcomes.append((str(exc), exc.x.tolist()))
+            else:
+                outcomes.append((r.best_position.tolist(), r.best_objective, r.best_feasible, r.history,
+                                 r.history_evaluations, r.evaluations, r.seed, r.terminated_by))
+        assert outcomes[0] == outcomes[1]
 
     def test_history_contract(self):
         problem = get_problem("rastrigin", 4)
@@ -514,9 +559,26 @@ class TestSearchLoop:
         assert all(a >= b for a, b in zip(result.history, result.history[1:]))
 
     def test_evaluation_accounting_instrumented(self):
+        self.check_accounting(StopCriterion(max_evaluations=700), "max_evaluations", 2)
+
+    @pytest.mark.parametrize(
+        "stop, terminated_by, per_iteration",
+        [
+            (StopCriterion(max_evaluations=700, target_objective=-1.0), "max_evaluations", 3),
+            (StopCriterion(max_evaluations=100_000, target_objective=1e-3), "target", 3),
+            (StopCriterion(max_evaluations=100_000, stagnation_window=5), "stagnation", 2),
+        ],
+        ids=["unreached-target", "target", "stagnation"],
+    )
+    def test_evaluation_accounting_other_stops(self, stop, terminated_by, per_iteration):
+        self.check_accounting(stop, terminated_by, per_iteration)
+
+    @staticmethod
+    def check_accounting(stop, terminated_by, per_iteration):
         problem = get_problem("sphere", 4)
         calls = {"calls": 0, "points": 0}
-        inner = problem.objective
+        # a flat objective never improves, so only it can stagnate
+        inner = (lambda x: 1.0 + 0.0 * x[0]) if stop.stagnation_window else problem.objective
 
         def counting(x):
             calls["calls"] += 1
@@ -524,13 +586,16 @@ class TestSearchLoop:
             return inner(x)
 
         counted = Problem(problem.name, problem.bounds, counting)
-        params = AlgorithmParams(stop=budget(700))
-        result = cuckoo_search(counted, params, seed=0)
-        assert calls["points"] == result.evaluations == 700
-        # one batch for the initial population, then one per phase; the
-        # last iteration may stop after any of its three phases
+        result = cuckoo_search(counted, AlgorithmParams(stop=stop), seed=0)
+        assert result.terminated_by == terminated_by
+        assert calls["points"] == result.evaluations
+        if terminated_by == "max_evaluations":
+            assert result.evaluations == 700
+        # one batch for the initial population, then one per phase, with the
+        # local walk and abandonment sharing one when no target is set; the
+        # last iteration may stop after any of its phases
         iterations = len(result.history) - 1
-        assert 1 + 3 * (iterations - 1) < calls["calls"] <= 1 + 3 * iterations
+        assert 1 + per_iteration * (iterations - 1) < calls["calls"] <= 1 + per_iteration * iterations
 
     def test_each_constraint_runs_once_per_batch(self):
         problem = get_problem("welded_beam")

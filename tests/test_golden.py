@@ -39,10 +39,8 @@ def digests(root: Path) -> dict[str, str]:
         for tsv in sorted((root / name / "records").glob("*.tsv")):
             meta = json.loads(tsv.with_suffix(".meta.json").read_text(encoding="utf-8"))
             del meta["wall_time_seconds"]
-            meta_bytes = json.dumps(meta, sort_keys=True).encode()
-            lines[f"{name}/{tsv.stem}"] = " ".join(
-                hashlib.sha256(data).hexdigest() for data in (tsv.read_bytes(), meta_bytes)
-            )
+            data = (tsv.read_bytes(), json.dumps(meta, sort_keys=True).encode())
+            lines[f"{name}/{tsv.stem}"] = " ".join(hashlib.sha256(d).hexdigest() for d in data)
     return lines
 
 

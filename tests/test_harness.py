@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, records, summaries, CLI."""
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -577,6 +578,17 @@ class TestCli:
             load_experiment(path)
         assert main(["run", str(path)]) == 2
         assert f"{message} an integer in [" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cuckoo_block_too_large_for_an_array(self, tmp_path, capsys):
+        # the global walk draws (2, n, d) float64 uniforms: 16 * n * d bytes
+        largest = sys.maxsize // (16 * 3)
+        spec_from_dict({**BASE_SPEC, "algorithms": [{"name": "cuckoo", "params": {"n": largest}}]})
+        path = write_spec(tmp_path, {"algorithms": [{"name": "cuckoo", "params": {"n": largest + 1}}]})
+        with pytest.raises(ConfigError, match=r"n=\d+ at dimension 3 needs a \(2, n, d\) array"):
+            load_experiment(path)
+        assert main(["run", str(path)]) == 2
+        assert "above sys.maxsize" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_failed_trial_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -237,6 +237,11 @@ class TestBatchContract:
             assert objectives[i] == problem.objective(X[i])
             for c, batch in zip(callables, constraints):
                 assert batch[i] == c(X[i])
+        # the rows score the same inside a larger batch, with rows before and after
+        extra = rng.uniform(problem.lower, problem.upper, size=(7, problem.dimension))
+        wider, wider_feasible = evaluate(problem, np.concatenate((extra, X, extra)))
+        assert wider[7 : 7 + m].tobytes() == values.tobytes()
+        assert wider_feasible[7 : 7 + m].tolist() == feasible.tolist()
 
     def test_batch_penalty_terms_match_point(self):
         problem = TestPenalty._toy()
