@@ -56,5 +56,5 @@ def test_records_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        GOLDEN.write_text("".join(f"{k} {v}\n" for k, v in digests(Path(scratch)).items()), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text("".join(f"{k} {v}\n" for k, v in digests(Path(tmp)).items()), encoding="utf-8")
