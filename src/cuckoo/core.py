@@ -29,7 +29,9 @@ Each iteration draws uniforms only, one ``rng.random`` block per group:
 the global walk's magnitudes then signs; the defenders (under
 ``compare_to="random"``); the partners j then k; the local walk's step
 factors then gates (row by row); one row per abandoned nest.  An index
-below n is ``floor(u * n)``.
+below n is ``floor(u * n)``.  :func:`cuckoo_search` takes these blocks
+from one per-run stream that draws a few iterations' uniforms at a time:
+the same values, in the same order, as one generator call per group.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ class Population:
         self.X[slots] = X[better]
         self.F[slots] = F[better]
         self.feasible[slots] = feasible[better]
+
+    def replace_prefix(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
+        """Slot c < len(F) takes candidate c where strictly better; ties keep the incumbent."""
+        m = len(F)
+        better = F < self.F[:m]
+        np.copyto(self.X[:m], X, where=better[:, None])
+        np.copyto(self.F[:m], F, where=better)
+        np.copyto(self.feasible[:m], feasible, where=better)
 
     def record_best(self) -> None:
         """Copy the best nest (first on ties) into the record if it improves on it."""
@@ -212,7 +222,7 @@ def initialize(
     The best-so-far record starts as a copy of the best initial nest
     (first one on ties).
     """
-    X = _fresh_nests(problem, params.n, rng)
+    X = _fresh_nests(problem.lower, problem.width, params.n, rng)
     F, feasible = evaluate(problem, X, penalty)
     best = int(np.argmin(F))
     return Population(
@@ -225,7 +235,6 @@ def global_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Heavy-tailed step from ``x`` (d,), or from each row of ``x`` (m, d).
 
@@ -234,12 +243,15 @@ def global_walk(
     :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
     the bounds.
     """
-    if scale is None:
-        scale = step_scale(problem, params)
-    rows = None if x.ndim == 1 else x.shape[0]
-    step = x + scale * sample_levy_vector(problem.dimension, params.levy, rng, rows)
-    np.maximum(step, problem.lower, out=step)  # clamp in place
-    return np.minimum(step, problem.upper, out=step)
+    scale = step_scale(problem, params)
+    return _global_step(x, scale, problem.lower, problem.upper, params.levy, rng)
+
+
+def _global_step(x, scale, lower, upper, levy: LevyConfig, rng) -> np.ndarray:
+    """:func:`global_walk` with its scale and bounds given, as (d,) arrays or rows like ``x``."""
+    step = x + scale * sample_levy_vector(x.shape[-1], levy, rng, None if x.ndim == 1 else len(x))
+    np.maximum(step, lower, out=step)  # clamp in place
+    return np.minimum(step, upper, out=step)
 
 
 def local_walk(
@@ -249,7 +261,6 @@ def local_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gated step from ``x_i`` along the difference ``x_j - x_k``.
 
@@ -266,14 +277,18 @@ def local_walk(
         and x_i.shape[-1] == problem.dimension
     ):
         raise ValueError("positions must all have the same shape, with the problem dimension last")
-    if scale is None:
-        scale = step_scale(problem, params)
-    u = rng.random(x_i.size // problem.dimension + x_i.size)  # step factors, then gates
+    scale = step_scale(problem, params)
+    return _local_step(x_i, x_j, x_k, scale, problem.lower, problem.upper, params.p_a, rng)
+
+
+def _local_step(x_i, x_j, x_k, scale, lower, upper, p_a: float, rng) -> np.ndarray:
+    """:func:`local_walk` with its scale and bounds given, as (d,) arrays or rows like ``x_i``."""
+    u = rng.random(x_i.size // x_i.shape[-1] + x_i.size)  # step factors, then gates
     s = u[0] if x_i.ndim == 1 else u[: len(x_i), None]
-    gate = u[-x_i.size :].reshape(x_i.shape) < params.p_a
+    gate = u[-x_i.size :].reshape(x_i.shape) < p_a
     candidate = x_i + scale * s * gate * (x_j - x_k)
-    np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
-    return np.minimum(candidate, problem.upper, out=candidate)
+    np.maximum(candidate, lower, out=candidate)  # clamp in place
+    return np.minimum(candidate, upper, out=candidate)
 
 
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +297,7 @@ def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray,
     Draws one block of 2m uniforms: j is ``floor(u * n)`` of the first m,
     k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
     """
-    u = rng.random(2 * m)
-    j = (u[:m] * n).astype(np.intp)
-    k = (u[m:] * (n - 1)).astype(np.intp)
+    j, k = (rng.random((2, m)) * [[n], [n - 1]]).astype(np.intp)
     k += k >= j
     return j, k
 
@@ -303,9 +316,42 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _fresh_nests(problem: Problem, count: int, rng: np.random.Generator) -> np.ndarray:
+def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.ndarray:
     """What ``rng.uniform(lower, upper, (count, d))`` draws, at a fraction of the call cost."""
-    return problem.lower + problem.width * rng.random((count, problem.dimension))
+    return lower + width * rng.random((count, lower.shape[-1]))
+
+
+class _UniformStream:
+    """``random(size)`` for an int or tuple size gives what the same ``rng.random`` call would.
+
+    A generator's uniforms are one stream however calls cut it, so they
+    are drawn ``block`` (or the size asked, if more) at a time.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int) -> None:
+        self._rng = rng
+        self._block = block
+        self._buffer = np.empty(0)
+        self._next = 0
+
+    def random(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        start, self._next = self._next, self._next + count
+        if self._next <= len(self._buffer):
+            return self._buffer[start : self._next].reshape(size)
+        rest = self._buffer[start:]
+        self._buffer = self._rng.random(max(self._block, count))
+        self._next = count - len(rest)
+        return np.concatenate((rest, self._buffer[: self._next])).reshape(size)
+
+
+def _stream_block(n: int, dimension: int) -> int:
+    """Uniforms per draw of a run's stream, its largest array: four iterations' worth.
+
+    One iteration draws at most 4n(d + 1): levy 2nd, defenders n,
+    partners 2n, local walk n + nd, abandonment nd.
+    """
+    return 16 * n * (dimension + 1)
 
 
 def abandon_fraction(
@@ -333,7 +379,7 @@ def abandon_fraction(
         count = min(abandonment_count(params.p_a, n), limit)
         if count == 0:
             return pop
-        X = _fresh_nests(problem, count, rng)
+        X = _fresh_nests(problem.lower, problem.width, count, rng)
         scored = (X, *evaluate(problem, X, penalty))
     count = len(scored[0])
     slots = pop.F.argsort(kind="stable")[n - count :]
@@ -359,14 +405,14 @@ def cuckoo_search(
     call; with one, each phase has its own, so no uncounted point is
     scored.  The same seed always reproduces the same result bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    scale = step_scale(problem, params)
-    stop = params.stop
     n = params.n
+    rng = _UniformStream(np.random.default_rng(seed), _stream_block(n, problem.dimension))
+    # (n, d) rows, so that the walks combine operands of one shape
+    rows = (step_scale(problem, params), problem.lower, problem.upper, problem.width)
+    scale, lower, upper, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
+    stop = params.stop
     budget = stop.max_evaluations
-    slots = np.arange(n)
     abandoned = abandonment_count(params.p_a, n)
-    scored = None  # the abandonment's nests, when drawn and evaluated ahead of it
 
     pop = initialize(problem, params, rng, penalty)
     history = [pop.best_objective]
@@ -379,33 +425,42 @@ def cuckoo_search(
         previous_best = pop.best_objective
 
         m = min(n, budget - pop.evaluations)
-        candidates = global_walk(pop.X[:m], problem, params, rng, scale)
+        candidates = _global_step(pop.X[:m], scale[:m], lower[:m], upper[:m], params.levy, rng)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
-        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
-        won = winning_bids(targets, F)
-        pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        if params.compare_to == "parent":
+            pop.replace_prefix(candidates, F, feasible)
+        else:
+            targets = (rng.random(m) * n).astype(np.intp)
+            won = winning_bids(targets, F)
+            pop.replace(targets[won], candidates[won], F[won], feasible[won])
         pop.record_best()
         reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
         if reason is None:
             m = min(n, budget - pop.evaluations)
             j, k = partner_pairs(n, m, rng)
-            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale)
+            candidates = _local_step(
+                pop.X[:m], pop.X[j], pop.X[k], scale[:m], lower[:m], upper[:m], params.p_a, rng
+            )
+            # the abandonment's nests are next in the stream
+            count = min(abandoned, budget - pop.evaluations - m)
+            fresh = _fresh_nests(lower[:count], width[:count], count, rng)
             if stop.target_objective is None:
-                # the abandonment's nests are next in the stream: score them now
-                fresh = _fresh_nests(problem, min(abandoned, budget - pop.evaluations - m), rng)
+                # nothing but the budget can stop the run before the abandonment: score them now
                 F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
                 scored, F, feasible = (fresh, F[m:], feasible[m:]), F[:m], feasible[:m]
             else:
                 F, feasible = evaluate(problem, candidates, penalty)
             pop.evaluations += m
-            pop.replace(slots[:m], candidates, F, feasible)
+            pop.replace_prefix(candidates, F, feasible)
             pop.record_best()
             reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
-        if reason is None:
-            abandon_fraction(pop, problem, params, rng, penalty, budget - pop.evaluations, scored)
+        if reason is None and abandoned:
+            if stop.target_objective is not None:
+                scored = (fresh, *evaluate(problem, fresh, penalty))
+            abandon_fraction(pop, problem, params, rng, penalty, scored=scored)
             pop.record_best()
 
         history.append(pop.best_objective)

@@ -22,6 +22,9 @@ __all__ = [
     "sample_levy_vector",
 ]
 
+# the largest double below 0.5
+_BELOW_HALF = np.nextafter(0.5, 0.0)
+
 
 @dataclass(frozen=True)
 class LevyConfig:
@@ -67,8 +70,10 @@ def sample_levy_vector(
     ``dim`` sign uniforms (< 0.5 maps to +1).  Components are independent
     and symmetric about zero.  With ``n`` set, returns an (n, dim) block
     of such steps: all n * dim magnitudes, then all signs, row by row.
+    A sign is that of ``_BELOW_HALF - u``: u is a multiple of 2**-53, so
+    the difference is never zero and is positive exactly where u < 0.5.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     magnitudes, signs = rng.random((2, dim) if n is None else (2, n, dim))
-    return np.where(signs < 0.5, 1.0, -1.0) * _step_lengths(cfg, magnitudes)
+    return np.copysign(_step_lengths(cfg, magnitudes), _BELOW_HALF - signs)

@@ -223,7 +223,7 @@ def _evaluate_batch(
         # does; sum(axis=0) may add a (k, 1) stack in another order
         values += penalty.penalty_weight * np.add.accumulate(terms, axis=0)[-1]
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) != count:
         row = int(np.argmin(finite))
         raise EvaluationError(
             f"non-finite penalized objective ({values[row]!r}) on {problem.name!r}", X[row]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -313,6 +313,27 @@ class TestSelectionAndPartners:
         assert result.pvalue > 1e-3
 
 
+class TestUniformStream:
+    @given(
+        block=st.integers(1, 40),
+        sizes=st.lists(
+            st.one_of(st.integers(0, 90), st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple)),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # sizes 0, inside a block, across a block boundary, larger than a block
+    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_serves_what_the_generator_draws(self, block, sizes, seed):
+        stream = core._UniformStream(np.random.default_rng(seed), block)
+        rng = np.random.default_rng(seed)
+        for size in sizes:
+            got, want = stream.random(size), rng.random(size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestAbandonment:
     def test_count_values(self):
         assert abandonment_count(0.25, 20) == 5
@@ -551,12 +572,23 @@ class TestSearchLoop:
         assert np.all(result.best_position >= problem.lower)
         assert np.all(result.best_position <= problem.upper)
 
-    def test_parent_comparison_mode(self):
+    def test_parent_comparison_mode(self, monkeypatch):
+        bids = []
+
+        def counting(targets, values):
+            bids.append(len(targets))
+            return winning_bids(targets, values)
+
+        monkeypatch.setattr(core, "winning_bids", counting)
         problem = get_problem("sphere", 3)
         params = AlgorithmParams(compare_to="parent", stop=budget(2_000))
         result = cuckoo_search(problem, params, seed=2)
         assert result.terminated_by == "max_evaluations"
         assert all(a >= b for a, b in zip(result.history, result.history[1:]))
+        # every candidate targets its own slot, so no bidding is needed
+        assert not bids
+        cuckoo_search(problem, AlgorithmParams(stop=budget(2_000)), seed=2)
+        assert bids
 
     def test_evaluation_accounting_instrumented(self):
         self.check_accounting(StopCriterion(max_evaluations=700), "max_evaluations", 2)

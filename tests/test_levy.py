@@ -59,6 +59,20 @@ class TestSampling:
         assert np.array_equal(block, signs * magnitudes)
         assert rng.random() == replay.random()
 
+    def test_sign_boundary(self):
+        # u < 0.5 maps to +1, at and around 0.5 and at both ends of [0, 1)
+        signs = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+        magnitudes = np.array([0.0, 0.3, 0.5, 0.7, np.nextafter(1.0, 0.0)])
+
+        class Stub:
+            def random(self, size):
+                assert size == (2, 5)
+                return np.array([magnitudes, signs])
+
+        step = sample_levy_vector(5, LevyConfig(), Stub())
+        lengths = 1e-3 * (1.0 - magnitudes) ** (-1.0 / 1.5)
+        assert step.tobytes() == (np.array([1.0, 1.0, -1.0, -1.0, -1.0]) * lengths).tobytes()
+
     def test_never_below_cutoff(self):
         cfg = LevyConfig(tail_exponent=1.5, min_step=0.02)
         draws = sample_step_length(cfg, np.random.default_rng(0), size=200_000)
