@@ -235,6 +235,7 @@ def global_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
+    scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Heavy-tailed step from ``x`` (d,), or from each row of ``x`` (m, d).
 
@@ -243,15 +244,12 @@ def global_walk(
     :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
     the bounds.
     """
-    scale = step_scale(problem, params)
-    return _global_step(x, scale, problem.lower, problem.upper, params.levy, rng)
-
-
-def _global_step(x, scale, lower, upper, levy: LevyConfig, rng) -> np.ndarray:
-    """:func:`global_walk` with its scale and bounds given, as (d,) arrays or rows like ``x``."""
-    step = x + scale * sample_levy_vector(x.shape[-1], levy, rng, None if x.ndim == 1 else len(x))
-    np.maximum(step, lower, out=step)  # clamp in place
-    return np.minimum(step, upper, out=step)
+    if scale is None:
+        scale = step_scale(problem, params)
+    rows = None if x.ndim == 1 else x.shape[0]
+    step = x + scale * sample_levy_vector(problem.dimension, params.levy, rng, rows)
+    np.maximum(step, problem.lower, out=step)  # clamp in place
+    return np.minimum(step, problem.upper, out=step)
 
 
 def local_walk(
@@ -261,6 +259,7 @@ def local_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
+    scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gated step from ``x_i`` along the difference ``x_j - x_k``.
 
@@ -277,18 +276,14 @@ def local_walk(
         and x_i.shape[-1] == problem.dimension
     ):
         raise ValueError("positions must all have the same shape, with the problem dimension last")
-    scale = step_scale(problem, params)
-    return _local_step(x_i, x_j, x_k, scale, problem.lower, problem.upper, params.p_a, rng)
-
-
-def _local_step(x_i, x_j, x_k, scale, lower, upper, p_a: float, rng) -> np.ndarray:
-    """:func:`local_walk` with its scale and bounds given, as (d,) arrays or rows like ``x_i``."""
-    u = rng.random(x_i.size // x_i.shape[-1] + x_i.size)  # step factors, then gates
+    if scale is None:
+        scale = step_scale(problem, params)
+    u = rng.random(x_i.size // problem.dimension + x_i.size)  # step factors, then gates
     s = u[0] if x_i.ndim == 1 else u[: len(x_i), None]
-    gate = u[-x_i.size :].reshape(x_i.shape) < p_a
+    gate = u[-x_i.size :].reshape(x_i.shape) < params.p_a
     candidate = x_i + scale * s * gate * (x_j - x_k)
-    np.maximum(candidate, lower, out=candidate)  # clamp in place
-    return np.minimum(candidate, upper, out=candidate)
+    np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
+    return np.minimum(candidate, problem.upper, out=candidate)
 
 
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +317,7 @@ def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.nd
 
 
 class _UniformStream:
-    """``random(size)`` for an int or tuple size gives what the same ``rng.random`` call would.
-
-    A generator's uniforms are one stream however calls cut it, so they
-    are drawn ``block`` (or the size asked, if more) at a time.
-    """
+    """``random(size)`` gives what ``rng.random(size)`` would, drawn ``block`` (or more) at a time."""
 
     def __init__(self, rng: np.random.Generator, block: int) -> None:
         self._rng = rng
@@ -345,45 +336,21 @@ class _UniformStream:
         return np.concatenate((rest, self._buffer[: self._next])).reshape(size)
 
 
-def _stream_block(n: int, dimension: int) -> int:
-    """Uniforms per draw of a run's stream, its largest array: four iterations' worth.
-
-    One iteration draws at most 4n(d + 1): levy 2nd, defenders n,
-    partners 2n, local walk n + nd, abandonment nd.
-    """
-    return 16 * n * (dimension + 1)
-
-
 def abandon_fraction(
-    pop: Population,
-    problem: Problem,
-    params: AlgorithmParams,
-    rng: np.random.Generator,
-    penalty: PenaltyConfig = DEFAULT_PENALTY,
-    limit: float = math.inf,
-    scored: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    pop: Population, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
 ) -> Population:
-    """Replace the worst ceil(p_a * n) nests with fresh uniform samples.
+    """Replace the worst ``len(F)`` nests with the scored fresh nests ``X``.
 
-    Ties on the objective are broken by slot order (stable sort).  One
-    block of ``dimension`` uniforms is drawn per replaced nest, from the
-    least bad of them to the worst, and the replacements are evaluated
-    as one batch.  ``limit`` caps the count (at the evaluations left in
-    a budget), keeping the worst.  ``scored``, if given, is those
-    replacements already drawn and evaluated (positions, values, flags).
-    The best-so-far record is not consulted or modified here;
-    evaluations grow by the replacement count.  Mutates and returns ``pop``.
+    Row r goes to the r-th least bad of those slots, so the last row
+    replaces the worst nest; ties on the objective are broken by slot
+    order (stable sort).  :func:`cuckoo_search` passes ceil(p_a * n)
+    rows, or the evaluations left in its budget if fewer.  The
+    best-so-far record is not consulted or modified here; evaluations
+    grow by the replacement count.  Mutates and returns ``pop``.
     """
-    n = len(pop.F)
-    if scored is None:
-        count = min(abandonment_count(params.p_a, n), limit)
-        if count == 0:
-            return pop
-        X = _fresh_nests(problem.lower, problem.width, count, rng)
-        scored = (X, *evaluate(problem, X, penalty))
-    count = len(scored[0])
+    n, count = len(pop.F), len(F)
     slots = pop.F.argsort(kind="stable")[n - count :]
-    pop.X[slots], pop.F[slots], pop.feasible[slots] = scored
+    pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
     pop.evaluations += count
     return pop
 
@@ -406,12 +373,16 @@ def cuckoo_search(
     scored.  The same seed always reproduces the same result bit for bit.
     """
     n = params.n
-    rng = _UniformStream(np.random.default_rng(seed), _stream_block(n, problem.dimension))
-    # (n, d) rows, so that the walks combine operands of one shape
-    rows = (step_scale(problem, params), problem.lower, problem.upper, problem.width)
-    scale, lower, upper, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
+    # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
+    # 2**16: a larger request is drawn whole, so a large run holds about what it asks for
+    block = min(16 * n * (problem.dimension + 1), 1 << 16)
+    rng = _UniformStream(np.random.default_rng(seed), block)
+    # (n, d) rows, so that the steps and the fresh nests combine operands of one shape
+    rows = (step_scale(problem, params), problem.lower, problem.width)
+    scale, lower, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
     stop = params.stop
     budget = stop.max_evaluations
+    slots = np.arange(n)
     abandoned = abandonment_count(params.p_a, n)
 
     pop = initialize(problem, params, rng, penalty)
@@ -425,24 +396,19 @@ def cuckoo_search(
         previous_best = pop.best_objective
 
         m = min(n, budget - pop.evaluations)
-        candidates = _global_step(pop.X[:m], scale[:m], lower[:m], upper[:m], params.levy, rng)
+        candidates = global_walk(pop.X[:m], problem, params, rng, scale[:m])
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
-        if params.compare_to == "parent":
-            pop.replace_prefix(candidates, F, feasible)
-        else:
-            targets = (rng.random(m) * n).astype(np.intp)
-            won = winning_bids(targets, F)
-            pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
+        won = winning_bids(targets, F)
+        pop.replace(targets[won], candidates[won], F[won], feasible[won])
         pop.record_best()
         reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
         if reason is None:
             m = min(n, budget - pop.evaluations)
             j, k = partner_pairs(n, m, rng)
-            candidates = _local_step(
-                pop.X[:m], pop.X[j], pop.X[k], scale[:m], lower[:m], upper[:m], params.p_a, rng
-            )
+            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale[:m])
             # the abandonment's nests are next in the stream
             count = min(abandoned, budget - pop.evaluations - m)
             fresh = _fresh_nests(lower[:count], width[:count], count, rng)
@@ -460,7 +426,7 @@ def cuckoo_search(
         if reason is None and abandoned:
             if stop.target_objective is not None:
                 scored = (fresh, *evaluate(problem, fresh, penalty))
-            abandon_fraction(pop, problem, params, rng, penalty, scored=scored)
+            abandon_fraction(pop, *scored)
             pop.record_best()
 
         history.append(pop.best_objective)

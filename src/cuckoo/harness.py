@@ -41,7 +41,7 @@ from typing import Optional
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import AlgorithmParams, StopCriterion, _stream_block, cuckoo_search
+from .core import AlgorithmParams, StopCriterion, cuckoo_search
 from .problems import DEFAULT_PENALTY, PenaltyConfig, check_number, get_problem
 
 __all__ = [
@@ -121,10 +121,10 @@ class ExperimentSpec:
         check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
         check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)
         d = max((p.dimension for p in self.problems), default=1)
-        for a in self.algorithms:  # a cuckoo run's largest array is its block of uniforms
-            if isinstance(a.params, AlgorithmParams) and 8 * _stream_block(a.params.n, d) > sys.maxsize:
-                raise ConfigError(f"{a.label}: n={a.params.n} at dimension {d} needs a block of"
-                                  f" {8 * _stream_block(a.params.n, d)} bytes, above sys.maxsize")
+        for a in self.algorithms:  # the global walk's (2, n, d) uniforms are the largest array
+            if isinstance(a.params, AlgorithmParams) and 16 * a.params.n * d > sys.maxsize:
+                raise ConfigError(f"{a.label}: n={a.params.n} at dimension {d} needs a"
+                                  f" (2, n, d) array of {16 * a.params.n * d} bytes, above sys.maxsize")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
 

@@ -15,7 +15,9 @@ from cuckoo.baselines import HillClimbParams, hill_climb_restart
 from cuckoo.core import (
     AlgorithmParams,
     StopCriterion,
+    _fresh_nests,
     abandon_fraction,
+    abandonment_count,
     cuckoo_search,
     initialize,
     local_walk,
@@ -265,7 +267,9 @@ def test_criterion_8_abandonment_contract():
             before_best = (pop.best_position.copy(), pop.best_objective)
             before_evaluations = pop.evaluations
 
-            abandon_fraction(pop, problem, params, rng)
+            count = abandonment_count(params.p_a, n)
+            X = _fresh_nests(problem.lower, problem.width, count, rng)
+            abandon_fraction(pop, X, *evaluate(problem, X))
 
             changed = {
                 i

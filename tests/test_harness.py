@@ -581,11 +581,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_cuckoo_block_too_large_for_an_array(self, tmp_path, capsys):
-        # cuckoo search draws float64 uniforms 16 * n * (d + 1) at a time: 128 * n * 4 bytes
-        largest = sys.maxsize // (128 * 4)
+        # the global walk draws (2, n, d) float64 uniforms: 16 * n * d bytes
+        largest = sys.maxsize // (16 * 3)
         spec_from_dict({**BASE_SPEC, "algorithms": [{"name": "cuckoo", "params": {"n": largest}}]})
         path = write_spec(tmp_path, {"algorithms": [{"name": "cuckoo", "params": {"n": largest + 1}}]})
-        with pytest.raises(ConfigError, match=r"n=\d+ at dimension 3 needs a block of \d+ bytes"):
+        with pytest.raises(ConfigError, match=r"n=\d+ at dimension 3 needs a \(2, n, d\) array"):
             load_experiment(path)
         assert main(["run", str(path)]) == 2
         assert "above sys.maxsize" in capsys.readouterr().err
