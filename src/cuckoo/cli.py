@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +61,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # the records that were written are summarized
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     failed = [(row, trial, error) for row in rows for trial, error in row.failures]
     for row, trial, error in failed:
         print(f"# trial failed: {row.problem}/{row.algorithm} t{trial:03d}: {error}", file=sys.stderr)

@@ -32,14 +32,21 @@ factors then gates (row by row); one row per abandoned nest.  An index
 below n is ``floor(u * n)``.  :func:`cuckoo_search` takes these blocks
 from one per-run stream that draws a few iterations' uniforms at a time:
 the same values, in the same order, as one generator call per group.
+
+Given several seeds, :func:`cuckoo_search` runs their trials as one
+stack: trial t owns rows t*n ... t*n + n - 1 of the arrays, each phase
+scores the candidates of every trial in one :func:`evaluate` call, and
+each trial keeps its own generator and draw order, so it ends exactly as
+it would alone.  A trial that stops leaves the stack, rows and stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from numbers import Integral
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,21 +76,28 @@ STAGNATION_EPS = 1e-12
 
 @dataclass
 class Population:
-    """Mutable optimizer state.
+    """Mutable optimizer state of one trial, or of a stack of trials run in step.
 
     Row i of X is nest i, with penalized objective F[i] and feasibility
     flag feasible[i].  The best_* fields record the best point ever
-    evaluated, as a copy the population's later moves cannot touch;
-    evaluations counts every evaluation so far.
+    evaluated, as a copy the population's later moves cannot touch (before
+    the first: None, inf, False); evaluations counts every evaluation so far.
+
+    A stack of T trials of n nests holds trial t's nests in rows
+    t*n ... t*n + n - 1.  Its ``trials`` are one Population per trial,
+    whose arrays are views of those rows and whose best_* fields are that
+    trial's record; the stack's own record stays empty.  The trials of a
+    stack spend evaluations alike, so the stack counts them, per trial.
     """
 
     X: np.ndarray
     F: np.ndarray
     feasible: np.ndarray
-    best_position: np.ndarray
-    best_objective: float
-    best_feasible: bool
-    evaluations: int
+    best_position: Optional[np.ndarray] = None
+    best_objective: float = math.inf
+    best_feasible: bool = False
+    evaluations: int = 0
+    trials: list[Population] = field(default_factory=list)
 
     def replace(
         self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
@@ -98,21 +112,43 @@ class Population:
         self.F[slots] = F[better]
         self.feasible[slots] = feasible[better]
 
-    def replace_prefix(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
-        """Slot c < len(F) takes candidate c where strictly better; ties keep the incumbent."""
-        m = len(F)
-        better = F < self.F[:m]
-        np.copyto(self.X[:m], X, where=better[:, None])
-        np.copyto(self.F[:m], F, where=better)
-        np.copyto(self.feasible[:m], feasible, where=better)
+    def replace_each(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
+        """Every slot i takes candidate i where strictly better; ties keep the incumbent."""
+        better = F < self.F
+        np.copyto(self.X, X, where=better[:, None])
+        np.copyto(self.F, F, where=better)
+        np.copyto(self.feasible, feasible, where=better)
 
-    def record_best(self) -> None:
-        """Copy the best nest (first on ties) into the record if it improves on it."""
-        i = int(self.F.argmin())
-        if self.F[i] < self.best_objective:
-            self.best_position = self.X[i].copy()
-            self.best_objective = float(self.F[i])
-            self.best_feasible = bool(self.feasible[i])
+    def record_best(self) -> float:
+        """Copy each trial's best nest (first on ties) into its record if it improves on it.
+
+        Returns the least record of the trials.
+        """
+        least = math.inf
+        for trial in self.trials or (self,):
+            i = int(trial.F.argmin())
+            if trial.F[i] < trial.best_objective:
+                trial.best_position = trial.X[i].copy()
+                trial.best_objective = float(trial.F[i])
+                trial.best_feasible = bool(trial.feasible[i])
+            if trial.best_objective < least:
+                least = trial.best_objective
+        return least
+
+    def keep(self, kept: list[int]) -> None:
+        """Keep the rows of the stack's trials ``kept`` (ascending indices) and drop the rest."""
+        T = len(self.trials)
+        self.X, self.F, self.feasible = (
+            a.reshape(T, -1)[kept].reshape((-1,) + a.shape[1:]) for a in (self.X, self.F, self.feasible)
+        )
+        self.trials = [self.trials[t] for t in kept]
+        self._view_trials()
+
+    def _view_trials(self) -> None:
+        n = len(self.F) // len(self.trials)
+        for start, trial in zip(range(0, len(self.F), n), self.trials):
+            rows = slice(start, start + n)
+            trial.X, trial.F, trial.feasible = self.X[rows], self.F[rows], self.feasible[rows]
 
 
 @dataclass(frozen=True)
@@ -220,14 +256,17 @@ def initialize(
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
     The best-so-far record starts as a copy of the best initial nest
-    (first one on ties).
+    (first one on ties).  From a stack's stream (see :func:`cuckoo_search`)
+    of more than one generator it returns a stack, one trial per generator.
     """
     X = _fresh_nests(problem.lower, problem.width, params.n, rng)
     F, feasible = evaluate(problem, X, penalty)
-    best = int(np.argmin(F))
-    return Population(
-        X, F, feasible, X[best].copy(), float(F[best]), bool(feasible[best]), params.n
-    )
+    pop = Population(X, F, feasible, evaluations=params.n)
+    if len(F) > params.n:
+        pop.trials = [Population(X, F, feasible) for _ in range(len(F) // params.n)]
+        pop._view_trials()
+    pop.record_best()
+    return pop
 
 
 def global_walk(
@@ -242,12 +281,17 @@ def global_walk(
     Consumes one signed step vector from ``rng`` per point, in one
     block: all magnitudes, then all signs (see
     :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
-    the bounds.
+    the bounds.  A stack passes its stream and (T, m, d) rows, and gets
+    (T * m, d) candidates, trial by trial.
     """
     if scale is None:
         scale = step_scale(problem, params)
-    rows = None if x.ndim == 1 else x.shape[0]
-    step = x + scale * sample_levy_vector(problem.dimension, params.levy, rng, rows)
+    d = x.shape[-1]
+    step = sample_levy_vector(d, params.levy, rng, None if x.ndim == 1 else x.shape[-2])
+    step *= scale
+    step += x
+    if step.ndim == 3:
+        step = step.reshape(-1, d)
     np.maximum(step, problem.lower, out=step)  # clamp in place
     return np.minimum(step, problem.upper, out=step)
 
@@ -268,33 +312,60 @@ def local_walk(
     factors, then m * d gate uniforms row by row.  A component moves
     only where its gate uniform falls below p_a.  With p_a = 0, or with
     x_j identical to x_k, the result equals x_i exactly.  The candidate
-    is clamped to the bounds.
+    is clamped to the bounds.  A stack passes its stream and (T, m, d)
+    rows, and gets (T * m, d) candidates, trial by trial.
     """
-    if not (
-        x_i.shape == x_j.shape == x_k.shape
-        and x_i.ndim in (1, 2)
-        and x_i.shape[-1] == problem.dimension
-    ):
+    d = problem.dimension
+    if not (x_i.shape == x_j.shape == x_k.shape and x_i.ndim in (1, 2, 3) and x_i.shape[-1] == d):
         raise ValueError("positions must all have the same shape, with the problem dimension last")
     if scale is None:
         scale = step_scale(problem, params)
-    u = rng.random(x_i.size // problem.dimension + x_i.size)  # step factors, then gates
-    s = u[0] if x_i.ndim == 1 else u[: len(x_i), None]
-    gate = u[-x_i.size :].reshape(x_i.shape) < params.p_a
-    candidate = x_i + scale * s * gate * (x_j - x_k)
+    m = 1 if x_i.ndim == 1 else x_i.shape[-2]
+    u = rng.random(m * (d + 1))  # step factors, then gates
+    s = u[0] if x_i.ndim == 1 else u[..., :m, None]
+    gate = u[..., m:].reshape(x_i.shape) < params.p_a
+    candidate = scale * s
+    candidate *= gate
+    candidate *= x_j - x_k
+    candidate += x_i
+    if candidate.ndim == 3:
+        candidate = candidate.reshape(-1, d)
     np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
     return np.minimum(candidate, problem.upper, out=candidate)
 
 
-def partner_pairs(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """m uniform ordered pairs (j, k) with j != k from range(n).
+@functools.cache
+def _partner_range(n: int) -> np.ndarray:
+    return np.array([[n], [n - 1]], dtype=float)
+
+
+@functools.cache
+def _worst_places(T: int, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trial of each of T * n rows, and the places of each trial's last ``count`` of them."""
+    trial_of_row = np.repeat(np.arange(T), n)
+    worst = (np.arange(0, T * n, n)[:, None] + np.arange(n - count, n)).ravel()
+    return trial_of_row, worst
+
+
+@functools.cache
+def _row_starts(T: int, n: int) -> np.ndarray:
+    """(T, n): row t holds t * n, the stack's first row of trial t."""
+    starts = np.repeat(np.arange(0, T * n, n)[:, None], n, axis=1)
+    starts.setflags(write=False)
+    return starts
+
+
+def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m uniform ordered pairs (j, k) with j != k from range(n), as one (2, m) array.
 
     Draws one block of 2m uniforms: j is ``floor(u * n)`` of the first m,
     k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
+    From a stack's stream the array is (2, T, m), one row per trial.
     """
-    j, k = (rng.random((2, m)) * [[n], [n - 1]]).astype(np.intp)
+    pairs = (rng.random((2, m)) * _partner_range(n)).astype(np.intp).swapaxes(0, -2)
+    j, k = pairs
     k += k >= j
-    return j, k
+    return pairs
 
 
 def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -306,34 +377,53 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     order = np.lexsort((values, targets))  # by slot, then value; stable
     slots = targets[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = slots[1:] != slots[:-1]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(slots[1:], slots[:-1], out=first[1:])
     return order[first]
 
 
 def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.ndarray:
-    """What ``rng.uniform(lower, upper, (count, d))`` draws, at a fraction of the call cost."""
-    return lower + width * rng.random((count, lower.shape[-1]))
+    """What ``rng.uniform(lower, upper, (count, d))`` draws, at a fraction of the call cost.
+
+    From a stack's stream: T * count rows, trial by trial, against (T * count, d) bound rows.
+    """
+    d = lower.shape[-1]
+    return lower + width * rng.random((count, d)).reshape(-1, d)
 
 
 class _UniformStream:
-    """``random(size)`` gives what ``rng.random(size)`` would, drawn ``block`` (or more) at a time."""
+    """``random(size)`` gives what ``rng.random(size)`` would for each generator, as (T, *size).
 
-    def __init__(self, rng: np.random.Generator, block: int) -> None:
-        self._rng = rng
+    Each generator draws ``block`` (or more) uniforms at a time, into one
+    row of a (T, block) buffer that all rows read at the same place.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], block: int) -> None:
+        self._rngs = rngs
         self._block = block
-        self._buffer = np.empty(0)
-        self._next = 0
+        self._buffer = np.empty((len(rngs), 0))
+        self._end = self._next = 0
 
     def random(self, size) -> np.ndarray:
-        count = math.prod(size) if isinstance(size, tuple) else size
+        if isinstance(size, tuple):
+            count, shape = math.prod(size), (len(self._rngs), *size)
+        else:
+            count, shape = size, (len(self._rngs), size)
         start, self._next = self._next, self._next + count
-        if self._next <= len(self._buffer):
-            return self._buffer[start : self._next].reshape(size)
-        rest = self._buffer[start:]
-        self._buffer = self._rng.random(max(self._block, count))
-        self._next = count - len(rest)
-        return np.concatenate((rest, self._buffer[: self._next])).reshape(size)
+        if self._next <= self._end:
+            return self._buffer[:, start : self._next].reshape(shape)
+        rest = self._buffer[:, start:]
+        self._buffer = np.empty((len(self._rngs), max(self._block, count)))
+        for rng, row in zip(self._rngs, self._buffer):
+            rng.random(out=row)
+        self._end, self._next = self._buffer.shape[1], count - rest.shape[1]
+        return np.concatenate((rest, self._buffer[:, : self._next]), axis=1).reshape(shape)
+
+    def keep(self, kept: list[int]) -> None:
+        """Keep the generators ``kept`` (ascending indices) and drop the rest."""
+        self._rngs = [self._rngs[t] for t in kept]
+        self._buffer = self._buffer[kept]
 
 
 def abandon_fraction(
@@ -344,12 +434,16 @@ def abandon_fraction(
     Row r goes to the r-th least bad of those slots, so the last row
     replaces the worst nest; ties on the objective are broken by slot
     order (stable sort).  :func:`cuckoo_search` passes ceil(p_a * n)
-    rows, or the evaluations left in its budget if fewer.  The
-    best-so-far record is not consulted or modified here; evaluations
-    grow by the replacement count.  Mutates and returns ``pop``.
+    rows, or the evaluations left in its budget if fewer.  In a stack of
+    T trials, rows t*count ... t*count + count - 1 replace the worst of
+    trial t.  The best-so-far record is not consulted or modified here;
+    evaluations grow by the replacement count.  Mutates and returns ``pop``.
     """
-    n, count = len(pop.F), len(F)
-    slots = pop.F.argsort(kind="stable")[n - count :]
+    T = len(pop.trials) or 1
+    count = len(F) // T
+    trial_of_row, worst = _worst_places(T, len(pop.F) // T, count)
+    # rows sorted by trial, then objective, stably; each trial's last ``count``
+    slots = np.lexsort((pop.F, trial_of_row)).take(worst)
     pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
     pop.evaluations += count
     return pop
@@ -358,9 +452,9 @@ def abandon_fraction(
 def cuckoo_search(
     problem: Problem,
     params: AlgorithmParams = AlgorithmParams(),
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     penalty: PenaltyConfig = DEFAULT_PENALTY,
-) -> RunResult:
+) -> RunResult | list[RunResult]:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
 
     Target and budget are checked after every phase, so a final
@@ -371,80 +465,133 @@ def cuckoo_search(
     next in the stream anyway, share the local walk's :func:`evaluate`
     call; with one, each phase has its own, so no uncounted point is
     scored.  The same seed always reproduces the same result bit for bit.
+
+    Given a sequence of seeds, runs one trial per seed as one stack (see
+    the module docstring) and returns their results in seed order; each
+    equals what that seed alone returns.  An error in any trial stops
+    the whole stack.
     """
-    n = params.n
+    seeds = [seed] if isinstance(seed, Integral) else list(seed)
+    n, d = params.n, problem.dimension
     # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
     # 2**16: a larger request is drawn whole, so a large run holds about what it asks for
-    block = min(16 * n * (problem.dimension + 1), 1 << 16)
-    rng = _UniformStream(np.random.default_rng(seed), block)
-    # (n, d) rows, so that the steps and the fresh nests combine operands of one shape
+    block = min(16 * n * (d + 1), 1 << 16)
+    rng = _UniformStream([np.random.default_rng(s) for s in seeds], block)
+    # (T, n, d) rows, so that the steps and the fresh nests combine operands of one shape
     rows = (step_scale(problem, params), problem.lower, problem.width)
-    scale, lower, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
+    scale, lower, width = np.tile(np.stack(rows)[:, None, None], (1, len(seeds), n, 1))
+    lower, width = lower.reshape(-1, d), width.reshape(-1, d)  # identical rows: any T * count of them
+    slots = np.arange(len(seeds) * n).reshape(-1, n)  # row t * n + i is slot i of trial t
     stop = params.stop
     budget = stop.max_evaluations
-    slots = np.arange(n)
+    target = -math.inf if stop.target_objective is None else stop.target_objective
+    window = math.inf if stop.stagnation_window is None else stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
 
     pop = initialize(problem, params, rng, penalty)
-    history = [pop.best_objective]
-    history_evaluations = [pop.evaluations]
+    live = list(range(len(seeds)))  # the seeds of the trials still in the stack
+    trials = pop.trials or [pop]
+    histories = [([trial.best_objective], [n]) for trial in trials]
     # between phases stall is the last iteration's count, which is below any window
-    stall = 0
-    reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+    stall = [0] * len(seeds)
+    previous_best = [trial.best_objective for trial in trials]  # at the iteration's start
+    results: list[Optional[RunResult]] = [None] * len(seeds)
 
-    while reason is None:
-        previous_best = pop.best_objective
+    def settle(mid_iteration: bool) -> bool:
+        """Finish the trials that stop now and drop them from the stack; False once none is left.
+
+        A trial that stops mid-iteration gets its history entry for the iteration here.
+        """
+        nonlocal live, trials, histories, stall, previous_best
+        reasons = [stop.reason(t.best_objective, pop.evaluations, s) for t, s in zip(trials, stall)]
+        if not any(reasons):
+            return True
+        for index, trial, (history, evaluations), reason in zip(live, trials, histories, reasons):
+            if reason is not None:
+                if mid_iteration:
+                    history.append(trial.best_objective)
+                    evaluations.append(pop.evaluations)
+                results[index] = RunResult(trial.best_position.copy(), trial.best_objective,
+                                           trial.best_feasible, history, evaluations,
+                                           pop.evaluations, seeds[index], reason)
+        kept = [k for k, reason in enumerate(reasons) if reason is None]
+        if kept:
+            pop.keep(kept)
+            rng.keep(kept)
+            live, histories, stall, previous_best = (
+                [v[k] for k in kept] for v in (live, histories, stall, previous_best)
+            )
+            trials = pop.trials
+        return bool(kept)
+
+    # least record of the stack: with the budget and the stalls, a cheap test before settle
+    least = min(trial.best_objective for trial in trials)
+    T = 0
+    while (least > target and pop.evaluations < budget and max(stall) < window) or settle(False):
+        previous_best = [trial.best_objective for trial in trials]
+        if len(live) != T:  # the stack's views, for its T trials
+            T = len(live)
+            X = pop.X.reshape(T, n, d)
+            views = (scale[:T], slots[:T], _row_starts(T, n))
 
         m = min(n, budget - pop.evaluations)
-        candidates = global_walk(pop.X[:m], problem, params, rng, scale[:m])
+        # every nest proposes, but in the budget's last phase only the first m of each trial
+        x, sc, sl, starts = (X, *views) if m == n else (X[:, :m], *(v[:, :m] for v in views))
+        candidates = global_walk(x, problem, params, rng, sc)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
-        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
+        if params.compare_to == "random":
+            targets = (rng.random(m) * n).astype(np.intp)
+            targets += starts  # rows of the stack
+        else:
+            targets = sl
+        targets = targets.ravel()
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
-        pop.record_best()
-        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+        least = pop.record_best()
+        if (least <= target or pop.evaluations >= budget) and not settle(True):
+            break
 
-        if reason is None:
-            m = min(n, budget - pop.evaluations)
-            j, k = partner_pairs(n, m, rng)
-            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale[:m])
-            # the abandonment's nests are next in the stream
-            count = min(abandoned, budget - pop.evaluations - m)
-            fresh = _fresh_nests(lower[:count], width[:count], count, rng)
-            if stop.target_objective is None:
-                # nothing but the budget can stop the run before the abandonment: score them now
-                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-                scored, F, feasible = (fresh, F[m:], feasible[m:]), F[:m], feasible[:m]
-            else:
-                F, feasible = evaluate(problem, candidates, penalty)
-            pop.evaluations += m
-            pop.replace_prefix(candidates, F, feasible)
-            pop.record_best()
-            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+        if len(live) != T:
+            T = len(live)
+            X = pop.X.reshape(T, n, d)
+            views = (scale[:T], slots[:T], _row_starts(T, n))
+        m = min(n, budget - pop.evaluations)
+        x, sc, sl, starts = (X, *views) if m == n else (X[:, :m], *(v[:, :m] for v in views))
+        pairs = partner_pairs(n, m, rng)
+        pairs += starts  # rows of the stack
+        x_j, x_k = pop.X.take(pairs, axis=0)
+        candidates = local_walk(x, x_j, x_k, problem, params, rng, sc)
+        count = min(abandoned, budget - pop.evaluations - m)
+        if stop.target_objective is None:
+            # nothing but the budget, which stops every trial, can stop one before the
+            # abandonment: its nests, next in the stream, are scored now
+            fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
+            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
+            scored, F, feasible = (fresh, F[T * m :], feasible[T * m :]), F[: T * m], feasible[: T * m]
+        else:
+            F, feasible = evaluate(problem, candidates, penalty)
+        pop.evaluations += m
+        if m == n:
+            pop.replace_each(candidates, F, feasible)
+        else:
+            pop.replace(sl.ravel(), candidates, F, feasible)
+        least = pop.record_best()
+        if (least <= target or pop.evaluations >= budget) and not settle(True):
+            break
 
-        if reason is None and abandoned:
+        if abandoned:
             if stop.target_objective is not None:
+                # drawn from the streams of the trials left: their next uniforms all the same
+                rows = len(live) * count
+                fresh = _fresh_nests(lower[:rows], width[:rows], count, rng)
                 scored = (fresh, *evaluate(problem, fresh, penalty))
             abandon_fraction(pop, *scored)
-            pop.record_best()
+            least = pop.record_best()
 
-        history.append(pop.best_objective)
-        history_evaluations.append(pop.evaluations)
-        if pop.best_objective < previous_best - STAGNATION_EPS:
-            stall = 0
-        else:
-            stall += 1
-        if reason is None:
-            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+        for t, (trial, previous, (history, evaluations)) in enumerate(zip(trials, previous_best, histories)):
+            history.append(trial.best_objective)
+            evaluations.append(pop.evaluations)
+            stall[t] = 0 if trial.best_objective < previous - STAGNATION_EPS else stall[t] + 1
 
-    return RunResult(
-        best_position=pop.best_position.copy(),
-        best_objective=pop.best_objective,
-        best_feasible=pop.best_feasible,
-        history=history,
-        history_evaluations=history_evaluations,
-        evaluations=pop.evaluations,
-        seed=seed,
-        terminated_by=reason,
-    )
+    return results[0] if isinstance(seed, Integral) else results

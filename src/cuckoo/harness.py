@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -281,43 +282,59 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 def _execute_trial(task: dict) -> dict:
     """Run one (problem, algorithm, trial) cell; never raises."""
     started = time.perf_counter()
-    record = {
-        "problem": task["problem"],
-        "dimension": task["dimension"],
-        "algorithm": task["algorithm"],
-        "trial": task["trial"],
-        "seed": task["seed"],
-        "status": "ok",
-        "error": None,
-    }
     try:
         problem = get_problem(task["problem"], task["dimension"])
         params = task["params"]
         optimizer = cuckoo_search if isinstance(params, AlgorithmParams) else hill_climb_restart
-        result = optimizer(problem, params, seed=task["seed"], penalty=task["penalty"])
-        record.update(
-            history=[float(v) for v in result.history],
-            history_evaluations=[int(e) for e in result.history_evaluations],
-            best_objective=float(result.best_objective),
-            best_position=[float(v) for v in result.best_position],
-            best_feasible=bool(result.best_feasible),
-            evaluations=int(result.evaluations),
-            terminated_by=result.terminated_by,
-        )
+        record = _record(task, optimizer(problem, params, seed=task["seed"], penalty=task["penalty"]))
     except Exception as exc:  # a failed trial must not sink the rest of the grid
-        record.update(
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-            history=[],
-            history_evaluations=[],
-            best_objective=None,
-            best_position=None,
-            best_feasible=False,
-            evaluations=0,
-            terminated_by="error",
-        )
+        record = _record(task, error=f"{type(exc).__name__}: {exc}")
     record["wall_time_seconds"] = time.perf_counter() - started
     return record
+
+
+def _execute_stack(tasks: list[dict]) -> list[dict]:
+    """Run consecutive trials of one cuckoo cell as one stack (see :mod:`cuckoo.core`); never raises.
+
+    A stacked trial has no wall time of its own: it records the stack's
+    times its share of the stack's evaluations, so that a cell's wall
+    times still add up to the time spent.  If the stack raises, its
+    trials run one at a time, each to the record or error it gets alone.
+    """
+    started = time.perf_counter()
+    task = tasks[0]
+    try:
+        problem = get_problem(task["problem"], task["dimension"])
+        seeds = [t["seed"] for t in tasks]
+        results = cuckoo_search(problem, task["params"], seed=seeds, penalty=task["penalty"])
+        records = [_record(t, result) for t, result in zip(tasks, results)]
+    except Exception:
+        return [_execute_trial(t) for t in tasks]
+    share = (time.perf_counter() - started) / sum(r["evaluations"] for r in records)
+    for record in records:
+        record["wall_time_seconds"] = share * record["evaluations"]
+    return records
+
+
+def _record(task: dict, result=None, error: Optional[str] = None) -> dict:
+    """A trial's record, from its optimizer's result or its error; wall time comes later."""
+    record = {key: task[key] for key in ("problem", "dimension", "algorithm", "trial", "seed")}
+    if error is not None:
+        return {**record, "status": "error", "error": error, "history": [], "history_evaluations": [],
+                "best_objective": None, "best_position": None, "best_feasible": False,
+                "evaluations": 0, "terminated_by": "error"}
+    return {
+        **record,
+        "status": "ok",
+        "error": None,
+        "history": [float(v) for v in result.history],
+        "history_evaluations": [int(e) for e in result.history_evaluations],
+        "best_objective": float(result.best_objective),
+        "best_position": [float(v) for v in result.best_position],
+        "best_feasible": bool(result.best_feasible),
+        "evaluations": int(result.evaluations),
+        "terminated_by": result.terminated_by,
+    }
 
 
 def _tasks(spec: ExperimentSpec) -> list[dict]:
@@ -355,23 +372,59 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     run = partial(_run_and_write, records_dir=records_dir)
     # the pool forks every worker at the first submit, so start none that would idle
     workers = min(spec.workers, len(tasks))
+    # a task is a run of one cell's consecutive trials: multiprocessing.Pool.map's
+    # rule, about four per worker; one trial when serial
+    size = 1 if workers == 1 else -(-len(tasks) // (4 * workers))
+    chunks = [
+        tasks[cell + start : cell + min(start + size, spec.trials)]
+        for cell in range(0, len(tasks), spec.trials)
+        for start in range(0, spec.trials, size)
+    ]
     if workers > 1:
-        # multiprocessing.Pool.map's rule: about four chunks per worker
-        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, tasks, chunksize=chunksize))
+            try:
+                records = [record for done in pool.map(run, chunks, chunksize=1) for record in done]
+            except BrokenProcessPool as exc:
+                raise BrokenProcessPool(_summarize_lost(tasks, out_dir, spec)) from exc
     else:
-        records = list(map(run, tasks))
+        records = [record for chunk in chunks for record in run(chunk)]
     rows = summarize(records, spec.stop.target_objective)
     write_summary(rows, out_dir / "summary.tsv")
     return rows
 
 
-def _run_and_write(task: dict, records_dir: Path) -> dict:
-    """Run one trial and write its record where it ran, as soon as it ends."""
-    record = _execute_trial(task)
-    _write_record(record, records_dir)
-    return record
+def _summarize_lost(tasks: list[dict], out_dir: Path, spec: ExperimentSpec) -> str:
+    """Summarize the records a broken pool left; say which trials have none."""
+    records_dir = out_dir / "records"
+    records = read_records(out_dir) if any(records_dir.glob("*.meta.json")) else []
+    write_summary(summarize(records, spec.stop.target_objective), out_dir / "summary.tsv")
+    done = {_record_stem(record) for record in records}
+    lost = [_record_stem(task) for task in tasks if _record_stem(task) not in done]
+    return (f"a worker process died; {len(lost)} of {len(tasks)} trials have no record:"
+            f" {', '.join(lost)}; {out_dir / 'summary.tsv'} covers the other {len(done)}")
+
+
+def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
+    """Run consecutive trials of one cell where they ran, and write each record as it ends.
+
+    Cuckoo trials run as one stack if the stack's largest array, the global
+    walk's (T, 2, n, d) uniforms, stays within 2**16 values, as the uniform
+    stream's blocks do; their records appear when the stack ends.  Other
+    trials run one after another: hill climbing in lockstep was measured
+    slower than alone at a few trials per task.
+    """
+    params = tasks[0]["params"]
+    stacked = (
+        len(tasks) > 1
+        and isinstance(params, AlgorithmParams)
+        and len(tasks) * 2 * params.n * tasks[0]["dimension"] <= 1 << 16
+    )
+    records = _execute_stack(tasks) if stacked else map(_execute_trial, tasks)
+    done = []
+    for record in records:
+        _write_record(record, records_dir)
+        done.append(record)
+    return done
 
 
 def _record_stem(record: dict) -> str:

@@ -57,8 +57,11 @@ def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):
 
 
 def _step_lengths(cfg: LevyConfig, u):
-    """The step lengths of uniforms ``u`` on [0, 1), by the rule above."""
-    return cfg.min_step * (1.0 - u) ** (-1.0 / cfg.tail_exponent)
+    """The step lengths of uniforms ``u`` on [0, 1), by the rule above, in one new array."""
+    s = 1.0 - u
+    s **= -1.0 / cfg.tail_exponent
+    s *= cfg.min_step
+    return s
 
 
 def sample_levy_vector(
@@ -75,5 +78,8 @@ def sample_levy_vector(
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    magnitudes, signs = rng.random((2, dim) if n is None else (2, n, dim))
-    return np.copysign(_step_lengths(cfg, magnitudes), _BELOW_HALF - signs)
+    shape = (2, dim) if n is None else (2, n, dim)
+    # a stack's stream puts its trial axis first: (T, 2, n, dim)
+    magnitudes, signs = rng.random(shape).swapaxes(0, -len(shape))
+    steps = _step_lengths(cfg, magnitudes)
+    return np.copysign(steps, _BELOW_HALF - signs, out=steps)

@@ -216,11 +216,11 @@ def _evaluate_batch(
             equalities -= penalty.eq_tolerance
         # NaN fails ``<= 0``: it counts as violated and reaches the finiteness check
         satisfied = G <= 0.0
-        feasible = satisfied.all(axis=0)
+        feasible = np.logical_and.reduce(satisfied, axis=0)
         terms = np.maximum(G, 0.0)
         terms *= terms
         # accumulate adds row after row, in constraint order, as the point path
-        # does; sum(axis=0) may add a (k, 1) stack in another order
+        # does; add.reduce(axis=0) may add a (k, 1) stack in another order
         values += penalty.penalty_weight * np.add.accumulate(terms, axis=0)[-1]
     finite = np.isfinite(values)
     if np.count_nonzero(finite) != count:
@@ -250,7 +250,7 @@ def sphere(dimension: int = 10) -> Problem:
     _check_dimension(dimension)
 
     def f(x: np.ndarray):
-        return (x * x).sum(axis=0)
+        return np.add.reduce(x * x, axis=0)
 
     return Problem("sphere", _box(-5.12, 5.12, dimension), f)
 
@@ -265,7 +265,7 @@ def rosenbrock(dimension: int = 10) -> Problem:
     def f(x: np.ndarray):
         head = x[:-1]
         valley = x[1:] - head * head
-        return (100.0 * (valley * valley) + (1.0 - head) * (1.0 - head)).sum(axis=0)
+        return np.add.reduce(100.0 * (valley * valley) + (1.0 - head) * (1.0 - head), axis=0)
 
     return Problem("rosenbrock", _box(-5.0, 10.0, dimension), f)
 
@@ -279,8 +279,8 @@ def ackley(dimension: int = 10) -> Problem:
 
     def f(x: np.ndarray):
         d = x.shape[0]
-        root_mean_sq = np.sqrt((x * x).sum(axis=0) / d)
-        cos_mean = np.cos(2.0 * math.pi * x).sum(axis=0) / d
+        root_mean_sq = np.sqrt(np.add.reduce(x * x, axis=0) / d)
+        cos_mean = np.add.reduce(np.cos(2.0 * math.pi * x), axis=0) / d
         return -20.0 * np.exp(-0.2 * root_mean_sq) - np.exp(cos_mean) + 20.0 + math.e
 
     return Problem("ackley", _box(-32.768, 32.768, dimension), f)
@@ -295,7 +295,7 @@ def rastrigin(dimension: int = 10) -> Problem:
     _check_dimension(dimension)
 
     def f(x: np.ndarray):
-        return 10.0 * x.shape[0] + (x * x - 10.0 * np.cos(2.0 * math.pi * x)).sum(axis=0)
+        return 10.0 * x.shape[0] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * math.pi * x), axis=0)
 
     return Problem("rastrigin", _box(-5.12, 5.12, dimension), f)
 

@@ -137,7 +137,7 @@ def test_criterion_4_sphere_convergence():
     problem = get_problem("sphere", 10)
     stop = StopCriterion(max_evaluations=50_000, target_objective=1e-5)
     params = AlgorithmParams(n=25, p_a=0.25, stop=stop)  # alpha defaults to range/100
-    results = [cuckoo_search(problem, params, seed=seed) for seed in range(30)]
+    results = cuckoo_search(problem, params, seed=range(30))
     successes = sum(result.best_objective < 1e-5 for result in results)
     evals = [r.evaluations for r in results if r.best_objective < 1e-5]
     ok = successes >= math.ceil(0.95 * 30)
@@ -158,10 +158,8 @@ def test_criterion_5_multimodal_advantage():
     cs_params = AlgorithmParams(n=25, p_a=0.25, alpha=width / 10.0, stop=stop)
     hc_params = HillClimbParams(stop=stop)
 
-    cs_finals, hc_finals = [], []
-    for seed in range(30):
-        cs_finals.append(cuckoo_search(problem, cs_params, seed=seed).best_objective)
-        hc_finals.append(hill_climb_restart(problem, hc_params, seed=seed).best_objective)
+    cs_finals = [result.best_objective for result in cuckoo_search(problem, cs_params, seed=range(30))]
+    hc_finals = [hill_climb_restart(problem, hc_params, seed=seed).best_objective for seed in range(30)]
     cs_successes = sum(value < 1.0 for value in cs_finals)
     hc_successes = sum(value < 1.0 for value in hc_finals)
     cs_median = lower_median(cs_finals)
@@ -180,7 +178,7 @@ def test_criterion_6_constrained_designs(name):
     problem = get_problem(name)
     reference = float(problem.objective(np.asarray(BEST_KNOWN[name][0], dtype=float)))
     params = AlgorithmParams(stop=StopCriterion(max_evaluations=100_000))
-    results = [cuckoo_search(problem, params, seed=seed) for seed in range(30)]
+    results = cuckoo_search(problem, params, seed=range(30))
     feasible = [r for r in results if r.best_feasible]
     rate = len(feasible) / 30
     best = min((r.best_objective for r in feasible), default=float("inf"))

@@ -327,17 +327,27 @@ class TestUniformStream:
             max_size=12,
         ),
         seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(1, 3),
+        drop=st.integers(0, 12),
     )
     # sizes 0, inside a block, across a block boundary, larger than a block
-    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1)
+    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=1, drop=12)
+    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=3, drop=3)
     @settings(max_examples=200, deadline=None)
-    def test_serves_what_the_generator_draws(self, block, sizes, seed):
-        stream = core._UniformStream(np.random.default_rng(seed), block)
-        rng = np.random.default_rng(seed)
-        for size in sizes:
-            got, want = stream.random(size), rng.random(size)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    def test_serves_what_the_generator_draws(self, block, sizes, seed, trials, drop):
+        # row t of every request is what generator t alone draws; after the
+        # first trial leaves at request ``drop``, the others read on unchanged
+        seeds = [seed + t for t in range(trials)]
+        stream = core._UniformStream([np.random.default_rng(s) for s in seeds], block)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for i, size in enumerate(sizes):
+            if i == drop and len(rngs) > 1:
+                stream.keep(list(range(1, len(rngs))))
+                rngs = rngs[1:]
+            got = stream.random(size)
+            assert got.shape == (len(rngs),) + (size if isinstance(size, tuple) else (size,))
+            for row, rng in zip(got, rngs):
+                assert row.tobytes() == rng.random(size).tobytes()
 
 
 class TestAbandonment:
@@ -667,3 +677,51 @@ class TestSearchLoop:
         heavy = cuckoo_search(problem, params, seed=1, penalty=PenaltyConfig(penalty_weight=1e12))
         # infeasible bests are scored differently under the two weights
         assert light.history != heavy.history
+
+
+def outcome(result):
+    """Every field of a RunResult, the position as bytes."""
+    return (result.best_position.tobytes(), result.best_objective, result.best_feasible,
+            result.history, result.history_evaluations, result.evaluations, result.seed,
+            result.terminated_by)
+
+
+class TestStack:
+    @given(
+        name=st.sampled_from(["sphere", "rastrigin", "spring_design", "welded_beam"]),
+        n=st.integers(2, 12),
+        p_a=st.sampled_from([0.0, 0.25, 1.0]),
+        compare_to=st.sampled_from(["random", "parent"]),
+        extra=st.integers(1, 600),
+        target=st.sampled_from([None, 1.0, 20.0]),
+        window=st.sampled_from([None, 1, 3]),
+        seeds=st.sampled_from([1, 2, 5]).flatmap(
+            lambda T: st.lists(st.integers(0, 2**32 - 1), min_size=T, max_size=T, unique=True)
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_trial_ends_as_it_would_alone(self, name, n, p_a, compare_to, extra, target, window, seeds):
+        # budgets of n + extra cut phases part-way; targets and windows stop
+        # trials at different iterations, and they leave the stack there
+        problem = get_problem(name, 3 if name in ("sphere", "rastrigin") else None)
+        stop = StopCriterion(max_evaluations=n + extra, target_objective=target, stagnation_window=window)
+        params = AlgorithmParams(n=n, p_a=p_a, compare_to=compare_to, stop=stop)
+        stacked = cuckoo_search(problem, params, seed=seeds)
+        assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in seeds]
+
+    def test_trials_leave_the_stack_at_different_iterations(self):
+        problem = get_problem("sphere", 2)
+        params = AlgorithmParams(n=5, alpha=0.5, stop=StopCriterion(600, 0.01, 3))
+        stacked = cuckoo_search(problem, params, seed=range(5))
+        assert [(r.terminated_by, r.evaluations) for r in stacked] == [
+            ("stagnation", 149), ("stagnation", 377), ("target", 507), ("stagnation", 269),
+            ("max_evaluations", 600),
+        ]
+        assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in range(5)]
+
+    def test_one_seed_or_several(self):
+        problem = get_problem("sphere", 2)
+        params = AlgorithmParams(stop=budget(200))
+        one = cuckoo_search(problem, params, seed=np.int64(3))
+        assert isinstance(one, core.RunResult) and one.seed == 3
+        assert [outcome(r) for r in cuckoo_search(problem, params, seed=[3])] == [outcome(one)]

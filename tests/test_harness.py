@@ -1,7 +1,9 @@
 """Experiment harness: config parsing, records, summaries, CLI."""
 
 import json
+import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from cuckoo.harness import (
     spec_to_dict,
     summarize,
 )
-from cuckoo.problems import PenaltyConfig
+from cuckoo.problems import PenaltyConfig, Problem
 
 BASE_SPEC = {
     "problems": [{"name": "sphere", "dimension": 3}],
@@ -279,6 +281,57 @@ class TestExecuteTrial:
         assert record["evaluations"] == 60
         assert len(record["history"]) == len(record["history_evaluations"])
         assert record["terminated_by"] == "max_evaluations"
+
+
+class TestStackedTrials:
+    @staticmethod
+    def tasks(spec_overrides, trials):
+        spec = spec_from_dict({**BASE_SPEC, "output": "unused", **spec_overrides})
+        return [t for t in harness._tasks(spec) if t["algorithm"] == "cuckoo"][:trials]
+
+    @staticmethod
+    def without_wall(records):
+        return [{k: v for k, v in r.items() if k != "wall_time_seconds"} for r in records]
+
+    def test_stack_records_match_alone_and_share_the_wall_time(self):
+        # the target stops the trials at different evaluations
+        tasks = self.tasks({"stop": {"max_evaluations": 3000, "target_objective": 1e-3}}, 2)
+        started = time.perf_counter()
+        stacked = harness._execute_stack(tasks)
+        wall = time.perf_counter() - started
+        alone = [_execute_trial(t) for t in tasks]
+        assert self.without_wall(stacked) == self.without_wall(alone)
+        assert len({r["evaluations"] for r in stacked}) == 2
+        # each trial carries the stack's wall time in proportion to its evaluations
+        per_eval = [r["wall_time_seconds"] / r["evaluations"] for r in stacked]
+        assert per_eval[0] == pytest.approx(per_eval[1], rel=1e-12)
+        assert 0.0 < sum(r["wall_time_seconds"] for r in stacked) <= wall
+
+    def test_a_failing_trial_gets_its_own_error(self, monkeypatch):
+        # a NaN region that some seeds reach: the stack fails, and each trial
+        # reruns alone to exactly its own record or error
+        nan_corner = Problem("nan_corner", [(0.0, 1.0)] * 2,
+                             objective=lambda x: np.where(x[0] > 0.9, np.nan, x[0] + x[1] * x[1]))
+        monkeypatch.setattr(harness, "get_problem", lambda name, dimension: nan_corner)
+        tasks = self.tasks({"stop": {"max_evaluations": 60}}, 2)
+        tasks = [{**t, "seed": seed, "trial": k} for k, (t, seed) in enumerate(zip(tasks * 3, range(6)))]
+        alone = [_execute_trial(t) for t in tasks]
+        assert {r["status"] for r in alone} == {"ok", "error"}
+        assert self.without_wall(harness._execute_stack(tasks)) == self.without_wall(alone)
+
+    def test_large_cells_run_alone(self, tmp_path, monkeypatch):
+        # 2 trials * 2 * n * d above 2**16 values: the chunk runs trial by trial
+        def refuse(tasks):
+            raise AssertionError("stacked above the cap")
+
+        monkeypatch.setattr(harness, "_execute_stack", refuse)
+        params = {"n": 900, "p_a": 0.25}
+        tasks = self.tasks({"problems": [{"name": "sphere", "dimension": 20}], "trials": 2,
+                            "algorithms": [{"name": "cuckoo", "params": params}],
+                            "stop": {"max_evaluations": 2000}}, 2)
+        records = harness._run_and_write(tasks, tmp_path)
+        assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
+        assert len(list(tmp_path.glob("*.meta.json"))) == 2
 
 
 class TestRunExperiment:
@@ -610,6 +663,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("problem\talgorithm")
         assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
+
+    def test_lost_worker_keeps_the_finished_trials(self, tmp_path, capsys, monkeypatch):
+        real = harness._execute_trial
+
+        def dying(task):  # runs in a forked worker, which it ends at trial 2
+            if task["trial"] == 2:
+                os._exit(1)
+            return real(task)
+
+        monkeypatch.setattr(harness, "_execute_trial", dying)
+        path = write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 6, "workers": 2})
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died;") and "Traceback" not in err
+        out = tmp_path / "out"
+        done = {p.name.removesuffix(".meta.json") for p in (out / "records").glob("*.meta.json")}
+        lost = {f"sphere__hill_climb__t{trial:03d}" for trial in range(6)} - done
+        assert "sphere__hill_climb__t002" in lost and {"sphere__hill_climb__t000"} <= done
+        assert f"{len(lost)} of 6 trials have no record: {', '.join(sorted(lost))};" in err
+        # the summary covers the trials that have a record
+        (row,) = (out / "summary.tsv").read_text().splitlines()[1:]
+        assert row.split("\t")[:3] == ["sphere", "hill_climb", str(len(done))]
 
     def test_rerun_clears_old_records(self, tmp_path, capsys):
         out = tmp_path / "out"
