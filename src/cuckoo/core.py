@@ -80,14 +80,12 @@ class Population:
 
     Row i of X is nest i, with penalized objective F[i] and feasibility
     flag feasible[i].  The best_* fields record the best point ever
-    evaluated, as a copy the population's later moves cannot touch (before
-    the first: None, inf, False); evaluations counts every evaluation so far.
-
-    A stack of T trials of n nests holds trial t's nests in rows
-    t*n ... t*n + n - 1.  Its ``trials`` are one Population per trial,
-    whose arrays are views of those rows and whose best_* fields are that
-    trial's record; the stack's own record stays empty.  The trials of a
-    stack spend evaluations alike, so the stack counts them, per trial.
+    evaluated, as a copy the population's later moves cannot touch (none
+    yet: None, inf, False); evaluations counts every evaluation so far.
+    A stack of T trials of n nests holds trial t's nests in rows t*n ...
+    t*n + n - 1 and counts the evaluations of one trial, as all spend
+    alike; ``trials`` has a Population per trial over views of its rows,
+    which keeps that trial's record (the stack keeps none of its own).
     """
 
     X: np.ndarray
@@ -120,35 +118,24 @@ class Population:
         np.copyto(self.feasible, feasible, where=better)
 
     def record_best(self) -> float:
-        """Copy each trial's best nest (first on ties) into its record if it improves on it.
-
-        Returns the least record of the trials.
-        """
+        """Copy each trial's best nest (first on ties) into its record if better; return the least record."""
         least = math.inf
         for trial in self.trials or (self,):
             i = int(trial.F.argmin())
             if trial.F[i] < trial.best_objective:
-                trial.best_position = trial.X[i].copy()
-                trial.best_objective = float(trial.F[i])
+                trial.best_position, trial.best_objective = trial.X[i].copy(), float(trial.F[i])
                 trial.best_feasible = bool(trial.feasible[i])
-            if trial.best_objective < least:
-                least = trial.best_objective
+            least = min(least, trial.best_objective)
         return least
 
-    def keep(self, kept: list[int]) -> None:
-        """Keep the rows of the stack's trials ``kept`` (ascending indices) and drop the rest."""
-        T = len(self.trials)
-        self.X, self.F, self.feasible = (
-            a.reshape(T, -1)[kept].reshape((-1,) + a.shape[1:]) for a in (self.X, self.F, self.feasible)
-        )
-        self.trials = [self.trials[t] for t in kept]
-        self._view_trials()
-
-    def _view_trials(self) -> None:
+    def keep(self, kept) -> None:
+        """Keep the stack's trials ``kept`` (ascending indices): their rows, records and views."""
         n = len(self.F) // len(self.trials)
+        rows = np.add.outer(np.multiply(kept, n), np.arange(n)).ravel()
+        self.X, self.F, self.feasible = self.X[rows], self.F[rows], self.feasible[rows]
+        self.trials = [self.trials[t] for t in kept]
         for start, trial in zip(range(0, len(self.F), n), self.trials):
-            rows = slice(start, start + n)
-            trial.X, trial.F, trial.feasible = self.X[rows], self.F[rows], self.feasible[rows]
+            trial.X, trial.F, trial.feasible = (a[start : start + n] for a in (self.X, self.F, self.feasible))
 
 
 @dataclass(frozen=True)
@@ -264,7 +251,7 @@ def initialize(
     pop = Population(X, F, feasible, evaluations=params.n)
     if len(F) > params.n:
         pop.trials = [Population(X, F, feasible) for _ in range(len(F) // params.n)]
-        pop._view_trials()
+        pop.keep(range(len(pop.trials)))
     pop.record_best()
     return pop
 
@@ -287,9 +274,7 @@ def global_walk(
     if scale is None:
         scale = step_scale(problem, params)
     d = x.shape[-1]
-    step = sample_levy_vector(d, params.levy, rng, None if x.ndim == 1 else x.shape[-2])
-    step *= scale
-    step += x
+    step = x + scale * sample_levy_vector(d, params.levy, rng, None if x.ndim == 1 else x.shape[-2])
     if step.ndim == 3:
         step = step.reshape(-1, d)
     np.maximum(step, problem.lower, out=step)  # clamp in place
@@ -324,10 +309,7 @@ def local_walk(
     u = rng.random(m * (d + 1))  # step factors, then gates
     s = u[0] if x_i.ndim == 1 else u[..., :m, None]
     gate = u[..., m:].reshape(x_i.shape) < params.p_a
-    candidate = scale * s
-    candidate *= gate
-    candidate *= x_j - x_k
-    candidate += x_i
+    candidate = x_i + scale * s * gate * (x_j - x_k)
     if candidate.ndim == 3:
         candidate = candidate.reshape(-1, d)
     np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
@@ -336,23 +318,23 @@ def local_walk(
 
 @functools.cache
 def _partner_range(n: int) -> np.ndarray:
-    return np.array([[n], [n - 1]], dtype=float)
+    """[[n], [n - 1]] as floats; read-only, as every call gets the same array."""
+    scale = np.array([[n], [n - 1]], dtype=float)
+    scale.setflags(write=False)
+    return scale
 
 
 @functools.cache
 def _worst_places(T: int, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trial of each of T * n rows, and the places of each trial's last ``count`` of them."""
+    """The trial of each of a stack's T * n rows, and the places of each trial's last ``count``.
+
+    Read-only, as every call with these arguments gets the same arrays.
+    """
     trial_of_row = np.repeat(np.arange(T), n)
     worst = (np.arange(0, T * n, n)[:, None] + np.arange(n - count, n)).ravel()
+    for places in (trial_of_row, worst):
+        places.setflags(write=False)
     return trial_of_row, worst
-
-
-@functools.cache
-def _row_starts(T: int, n: int) -> np.ndarray:
-    """(T, n): row t holds t * n, the stack's first row of trial t."""
-    starts = np.repeat(np.arange(0, T * n, n)[:, None], n, axis=1)
-    starts.setflags(write=False)
-    return starts
 
 
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -377,9 +359,8 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     order = np.lexsort((values, targets))  # by slot, then value; stable
     slots = targets[order]
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    np.not_equal(slots[1:], slots[:-1], out=first[1:])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = slots[1:] != slots[:-1]
     return order[first]
 
 
@@ -406,19 +387,18 @@ class _UniformStream:
         self._end = self._next = 0
 
     def random(self, size) -> np.ndarray:
-        if isinstance(size, tuple):
-            count, shape = math.prod(size), (len(self._rngs), *size)
-        else:
-            count, shape = size, (len(self._rngs), size)
+        count = math.prod(size) if isinstance(size, tuple) else size
         start, self._next = self._next, self._next + count
         if self._next <= self._end:
-            return self._buffer[:, start : self._next].reshape(shape)
-        rest = self._buffer[:, start:]
-        self._buffer = np.empty((len(self._rngs), max(self._block, count)))
-        for rng, row in zip(self._rngs, self._buffer):
-            rng.random(out=row)
-        self._end, self._next = self._buffer.shape[1], count - rest.shape[1]
-        return np.concatenate((rest, self._buffer[:, : self._next]), axis=1).reshape(shape)
+            u = self._buffer[:, start : self._next]
+        else:
+            rest = self._buffer[:, start:]
+            self._buffer = np.empty((len(self._rngs), max(self._block, count)))
+            for rng, row in zip(self._rngs, self._buffer):
+                rng.random(out=row)
+            self._end, self._next = self._buffer.shape[1], count - rest.shape[1]
+            u = np.concatenate((rest, self._buffer[:, : self._next]), axis=1)
+        return u.reshape(len(u), *size) if isinstance(size, tuple) else u
 
     def keep(self, kept: list[int]) -> None:
         """Keep the generators ``kept`` (ascending indices) and drop the rest."""
@@ -440,9 +420,9 @@ def abandon_fraction(
     evaluations grow by the replacement count.  Mutates and returns ``pop``.
     """
     T = len(pop.trials) or 1
-    count = len(F) // T
-    trial_of_row, worst = _worst_places(T, len(pop.F) // T, count)
-    # rows sorted by trial, then objective, stably; each trial's last ``count``
+    n, count = len(pop.F) // T, len(F) // T
+    trial_of_row, worst = _worst_places(T, n, count)
+    # the rows by trial, then objective (stable); each trial's last ``count`` of them
     slots = np.lexsort((pop.F, trial_of_row)).take(worst)
     pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
     pop.evaluations += count
@@ -477,11 +457,12 @@ def cuckoo_search(
     # 2**16: a larger request is drawn whole, so a large run holds about what it asks for
     block = min(16 * n * (d + 1), 1 << 16)
     rng = _UniformStream([np.random.default_rng(s) for s in seeds], block)
-    # (T, n, d) rows, so that the steps and the fresh nests combine operands of one shape
+    # (T * n, d) rows, so that the steps and the fresh nests combine operands of one
+    # shape; the rows are identical, so any T * count of them serve T trials' count nests
     rows = (step_scale(problem, params), problem.lower, problem.width)
-    scale, lower, width = np.tile(np.stack(rows)[:, None, None], (1, len(seeds), n, 1))
-    lower, width = lower.reshape(-1, d), width.reshape(-1, d)  # identical rows: any T * count of them
+    scale, lower, width = np.repeat(np.stack(rows)[:, None], len(seeds) * n, axis=1)
     slots = np.arange(len(seeds) * n).reshape(-1, n)  # row t * n + i is slot i of trial t
+    per_trial = (scale.reshape(-1, n, d), slots, np.repeat(slots[:, :1], n, axis=1))
     stop = params.stop
     budget = stop.max_evaluations
     target = -math.inf if stop.target_objective is None else stop.target_objective
@@ -489,28 +470,27 @@ def cuckoo_search(
     abandoned = abandonment_count(params.p_a, n)
 
     pop = initialize(problem, params, rng, penalty)
-    live = list(range(len(seeds)))  # the seeds of the trials still in the stack
     trials = pop.trials or [pop]
-    histories = [([trial.best_objective], [n]) for trial in trials]
+    T = len(trials)
+    # each trial's nests, step scale rows, slot rows and rows of slot 0, all proposing
+    every = (pop.X.reshape(T, n, d), *per_trial)
+    # per trial left in the stack: its seed's index, history and evaluation counts
+    histories = [(index, [], []) for index in range(T)]  # filled as each iteration ends
     # between phases stall is the last iteration's count, which is below any window
-    stall = [0] * len(seeds)
-    previous_best = [trial.best_objective for trial in trials]  # at the iteration's start
-    results: list[Optional[RunResult]] = [None] * len(seeds)
+    stall = [0] * T
+    least = pop.record_best()  # the least record: a cheap test before settle
+    results: list[Optional[RunResult]] = [None] * T
 
-    def settle(mid_iteration: bool) -> bool:
-        """Finish the trials that stop now and drop them from the stack; False once none is left.
-
-        A trial that stops mid-iteration gets its history entry for the iteration here.
-        """
-        nonlocal live, trials, histories, stall, previous_best
+    def settle() -> bool:
+        """Finish the trials that stop now and drop them from the stack; False once none is left."""
+        nonlocal trials, histories, stall, least, T, every
         reasons = [stop.reason(t.best_objective, pop.evaluations, s) for t, s in zip(trials, stall)]
         if not any(reasons):
             return True
-        for index, trial, (history, evaluations), reason in zip(live, trials, histories, reasons):
+        for trial, (index, history, evaluations), reason in zip(trials, histories, reasons):
             if reason is not None:
-                if mid_iteration:
-                    history.append(trial.best_objective)
-                    evaluations.append(pop.evaluations)
+                history.append(trial.best_objective)
+                evaluations.append(pop.evaluations)
                 results[index] = RunResult(trial.best_position.copy(), trial.best_objective,
                                            trial.best_feasible, history, evaluations,
                                            pop.evaluations, seeds[index], reason)
@@ -518,50 +498,39 @@ def cuckoo_search(
         if kept:
             pop.keep(kept)
             rng.keep(kept)
-            live, histories, stall, previous_best = (
-                [v[k] for k in kept] for v in (live, histories, stall, previous_best)
-            )
-            trials = pop.trials
+            histories, stall = [histories[k] for k in kept], [stall[k] for k in kept]
+            trials, least, T = pop.trials, pop.record_best(), len(kept)
+            every = (pop.X.reshape(T, n, d), *(a[:T] for a in per_trial))
         return bool(kept)
 
-    # least record of the stack: with the budget and the stalls, a cheap test before settle
-    least = min(trial.best_objective for trial in trials)
-    T = 0
-    while (least > target and pop.evaluations < budget and max(stall) < window) or settle(False):
-        previous_best = [trial.best_objective for trial in trials]
-        if len(live) != T:  # the stack's views, for its T trials
-            T = len(live)
-            X = pop.X.reshape(T, n, d)
-            views = (scale[:T], slots[:T], _row_starts(T, n))
-
+    while (least > target and pop.evaluations < budget and max(stall) < window) or settle():
+        for trial, (_, history, evaluations) in zip(trials, histories):
+            history.append(trial.best_objective)
+            evaluations.append(pop.evaluations)
         m = min(n, budget - pop.evaluations)
-        # every nest proposes, but in the budget's last phase only the first m of each trial
-        x, sc, sl, starts = (X, *views) if m == n else (X[:, :m], *(v[:, :m] for v in views))
-        candidates = global_walk(x, problem, params, rng, sc)
+        # the budget's last phase: only the first m nests of each trial propose
+        x, scale_rows, own, first = every if m == n else (a[:, :m] for a in every)
+        candidates = global_walk(x, problem, params, rng, scale_rows)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
         if params.compare_to == "random":
             targets = (rng.random(m) * n).astype(np.intp)
-            targets += starts  # rows of the stack
+            targets += first  # rows of the stack
         else:
-            targets = sl
+            targets = own
         targets = targets.ravel()
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
         least = pop.record_best()
-        if (least <= target or pop.evaluations >= budget) and not settle(True):
+        if (least <= target or pop.evaluations >= budget) and not settle():
             break
 
-        if len(live) != T:
-            T = len(live)
-            X = pop.X.reshape(T, n, d)
-            views = (scale[:T], slots[:T], _row_starts(T, n))
         m = min(n, budget - pop.evaluations)
-        x, sc, sl, starts = (X, *views) if m == n else (X[:, :m], *(v[:, :m] for v in views))
+        x, scale_rows, own, first = every if m == n else (a[:, :m] for a in every)
         pairs = partner_pairs(n, m, rng)
-        pairs += starts  # rows of the stack
+        pairs += first  # rows of the stack
         x_j, x_k = pop.X.take(pairs, axis=0)
-        candidates = local_walk(x, x_j, x_k, problem, params, rng, sc)
+        candidates = local_walk(x, x_j, x_k, problem, params, rng, scale_rows)
         count = min(abandoned, budget - pop.evaluations - m)
         if stop.target_objective is None:
             # nothing but the budget, which stops every trial, can stop one before the
@@ -575,23 +544,21 @@ def cuckoo_search(
         if m == n:
             pop.replace_each(candidates, F, feasible)
         else:
-            pop.replace(sl.ravel(), candidates, F, feasible)
+            pop.replace(own.ravel(), candidates, F, feasible)
         least = pop.record_best()
-        if (least <= target or pop.evaluations >= budget) and not settle(True):
+        if (least <= target or pop.evaluations >= budget) and not settle():
             break
 
         if abandoned:
             if stop.target_objective is not None:
                 # drawn from the streams of the trials left: their next uniforms all the same
-                rows = len(live) * count
-                fresh = _fresh_nests(lower[:rows], width[:rows], count, rng)
+                fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
                 scored = (fresh, *evaluate(problem, fresh, penalty))
             abandon_fraction(pop, *scored)
             least = pop.record_best()
 
-        for t, (trial, previous, (history, evaluations)) in enumerate(zip(trials, previous_best, histories)):
-            history.append(trial.best_objective)
-            evaluations.append(pop.evaluations)
-            stall[t] = 0 if trial.best_objective < previous - STAGNATION_EPS else stall[t] + 1
+        for t, (trial, (_, history, _)) in enumerate(zip(trials, histories)):
+            # history[-1] is the trial's best when the iteration began
+            stall[t] = 0 if trial.best_objective < history[-1] - STAGNATION_EPS else stall[t] + 1
 
     return results[0] if isinstance(seed, Integral) else results

@@ -18,12 +18,21 @@ wall times).  Medians use the lower-median convention: the element at
 index (k - 1) // 2 of the sorted k values, never an average, so every
 reported number is one that actually occurred.
 
+With several workers, each pool task is a run of one cell's consecutive
+trials, and a run of cuckoo trials is one stack (see :mod:`cuckoo.core`):
+its records equal the trials' records alone, but appear together when
+the stack ends, and each trial's wall time is the stack's times its
+share of the stack's evaluations.  Serial runs call one trial at a time,
+so that each record keeps a wall time measured around its own trial.
+
 A trial's record files appear as soon as that trial ends, written by
 the process that ran it under a ``*.tmp`` name and then renamed, so a
 reader never sees a partial file and a crash or interrupt keeps every
 trial that finished (``experiment.yaml`` is written before the first
-trial, so they can be summarized).  A run first deletes the record
-files and the summary an earlier run left in the same output directory.
+trial, so they can be summarized).  If a worker process dies, the
+records written are summarized and the run fails naming the trials
+without one.  A run first deletes the record files and the summary an
+earlier run left in the same output directory.
 """
 
 from __future__ import annotations
@@ -294,47 +303,39 @@ def _execute_trial(task: dict) -> dict:
 
 
 def _execute_stack(tasks: list[dict]) -> list[dict]:
-    """Run consecutive trials of one cuckoo cell as one stack (see :mod:`cuckoo.core`); never raises.
+    """Run trials of one cuckoo cell as one stack (see :mod:`cuckoo.core`); never raises.
 
-    A stacked trial has no wall time of its own: it records the stack's
-    times its share of the stack's evaluations, so that a cell's wall
-    times still add up to the time spent.  If the stack raises, its
-    trials run one at a time, each to the record or error it gets alone.
+    A stacked trial records the stack's wall time times its share of the
+    stack's evaluations, so a cell's wall times still add up to the time
+    spent.  If the stack raises, its trials run one at a time instead.
     """
     started = time.perf_counter()
-    task = tasks[0]
     try:
-        problem = get_problem(task["problem"], task["dimension"])
-        seeds = [t["seed"] for t in tasks]
-        results = cuckoo_search(problem, task["params"], seed=seeds, penalty=task["penalty"])
-        records = [_record(t, result) for t, result in zip(tasks, results)]
-    except Exception:
-        return [_execute_trial(t) for t in tasks]
-    share = (time.perf_counter() - started) / sum(r["evaluations"] for r in records)
+        problem = get_problem(tasks[0]["problem"], tasks[0]["dimension"])
+        seeds = [task["seed"] for task in tasks]
+        results = cuckoo_search(problem, tasks[0]["params"], seed=seeds, penalty=tasks[0]["penalty"])
+        records = [_record(task, result) for task, result in zip(tasks, results)]
+    except Exception:  # each trial then gets the record or the error it gets alone
+        return [_execute_trial(task) for task in tasks]
+    share = (time.perf_counter() - started) / sum(record["evaluations"] for record in records)
     for record in records:
         record["wall_time_seconds"] = share * record["evaluations"]
     return records
 
 
 def _record(task: dict, result=None, error: Optional[str] = None) -> dict:
-    """A trial's record, from its optimizer's result or its error; wall time comes later."""
+    """A trial's record, from its result or its error, without the wall time."""
     record = {key: task[key] for key in ("problem", "dimension", "algorithm", "trial", "seed")}
-    if error is not None:
+    if result is None:
         return {**record, "status": "error", "error": error, "history": [], "history_evaluations": [],
                 "best_objective": None, "best_position": None, "best_feasible": False,
                 "evaluations": 0, "terminated_by": "error"}
-    return {
-        **record,
-        "status": "ok",
-        "error": None,
-        "history": [float(v) for v in result.history],
-        "history_evaluations": [int(e) for e in result.history_evaluations],
-        "best_objective": float(result.best_objective),
-        "best_position": [float(v) for v in result.best_position],
-        "best_feasible": bool(result.best_feasible),
-        "evaluations": int(result.evaluations),
-        "terminated_by": result.terminated_by,
-    }
+    return {**record, "status": "ok", "error": None, "history": [float(v) for v in result.history],
+            "history_evaluations": [int(e) for e in result.history_evaluations],
+            "best_objective": float(result.best_objective),
+            "best_position": [float(v) for v in result.best_position],
+            "best_feasible": bool(result.best_feasible), "evaluations": int(result.evaluations),
+            "terminated_by": result.terminated_by}
 
 
 def _tasks(spec: ExperimentSpec) -> list[dict]:
@@ -381,11 +382,19 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
         for start in range(0, spec.trials, size)
     ]
     if workers > 1:
+        # imported once here, numpy.random is inherited by the forked workers,
+        # each of which would otherwise import it (~20 ms) at its first trial
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 records = [record for done in pool.map(run, chunks, chunksize=1) for record in done]
-            except BrokenProcessPool as exc:
-                raise BrokenProcessPool(_summarize_lost(tasks, out_dir, spec)) from exc
+            except BrokenProcessPool as exc:  # summarize the records written, name the others
+                records = read_records(out_dir) if any(records_dir.glob("*.meta.json")) else []
+                write_summary(summarize(records, spec.stop.target_objective), out_dir / "summary.tsv")
+                lost = sorted({_record_stem(task) for task in tasks} - {_record_stem(r) for r in records})
+                raise BrokenProcessPool(f"a worker process died; {len(lost)} of {len(tasks)} trials"
+                                        f" have no record: {', '.join(lost)}") from exc
     else:
         records = [record for chunk in chunks for record in run(chunk)]
     rows = summarize(records, spec.stop.target_objective)
@@ -393,38 +402,23 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     return rows
 
 
-def _summarize_lost(tasks: list[dict], out_dir: Path, spec: ExperimentSpec) -> str:
-    """Summarize the records a broken pool left; say which trials have none."""
-    records_dir = out_dir / "records"
-    records = read_records(out_dir) if any(records_dir.glob("*.meta.json")) else []
-    write_summary(summarize(records, spec.stop.target_objective), out_dir / "summary.tsv")
-    done = {_record_stem(record) for record in records}
-    lost = [_record_stem(task) for task in tasks if _record_stem(task) not in done]
-    return (f"a worker process died; {len(lost)} of {len(tasks)} trials have no record:"
-            f" {', '.join(lost)}; {out_dir / 'summary.tsv'} covers the other {len(done)}")
-
-
 def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
-    """Run consecutive trials of one cell where they ran, and write each record as it ends.
+    """Run one cell's consecutive trials where they ran, writing each record as it ends.
 
-    Cuckoo trials run as one stack if the stack's largest array, the global
-    walk's (T, 2, n, d) uniforms, stays within 2**16 values, as the uniform
-    stream's blocks do; their records appear when the stack ends.  Other
-    trials run one after another: hill climbing in lockstep was measured
-    slower than alone at a few trials per task.
+    Cuckoo trials run as one stack while its largest array, the global walk's
+    (T, 2, n, d) uniforms, holds at most 2**16 values, like the uniform
+    stream's blocks; their records appear when the stack ends.  Others run
+    one by one: hill climbing in lockstep was measured slower than alone.
     """
     params = tasks[0]["params"]
-    stacked = (
-        len(tasks) > 1
-        and isinstance(params, AlgorithmParams)
-        and len(tasks) * 2 * params.n * tasks[0]["dimension"] <= 1 << 16
+    stacked = isinstance(params, AlgorithmParams) and len(tasks) > 1 and (
+        len(tasks) * 2 * params.n * tasks[0]["dimension"] <= 1 << 16
     )
-    records = _execute_stack(tasks) if stacked else map(_execute_trial, tasks)
-    done = []
-    for record in records:
+    records = []
+    for record in _execute_stack(tasks) if stacked else map(_execute_trial, tasks):
         _write_record(record, records_dir)
-        done.append(record)
-    return done
+        records.append(record)
+    return records
 
 
 def _record_stem(record: dict) -> str:

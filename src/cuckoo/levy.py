@@ -57,11 +57,8 @@ def sample_step_length(cfg: LevyConfig, rng: np.random.Generator, size=None):
 
 
 def _step_lengths(cfg: LevyConfig, u):
-    """The step lengths of uniforms ``u`` on [0, 1), by the rule above, in one new array."""
-    s = 1.0 - u
-    s **= -1.0 / cfg.tail_exponent
-    s *= cfg.min_step
-    return s
+    """The step lengths of uniforms ``u`` on [0, 1), by the rule above."""
+    return cfg.min_step * (1.0 - u) ** (-1.0 / cfg.tail_exponent)
 
 
 def sample_levy_vector(
@@ -73,6 +70,7 @@ def sample_levy_vector(
     ``dim`` sign uniforms (< 0.5 maps to +1).  Components are independent
     and symmetric about zero.  With ``n`` set, returns an (n, dim) block
     of such steps: all n * dim magnitudes, then all signs, row by row.
+    From a stack's stream, which draws for T trials at once, it is (T, n, dim).
     A sign is that of ``_BELOW_HALF - u``: u is a multiple of 2**-53, so
     the difference is never zero and is positive exactly where u < 0.5.
     """
@@ -81,5 +79,4 @@ def sample_levy_vector(
     shape = (2, dim) if n is None else (2, n, dim)
     # a stack's stream puts its trial axis first: (T, 2, n, dim)
     magnitudes, signs = rng.random(shape).swapaxes(0, -len(shape))
-    steps = _step_lengths(cfg, magnitudes)
-    return np.copysign(steps, _BELOW_HALF - signs, out=steps)
+    return np.copysign(_step_lengths(cfg, magnitudes), _BELOW_HALF - signs)

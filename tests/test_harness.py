@@ -319,19 +319,21 @@ class TestStackedTrials:
         assert {r["status"] for r in alone} == {"ok", "error"}
         assert self.without_wall(harness._execute_stack(tasks)) == self.without_wall(alone)
 
-    def test_large_cells_run_alone(self, tmp_path, monkeypatch):
-        # 2 trials * 2 * n * d above 2**16 values: the chunk runs trial by trial
+    def test_large_cells_and_hill_climbing_run_alone(self, tmp_path, monkeypatch):
         def refuse(tasks):
-            raise AssertionError("stacked above the cap")
+            raise AssertionError("stacked")
 
         monkeypatch.setattr(harness, "_execute_stack", refuse)
+        # 2 trials * 2 * n * d above 2**16 values: the chunk runs trial by trial
         params = {"n": 900, "p_a": 0.25}
         tasks = self.tasks({"problems": [{"name": "sphere", "dimension": 20}], "trials": 2,
                             "algorithms": [{"name": "cuckoo", "params": params}],
                             "stop": {"max_evaluations": 2000}}, 2)
-        records = harness._run_and_write(tasks, tmp_path)
+        spec = spec_from_dict({**BASE_SPEC, "output": "unused"})
+        tasks += [t for t in harness._tasks(spec) if t["algorithm"] == "hill_climb"]
+        records = harness._run_and_write(tasks[:2], tmp_path) + harness._run_and_write(tasks[2:], tmp_path)
         assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
-        assert len(list(tmp_path.glob("*.meta.json"))) == 2
+        assert len(list(tmp_path.glob("*.meta.json"))) == 4
 
 
 class TestRunExperiment:
@@ -681,7 +683,7 @@ class TestCli:
         done = {p.name.removesuffix(".meta.json") for p in (out / "records").glob("*.meta.json")}
         lost = {f"sphere__hill_climb__t{trial:03d}" for trial in range(6)} - done
         assert "sphere__hill_climb__t002" in lost and {"sphere__hill_climb__t000"} <= done
-        assert f"{len(lost)} of 6 trials have no record: {', '.join(sorted(lost))};" in err
+        assert err.endswith(f"{len(lost)} of 6 trials have no record: {', '.join(sorted(lost))}\n")
         # the summary covers the trials that have a record
         (row,) = (out / "summary.tsv").read_text().splitlines()[1:]
         assert row.split("\t")[:3] == ["sphere", "hill_climb", str(len(done))]
