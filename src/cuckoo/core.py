@@ -34,17 +34,22 @@ from one per-run stream that draws a few iterations' uniforms at a time:
 the same values, in the same order, as one generator call per group.
 
 Given several seeds, :func:`cuckoo_search` runs their trials as one
-stack: trial t owns rows t*n ... t*n + n - 1 of the arrays, each phase
-scores the candidates of every trial in one :func:`evaluate` call, and
-each trial keeps its own generator and draw order, so it ends exactly as
-it would alone.  A trial that stops leaves the stack, rows and stream.
+stack: trial t owns rows t*n ... t*n + n - 1 of the arrays and entry t
+of the records, each phase scores the candidates of every trial in one
+:func:`evaluate` call, and each trial keeps its own generator and draw
+order, so it ends exactly as it would alone.  A trial that stops leaves
+the stack: its rows, record and generator are dropped.  One seed runs
+the one-trial loop, which the stack's tests take as their reference: a
+stack of one pays for row offsets, per-trial sorts and records and a
+2-D stream, about a tenth of a lone trial's time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -76,26 +81,25 @@ STAGNATION_EPS = 1e-12
 
 @dataclass
 class Population:
-    """Mutable optimizer state of one trial, or of a stack of trials run in step.
+    """Mutable optimizer state.
 
     Row i of X is nest i, with penalized objective F[i] and feasibility
     flag feasible[i].  The best_* fields record the best point ever
-    evaluated, as a copy the population's later moves cannot touch (none
-    yet: None, inf, False); evaluations counts every evaluation so far.
-    A stack of T trials of n nests holds trial t's nests in rows t*n ...
-    t*n + n - 1 and counts the evaluations of one trial, as all spend
-    alike; ``trials`` has a Population per trial over views of its rows,
-    which keeps that trial's record (the stack keeps none of its own).
+    evaluated, as a copy the population's later moves cannot touch;
+    evaluations counts every evaluation so far.  A stack of T trials
+    (see :func:`cuckoo_search`) holds trial t's n nests in rows t*n ...
+    t*n + n - 1 and its record in row t of a (T, d) best_position and
+    entry t of (T,) best_objective and best_feasible arrays; it counts
+    the evaluations of one trial, as all spend alike.
     """
 
     X: np.ndarray
     F: np.ndarray
     feasible: np.ndarray
-    best_position: Optional[np.ndarray] = None
-    best_objective: float = math.inf
-    best_feasible: bool = False
-    evaluations: int = 0
-    trials: list[Population] = field(default_factory=list)
+    best_position: np.ndarray
+    best_objective: float | np.ndarray
+    best_feasible: bool | np.ndarray
+    evaluations: int
 
     def replace(
         self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
@@ -110,32 +114,24 @@ class Population:
         self.F[slots] = F[better]
         self.feasible[slots] = feasible[better]
 
-    def replace_each(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
-        """Every slot i takes candidate i where strictly better; ties keep the incumbent."""
-        better = F < self.F
-        np.copyto(self.X, X, where=better[:, None])
-        np.copyto(self.F, F, where=better)
-        np.copyto(self.feasible, feasible, where=better)
+    def replace_prefix(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
+        """Slot c < len(F) takes candidate c where strictly better; ties keep the incumbent."""
+        m = len(F)
+        better = F < self.F[:m]
+        np.copyto(self.X[:m], X, where=better[:, None])
+        np.copyto(self.F[:m], F, where=better)
+        np.copyto(self.feasible[:m], feasible, where=better)
 
-    def record_best(self) -> float:
-        """Copy each trial's best nest (first on ties) into its record if better; return the least record."""
-        least = math.inf
-        for trial in self.trials or (self,):
-            i = int(trial.F.argmin())
-            if trial.F[i] < trial.best_objective:
-                trial.best_position, trial.best_objective = trial.X[i].copy(), float(trial.F[i])
-                trial.best_feasible = bool(trial.feasible[i])
-            least = min(least, trial.best_objective)
-        return least
+    def record_best(self) -> None:
+        """Copy the best nest (first on ties) into the record if it improves on it.
 
-    def keep(self, kept) -> None:
-        """Keep the stack's trials ``kept`` (ascending indices): their rows, records and views."""
-        n = len(self.F) // len(self.trials)
-        rows = np.add.outer(np.multiply(kept, n), np.arange(n)).ravel()
-        self.X, self.F, self.feasible = self.X[rows], self.F[rows], self.feasible[rows]
-        self.trials = [self.trials[t] for t in kept]
-        for start, trial in zip(range(0, len(self.F), n), self.trials):
-            trial.X, trial.F, trial.feasible = (a[start : start + n] for a in (self.X, self.F, self.feasible))
+        For one trial; :func:`cuckoo_search` keeps a stack's records.
+        """
+        i = int(self.F.argmin())
+        if self.F[i] < self.best_objective:
+            self.best_position = self.X[i].copy()
+            self.best_objective = float(self.F[i])
+            self.best_feasible = bool(self.feasible[i])
 
 
 @dataclass(frozen=True)
@@ -243,17 +239,15 @@ def initialize(
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
     The best-so-far record starts as a copy of the best initial nest
-    (first one on ties).  From a stack's stream (see :func:`cuckoo_search`)
-    of more than one generator it returns a stack, one trial per generator.
+    (first one on ties).  :func:`cuckoo_search` starts each trial of a
+    stack the same way.
     """
     X = _fresh_nests(problem.lower, problem.width, params.n, rng)
     F, feasible = evaluate(problem, X, penalty)
-    pop = Population(X, F, feasible, evaluations=params.n)
-    if len(F) > params.n:
-        pop.trials = [Population(X, F, feasible) for _ in range(len(F) // params.n)]
-        pop.keep(range(len(pop.trials)))
-    pop.record_best()
-    return pop
+    best = int(np.argmin(F))
+    return Population(
+        X, F, feasible, X[best].copy(), float(F[best]), bool(feasible[best]), params.n
+    )
 
 
 def global_walk(
@@ -324,19 +318,6 @@ def _partner_range(n: int) -> np.ndarray:
     return scale
 
 
-@functools.cache
-def _worst_places(T: int, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trial of each of a stack's T * n rows, and the places of each trial's last ``count``.
-
-    Read-only, as every call with these arguments gets the same arrays.
-    """
-    trial_of_row = np.repeat(np.arange(T), n)
-    worst = (np.arange(0, T * n, n)[:, None] + np.arange(n - count, n)).ravel()
-    for places in (trial_of_row, worst):
-        places.setflags(write=False)
-    return trial_of_row, worst
-
-
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform ordered pairs (j, k) with j != k from range(n), as one (2, m) array.
 
@@ -358,9 +339,10 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     index.  Returns the winning candidates' indices, in slot order.
     """
     order = np.lexsort((values, targets))  # by slot, then value; stable
-    slots = targets[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = slots[1:] != slots[:-1]
+    slots = targets.take(order)
+    first = np.empty(len(order), dtype=bool)  # the first bid of each slot in that order
+    first[:1] = True
+    np.not_equal(slots[1:], slots[:-1], out=first[1:])
     return order[first]
 
 
@@ -374,7 +356,27 @@ def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.nd
 
 
 class _UniformStream:
-    """``random(size)`` gives what ``rng.random(size)`` would for each generator, as (T, *size).
+    """``random(size)`` gives what ``rng.random(size)`` would, drawn ``block`` (or more) at a time."""
+
+    def __init__(self, rng: np.random.Generator, block: int) -> None:
+        self._rng = rng
+        self._block = block
+        self._buffer = np.empty(0)
+        self._next = 0
+
+    def random(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        start, self._next = self._next, self._next + count
+        if self._next <= len(self._buffer):
+            return self._buffer[start : self._next].reshape(size)
+        rest = self._buffer[start:]
+        self._buffer = self._rng.random(max(self._block, count))
+        self._next = count - len(rest)
+        return np.concatenate((rest, self._buffer[: self._next])).reshape(size)
+
+
+class _StackedStream:
+    """``random(size)`` gives what ``rng.random(size)`` would for each of T generators, as (T, *size).
 
     Each generator draws ``block`` (or more) uniforms at a time, into one
     row of a (T, block) buffer that all rows read at the same place.
@@ -400,9 +402,9 @@ class _UniformStream:
             u = np.concatenate((rest, self._buffer[:, : self._next]), axis=1)
         return u.reshape(len(u), *size) if isinstance(size, tuple) else u
 
-    def keep(self, kept: list[int]) -> None:
-        """Keep the generators ``kept`` (ascending indices) and drop the rest."""
-        self._rngs = [self._rngs[t] for t in kept]
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep the generators where the boolean mask ``kept`` is set, and drop the rest."""
+        self._rngs = list(compress(self._rngs, kept))
         self._buffer = self._buffer[kept]
 
 
@@ -414,16 +416,12 @@ def abandon_fraction(
     Row r goes to the r-th least bad of those slots, so the last row
     replaces the worst nest; ties on the objective are broken by slot
     order (stable sort).  :func:`cuckoo_search` passes ceil(p_a * n)
-    rows, or the evaluations left in its budget if fewer.  In a stack of
-    T trials, rows t*count ... t*count + count - 1 replace the worst of
-    trial t.  The best-so-far record is not consulted or modified here;
-    evaluations grow by the replacement count.  Mutates and returns ``pop``.
+    rows, or the evaluations left in its budget if fewer.  The
+    best-so-far record is not consulted or modified here; evaluations
+    grow by the replacement count.  Mutates and returns ``pop``.
     """
-    T = len(pop.trials) or 1
-    n, count = len(pop.F) // T, len(F) // T
-    trial_of_row, worst = _worst_places(T, n, count)
-    # the rows by trial, then objective (stable); each trial's last ``count`` of them
-    slots = np.lexsort((pop.F, trial_of_row)).take(worst)
+    n, count = len(pop.F), len(F)
+    slots = pop.F.argsort(kind="stable")[n - count :]
     pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
     pop.evaluations += count
     return pop
@@ -432,7 +430,7 @@ def abandon_fraction(
 def cuckoo_search(
     problem: Problem,
     params: AlgorithmParams = AlgorithmParams(),
-    seed: int | Sequence[int] = 0,
+    seed: Optional[int] | Sequence[Optional[int]] = 0,
     penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> RunResult | list[RunResult]:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
@@ -447,118 +445,215 @@ def cuckoo_search(
     scored.  The same seed always reproduces the same result bit for bit.
 
     Given a sequence of seeds, runs one trial per seed as one stack (see
-    the module docstring) and returns their results in seed order; each
-    equals what that seed alone returns.  An error in any trial stops
-    the whole stack.
+    the module docstring) and returns their results in seed order, each
+    what that seed alone returns; an empty sequence returns an empty
+    list.  An error in any trial stops the whole stack.
     """
-    seeds = [seed] if isinstance(seed, Integral) else list(seed)
-    n, d = params.n, problem.dimension
+    if not (seed is None or isinstance(seed, Integral)):
+        try:
+            seeds = list(seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer or a sequence of integers, got {seed!r}") from None
+        return _stacked_search(problem, params, seeds, penalty) if seeds else []
+    n = params.n
     # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
     # 2**16: a larger request is drawn whole, so a large run holds about what it asks for
-    block = min(16 * n * (d + 1), 1 << 16)
-    rng = _UniformStream([np.random.default_rng(s) for s in seeds], block)
-    # (T * n, d) rows, so that the steps and the fresh nests combine operands of one
-    # shape; the rows are identical, so any T * count of them serve T trials' count nests
+    block = min(16 * n * (problem.dimension + 1), 1 << 16)
+    rng = _UniformStream(np.random.default_rng(seed), block)
+    # (n, d) rows, so that the steps and the fresh nests combine operands of one shape
     rows = (step_scale(problem, params), problem.lower, problem.width)
-    scale, lower, width = np.repeat(np.stack(rows)[:, None], len(seeds) * n, axis=1)
-    slots = np.arange(len(seeds) * n).reshape(-1, n)  # row t * n + i is slot i of trial t
-    per_trial = (scale.reshape(-1, n, d), slots, np.repeat(slots[:, :1], n, axis=1))
+    scale, lower, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
+    stop = params.stop
+    budget = stop.max_evaluations
+    slots = np.arange(n)
+    abandoned = abandonment_count(params.p_a, n)
+
+    pop = initialize(problem, params, rng, penalty)
+    history = [pop.best_objective]
+    history_evaluations = [pop.evaluations]
+    # between phases stall is the last iteration's count, which is below any window
+    stall = 0
+    reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+
+    while reason is None:
+        previous_best = pop.best_objective
+
+        m = min(n, budget - pop.evaluations)
+        candidates = global_walk(pop.X[:m], problem, params, rng, scale[:m])
+        F, feasible = evaluate(problem, candidates, penalty)
+        pop.evaluations += m
+        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
+        won = winning_bids(targets, F)
+        pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        pop.record_best()
+        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+
+        if reason is None:
+            m = min(n, budget - pop.evaluations)
+            j, k = partner_pairs(n, m, rng)
+            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale[:m])
+            # the abandonment's nests are next in the stream
+            count = min(abandoned, budget - pop.evaluations - m)
+            fresh = _fresh_nests(lower[:count], width[:count], count, rng)
+            if stop.target_objective is None:
+                # nothing but the budget can stop the run before the abandonment: score them now
+                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
+                scored, F, feasible = (fresh, F[m:], feasible[m:]), F[:m], feasible[:m]
+            else:
+                F, feasible = evaluate(problem, candidates, penalty)
+            pop.evaluations += m
+            pop.replace_prefix(candidates, F, feasible)
+            pop.record_best()
+            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+
+        if reason is None and abandoned:
+            if stop.target_objective is not None:
+                scored = (fresh, *evaluate(problem, fresh, penalty))
+            abandon_fraction(pop, *scored)
+            pop.record_best()
+
+        history.append(pop.best_objective)
+        history_evaluations.append(pop.evaluations)
+        if pop.best_objective < previous_best - STAGNATION_EPS:
+            stall = 0
+        else:
+            stall += 1
+        if reason is None:
+            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+
+    return RunResult(
+        best_position=pop.best_position.copy(),
+        best_objective=pop.best_objective,
+        best_feasible=pop.best_feasible,
+        history=history,
+        history_evaluations=history_evaluations,
+        evaluations=pop.evaluations,
+        seed=seed,
+        terminated_by=reason,
+    )
+
+
+def _stacked_search(
+    problem: Problem, params: AlgorithmParams, seeds: list, penalty: PenaltyConfig
+) -> list[RunResult]:
+    """:func:`cuckoo_search` for several seeds, run as one stack (see the module docstring).
+
+    The phases and their draws are those of :func:`cuckoo_search`, per
+    trial; the stack's records are (T,) and (T, d) arrays, and a trial
+    that stops after a phase leaves the stack before the next.
+    """
+    T, n, d = len(seeds), params.n, problem.dimension
+    block = min(16 * n * (d + 1), 1 << 16)
+    rng = _StackedStream([np.random.default_rng(s) for s in seeds], block)
+    # (T * n, d) rows, as in cuckoo_search; the rows are identical, so any T * count
+    # of them serve T trials' count nests
+    rows = (step_scale(problem, params), problem.lower, problem.width)
+    scale, lower, width = np.repeat(np.stack(rows)[:, None], T * n, axis=1)
+    slots = np.arange(T * n).reshape(T, n)  # row t * n + i is slot i of trial t
     stop = params.stop
     budget = stop.max_evaluations
     target = -math.inf if stop.target_objective is None else stop.target_objective
     window = math.inf if stop.stagnation_window is None else stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
 
-    pop = initialize(problem, params, rng, penalty)
-    trials = pop.trials or [pop]
-    T = len(trials)
-    # each trial's nests, step scale rows, slot rows and rows of slot 0, all proposing
-    every = (pop.X.reshape(T, n, d), *per_trial)
-    # per trial left in the stack: its seed's index, history and evaluation counts
-    histories = [(index, [], []) for index in range(T)]  # filled as each iteration ends
-    # between phases stall is the last iteration's count, which is below any window
-    stall = [0] * T
-    least = pop.record_best()  # the least record: a cheap test before settle
-    results: list[Optional[RunResult]] = [None] * T
+    X = _fresh_nests(lower, width, n, rng)
+    records = (np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool))
+    pop = Population(X, *evaluate(problem, X, penalty), *records, n)
+    # per trial left in the stack: its seed's index and its stall count, which
+    # between phases is the last iteration's, below any window
+    ids, stall = np.arange(T), np.zeros(T, dtype=np.intp)
+    history = [[] for _ in seeds]  # each seed's records at its iterations' starts ...
+    pending = []  # ... but those since the stack last changed: a (T,) row per iteration
+    spent = []  # the evaluations at each iteration's start, the same for every trial
+    results = [None] * T
 
-    def settle() -> bool:
-        """Finish the trials that stop now and drop them from the stack; False once none is left."""
-        nonlocal trials, histories, stall, least, T, every
-        reasons = [stop.reason(t.best_objective, pop.evaluations, s) for t, s in zip(trials, stall)]
-        if not any(reasons):
-            return True
-        for trial, (index, history, evaluations), reason in zip(trials, histories, reasons):
-            if reason is not None:
-                history.append(trial.best_objective)
-                evaluations.append(pop.evaluations)
-                results[index] = RunResult(trial.best_position.copy(), trial.best_objective,
-                                           trial.best_feasible, history, evaluations,
-                                           pop.evaluations, seeds[index], reason)
-        kept = [k for k, reason in enumerate(reasons) if reason is None]
-        if kept:
-            pop.keep(kept)
+    def record() -> bool:
+        """Copy each trial's best nest (first on ties) into its record where strictly better.
+
+        Returns whether a trial stops now, on its target or the budget.
+        """
+        best = pop.F.reshape(T, n).argmin(axis=1)
+        best += slots[:T, 0]
+        F = pop.F[best]
+        better = F < pop.best_objective
+        best = best[better]
+        pop.best_objective[better] = F[better]
+        pop.best_position[better] = pop.X[best]
+        pop.best_feasible[better] = pop.feasible[best]
+        return pop.evaluations >= budget or pop.best_objective.min() <= target
+
+    start = pop.best_objective  # each trial's record when its iteration began
+    phase, stopping = 0, record()
+    while True:
+        if stopping:  # finish the trials that stop now and take them out of the stack
+            done = (pop.best_objective <= target) | (stall >= window) | (pop.evaluations >= budget)
+            for t, column in zip(ids.tolist(), np.reshape(pending, (-1, T)).T.tolist()):
+                history[t] += column
+            pending = []
+            for k in np.flatnonzero(done).tolist():
+                t, best = ids[k], float(pop.best_objective[k])
+                reason = stop.reason(best, pop.evaluations, int(stall[k]))
+                results[t] = RunResult(pop.best_position[k].copy(), best, bool(pop.best_feasible[k]),
+                                       history[t] + [best], spent + [pop.evaluations], pop.evaluations,
+                                       seeds[t], reason)
+            kept = ~done
+            ids, stall, start = ids[kept], stall[kept], start[kept]
+            T = len(ids)
+            if not T:
+                return results
             rng.keep(kept)
-            histories, stall = [histories[k] for k in kept], [stall[k] for k in kept]
-            trials, least, T = pop.trials, pop.record_best(), len(kept)
-            every = (pop.X.reshape(T, n, d), *(a[:T] for a in per_trial))
-        return bool(kept)
+            rows = np.repeat(kept, n)
+            pop.X, pop.F, pop.feasible = pop.X[rows], pop.F[rows], pop.feasible[rows]
+            records = (pop.best_position, pop.best_objective, pop.best_feasible)
+            pop.best_position, pop.best_objective, pop.best_feasible = (a[kept] for a in records)
 
-    while (least > target and pop.evaluations < budget and max(stall) < window) or settle():
-        for trial, (_, history, evaluations) in zip(trials, histories):
-            history.append(trial.best_objective)
-            evaluations.append(pop.evaluations)
-        m = min(n, budget - pop.evaluations)
-        # the budget's last phase: only the first m nests of each trial propose
-        x, scale_rows, own, first = every if m == n else (a[:, :m] for a in every)
-        candidates = global_walk(x, problem, params, rng, scale_rows)
-        F, feasible = evaluate(problem, candidates, penalty)
-        pop.evaluations += m
-        if params.compare_to == "random":
-            targets = (rng.random(m) * n).astype(np.intp)
-            targets += first  # rows of the stack
-        else:
-            targets = own
-        targets = targets.ravel()
-        won = winning_bids(targets, F)
-        pop.replace(targets[won], candidates[won], F[won], feasible[won])
-        least = pop.record_best()
-        if (least <= target or pop.evaluations >= budget) and not settle():
-            break
-
-        m = min(n, budget - pop.evaluations)
-        x, scale_rows, own, first = every if m == n else (a[:, :m] for a in every)
-        pairs = partner_pairs(n, m, rng)
-        pairs += first  # rows of the stack
-        x_j, x_k = pop.X.take(pairs, axis=0)
-        candidates = local_walk(x, x_j, x_k, problem, params, rng, scale_rows)
-        count = min(abandoned, budget - pop.evaluations - m)
-        if stop.target_objective is None:
-            # nothing but the budget, which stops every trial, can stop one before the
-            # abandonment: its nests, next in the stream, are scored now
-            fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
-            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-            scored, F, feasible = (fresh, F[T * m :], feasible[T * m :]), F[: T * m], feasible[: T * m]
-        else:
+        if phase == 0:
+            start = pop.best_objective.copy()
+            pending.append(start)
+            spent.append(pop.evaluations)
+            m = min(n, budget - pop.evaluations)
+            # the budget's last phase: only the first m nests of each trial propose
+            x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
+            candidates = global_walk(x, problem, params, rng, scale_rows)
             F, feasible = evaluate(problem, candidates, penalty)
-        pop.evaluations += m
-        if m == n:
-            pop.replace_each(candidates, F, feasible)
-        else:
-            pop.replace(own.ravel(), candidates, F, feasible)
-        least = pop.record_best()
-        if (least <= target or pop.evaluations >= budget) and not settle():
-            break
-
-        if abandoned:
+            pop.evaluations += m
+            if params.compare_to == "random":
+                targets = (rng.random(m) * n).astype(np.intp)
+                targets += slots[:T, :1]  # rows of the stack
+            else:
+                targets = slots[:T, :m]
+            targets = targets.ravel()
+            won = winning_bids(targets, F)
+            pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        elif phase == 1:
+            m = min(n, budget - pop.evaluations)
+            x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
+            pairs = partner_pairs(n, m, rng)
+            pairs += slots[:T, :1]  # rows of the stack
+            x_j, x_k = pop.X.take(pairs, axis=0)
+            candidates = local_walk(x, x_j, x_k, problem, params, rng, scale_rows)
+            count = min(abandoned, budget - pop.evaluations - m)
+            if stop.target_objective is None:
+                # nothing but the budget, which stops every trial, can stop one before the
+                # abandonment: its nests, next in the stream, are scored now
+                fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
+                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
+                scored, F, feasible = (fresh, F[T * m :], feasible[T * m :]), F[: T * m], feasible[: T * m]
+            else:
+                F, feasible = evaluate(problem, candidates, penalty)
+            pop.evaluations += m
+            pop.replace(slots[:T, :m].ravel(), candidates, F, feasible)
+        elif abandoned:
             if stop.target_objective is not None:
                 # drawn from the streams of the trials left: their next uniforms all the same
                 fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
                 scored = (fresh, *evaluate(problem, fresh, penalty))
-            abandon_fraction(pop, *scored)
-            least = pop.record_best()
-
-        for t, (trial, (_, history, _)) in enumerate(zip(trials, histories)):
-            # history[-1] is the trial's best when the iteration began
-            stall[t] = 0 if trial.best_objective < history[-1] - STAGNATION_EPS else stall[t] + 1
-
-    return results[0] if isinstance(seed, Integral) else results
+            # as abandon_fraction, per trial: its last ``count`` rows by objective (stable sort)
+            worst = pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + slots[:T, :1]
+            pop.X[worst.ravel()], pop.F[worst.ravel()], pop.feasible[worst.ravel()] = scored
+            pop.evaluations += count
+        stopping = record()
+        if phase == 2 and stop.stagnation_window is not None:
+            stall = np.where(pop.best_objective < start - STAGNATION_EPS, 0, stall + 1)
+            stopping = stopping or stall.max() >= window
+        phase = (phase + 1) % 3

@@ -305,21 +305,25 @@ def _execute_trial(task: dict) -> dict:
 def _execute_stack(tasks: list[dict]) -> list[dict]:
     """Run trials of one cuckoo cell as one stack (see :mod:`cuckoo.core`); never raises.
 
-    A stacked trial records the stack's wall time times its share of the
-    stack's evaluations, so a cell's wall times still add up to the time
-    spent.  If the stack raises, its trials run one at a time instead.
+    Each trial adds to its wall time the stack's times its share of the
+    stack's evaluations (equal shares if none has any), so a cell's wall
+    times add up to the time spent.  If the stack raises, its trials run
+    one at a time instead, and each adds its share of the failed stack's
+    time to the wall time of its own run.
     """
     started = time.perf_counter()
     try:
         problem = get_problem(tasks[0]["problem"], tasks[0]["dimension"])
         seeds = [task["seed"] for task in tasks]
         results = cuckoo_search(problem, tasks[0]["params"], seed=seeds, penalty=tasks[0]["penalty"])
-        records = [_record(task, result) for task, result in zip(tasks, results)]
+        records = [dict(_record(task, result), wall_time_seconds=0.0) for task, result in zip(tasks, results)]
+        elapsed = time.perf_counter() - started
     except Exception:  # each trial then gets the record or the error it gets alone
-        return [_execute_trial(task) for task in tasks]
-    share = (time.perf_counter() - started) / sum(record["evaluations"] for record in records)
+        elapsed = time.perf_counter() - started
+        records = [_execute_trial(task) for task in tasks]
+    spent = sum(record["evaluations"] for record in records)
     for record in records:
-        record["wall_time_seconds"] = share * record["evaluations"]
+        record["wall_time_seconds"] += elapsed * (record["evaluations"] / spent if spent else 1 / len(records))
     return records
 
 

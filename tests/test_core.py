@@ -327,22 +327,39 @@ class TestUniformStream:
             max_size=12,
         ),
         seed=st.integers(0, 2**32 - 1),
+    )
+    # sizes 0, inside a block, across a block boundary, larger than a block
+    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_serves_what_the_generator_draws(self, block, sizes, seed):
+        stream = core._UniformStream(np.random.default_rng(seed), block)
+        rng = np.random.default_rng(seed)
+        for size in sizes:
+            got, want = stream.random(size), rng.random(size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(
+        block=st.integers(1, 40),
+        sizes=st.lists(
+            st.one_of(st.integers(0, 90), st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple)),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
         trials=st.integers(1, 3),
         drop=st.integers(0, 12),
     )
-    # sizes 0, inside a block, across a block boundary, larger than a block
-    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=1, drop=12)
     @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=3, drop=3)
     @settings(max_examples=200, deadline=None)
-    def test_serves_what_the_generator_draws(self, block, sizes, seed, trials, drop):
+    def test_stacked_stream_serves_each_generator(self, block, sizes, seed, trials, drop):
         # row t of every request is what generator t alone draws; after the
         # first trial leaves at request ``drop``, the others read on unchanged
         seeds = [seed + t for t in range(trials)]
-        stream = core._UniformStream([np.random.default_rng(s) for s in seeds], block)
+        stream = core._StackedStream([np.random.default_rng(s) for s in seeds], block)
         rngs = [np.random.default_rng(s) for s in seeds]
         for i, size in enumerate(sizes):
             if i == drop and len(rngs) > 1:
-                stream.keep(list(range(1, len(rngs))))
+                stream.keep(np.arange(len(rngs)) > 0)
                 rngs = rngs[1:]
             got = stream.random(size)
             assert got.shape == (len(rngs),) + (size if isinstance(size, tuple) else (size,))
@@ -725,3 +742,9 @@ class TestStack:
         one = cuckoo_search(problem, params, seed=np.int64(3))
         assert isinstance(one, core.RunResult) and one.seed == 3
         assert [outcome(r) for r in cuckoo_search(problem, params, seed=[3])] == [outcome(one)]
+        assert cuckoo_search(problem, params, seed=[]) == []
+        # None draws fresh entropy, as numpy's default_rng(None) does
+        fresh = cuckoo_search(problem, params, seed=None)
+        assert isinstance(fresh, core.RunResult) and fresh.seed is None and fresh.evaluations == 200
+        with pytest.raises(TypeError, match="seed must be an integer or a sequence of integers"):
+            cuckoo_search(problem, params, seed=2.5)

@@ -330,6 +330,25 @@ class TestStackedTrials:
             alone = [_execute_trial(t) for t in tasks]
             assert self.without_wall(harness._execute_stack(tasks)) == self.without_wall(alone)
 
+    def test_a_failed_stack_counts_its_time(self, monkeypatch):
+        tasks = self.tasks({"stop": {"max_evaluations": 300}}, 2)
+        alone = [_execute_trial(t) for t in tasks]
+        real = harness.cuckoo_search
+
+        def failing_stack(problem, params, seed, penalty):
+            if isinstance(seed, list):
+                time.sleep(0.05)
+                raise RuntimeError("stack")
+            return real(problem, params, seed=seed, penalty=penalty)
+
+        monkeypatch.setattr(harness, "cuckoo_search", failing_stack)
+        started = time.perf_counter()
+        records = harness._execute_stack(tasks)
+        wall = time.perf_counter() - started
+        assert self.without_wall(records) == self.without_wall(alone)
+        # the reruns' wall times include their shares of the failed stack's
+        assert 0.05 <= sum(r["wall_time_seconds"] for r in records) <= wall
+
     def test_large_cells_and_hill_climbing_run_alone(self, tmp_path, monkeypatch):
         def refuse(tasks):
             raise AssertionError("stacked")
