@@ -39,9 +39,9 @@ of the records, each phase scores the candidates of every trial in one
 :func:`evaluate` call, and each trial keeps its own generator and draw
 order, so it ends exactly as it would alone.  A trial that stops leaves
 the stack: its rows, record and generator are dropped.  One seed runs
-the one-trial loop, which the stack's tests take as their reference: a
-stack of one pays for row offsets, per-trial sorts and records and a
-2-D stream, about a tenth of a lone trial's time.
+the one-trial loop, which the stack's tests take as their reference:
+run as a stack of one, a trial measured about a tenth slower, the cost
+of row offsets, per-trial sorts and records and a two-dimensional stream.
 """
 
 from __future__ import annotations
