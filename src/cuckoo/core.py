@@ -310,14 +310,6 @@ def local_walk(
     return np.minimum(candidate, problem.upper, out=candidate)
 
 
-@functools.cache
-def _partner_range(n: int) -> np.ndarray:
-    """[[n], [n - 1]] as floats; read-only, as every call gets the same array."""
-    scale = np.array([[n], [n - 1]], dtype=float)
-    scale.setflags(write=False)
-    return scale
-
-
 def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform ordered pairs (j, k) with j != k from range(n), as one (2, m) array.
 
@@ -325,7 +317,7 @@ def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
     From a stack's stream the array is (2, T, m), one row per trial.
     """
-    pairs = (rng.random((2, m)) * _partner_range(n)).astype(np.intp).swapaxes(0, -2)
+    pairs = (rng.random((2, m)) * [[n], [n - 1]]).astype(np.intp).swapaxes(0, -2)
     j, k = pairs
     k += k >= j
     return pairs
@@ -339,10 +331,9 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     index.  Returns the winning candidates' indices, in slot order.
     """
     order = np.lexsort((values, targets))  # by slot, then value; stable
-    slots = targets.take(order)
-    first = np.empty(len(order), dtype=bool)  # the first bid of each slot in that order
-    first[:1] = True
-    np.not_equal(slots[1:], slots[:-1], out=first[1:])
+    slots = targets[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = slots[1:] != slots[:-1]
     return order[first]
 
 
