@@ -14,13 +14,15 @@ phases per iteration, in this order:
 The state is arrays: positions ``X`` (n, d), penalized objectives ``F``
 (n,) and feasibility flags (n,).  Each phase is synchronous: every
 candidate is proposed from the population as it stood when the phase
-began, all of them are scored by one batch :func:`evaluate` call, and
-then each slot keeps the better of its nest and the best candidate that
-targets it (without a target, the local walk and the abandonment share
-one call: see :func:`cuckoo_search`).  A phase that would pass the
-evaluation budget proposes only as many candidates as there are
-evaluations left, so a run spends exactly ``max_evaluations`` (the
-initial population is always evaluated whole).
+began, and then each slot keeps the better of its nest and the best
+candidate that targets it.  An iteration makes two batch :func:`evaluate`
+calls, one for the global walk and one for the local walk and the
+abandonment together.  The stop rule is checked once per iteration, at
+its end, as in Yang and Deb's pseudo-code.  Inside an iteration only the
+budget acts: the phase that reaches it proposes one candidate per
+evaluation left, and a phase with none left is skipped, so a run spends
+exactly ``max_evaluations`` (the initial population is always evaluated
+whole).
 
 The best solution ever evaluated is tracked separately and can only
 improve (the abandonment step never touches it).  All randomness flows
@@ -35,13 +37,15 @@ the same values, in the same order, as one generator call per group.
 
 Given several seeds, :func:`cuckoo_search` runs their trials as one
 stack: trial t owns rows t*n ... t*n + n - 1 of the arrays and entry t
-of the records, each phase scores the candidates of every trial in one
-:func:`evaluate` call, and each trial keeps its own generator and draw
-order, so it ends exactly as it would alone.  A trial that stops leaves
-the stack: its rows, record and generator are dropped.  One seed runs
-the one-trial loop, which the stack's tests take as their reference:
-run as a stack of one, a trial measured about a tenth slower, the cost
-of row offsets, per-trial sorts and records and a two-dimensional stream.
+of the records, each :func:`evaluate` call scores the candidates of
+every trial, and each trial keeps its own generator and draw order, so
+it ends exactly as it would alone.  The budget, which all trials spend
+alike, cuts the same phase of each; at the end of an iteration, a trial
+for which :meth:`StopCriterion.reason` names a reason leaves the stack:
+its rows, record and generator are dropped.  One seed runs the one-trial
+loop, which the stack's tests take as their reference: a stack of one
+runs at 0.7-0.85x its speed, the cost of row offsets, per-trial sorts,
+records and stop checks and a two-dimensional stream.
 """
 
 from __future__ import annotations
@@ -50,15 +54,15 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .levy import LevyConfig, sample_levy_vector
-from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, check_number, evaluate
+from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, _is_number, check_number, evaluate
 
 __all__ = [
+    "MAX_BLOCK",
     "STAGNATION_EPS",
     "AlgorithmParams",
     "Population",
@@ -77,6 +81,8 @@ __all__ = [
 
 # an objective improvement at or below this is treated as stagnation
 STAGNATION_EPS = 1e-12
+# the most uniforms a run's stream draws at once, unless one request asks for more
+MAX_BLOCK = 1 << 16
 
 
 @dataclass
@@ -143,6 +149,7 @@ class StopCriterion:
     reaches it short).  target_objective stops when the best penalized
     objective is <= the target.  stagnation_window stops after that many
     consecutive iterations without a best improvement above 1e-12.
+    Cuckoo search asks :meth:`reason` only at the end of an iteration.
     """
 
     max_evaluations: int
@@ -426,30 +433,32 @@ def cuckoo_search(
 ) -> RunResult | list[RunResult]:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
 
-    Target and budget are checked after every phase, so a final
-    iteration may be cut short; it still contributes exactly one history
-    entry.  Only the first nests propose in a phase that would pass the
-    budget, one per evaluation left.  Without a target nothing but the
-    budget can stop a run before the abandonment, so its fresh nests,
-    next in the stream anyway, share the local walk's :func:`evaluate`
-    call; with one, each phase has its own, so no uncounted point is
-    scored.  The same seed always reproduces the same result bit for bit.
+    The stop rule is checked after initialization and at the end of each
+    iteration, which adds one history entry; inside an iteration only the
+    budget acts (see the module docstring), and every point scored is
+    counted.  The same seed always reproduces the same result bit for bit.
 
-    Given a sequence of seeds, runs one trial per seed as one stack (see
-    the module docstring) and returns their results in seed order, each
-    what that seed alone returns; an empty sequence returns an empty
-    list.  An error in any trial stops the whole stack.
+    ``seed`` is an integer (not a bool) or None, which draws fresh entropy
+    as ``numpy.random.default_rng(None)`` does.  Given a sequence of them,
+    runs one trial per seed as one stack (see the module docstring) and
+    returns their results in seed order, each what that seed alone
+    returns; an empty sequence returns an empty list.  Every seed is
+    checked before any trial runs: anything else raises a TypeError.  An
+    error in any trial stops the whole stack.
     """
-    if not (seed is None or isinstance(seed, Integral)):
+    if not (seed is None or _is_number(seed, integer=True)):
         try:
             seeds = list(seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer or a sequence of integers, got {seed!r}") from None
+        except TypeError:  # not a sequence: reported as itself
+            seeds = [seed]
+        if not all(s is None or _is_number(s, integer=True) for s in seeds):
+            raise TypeError(f"seed must be an integer or a sequence of integers (None allowed,"
+                            f" bools not), got {seed!r}")
         return _stacked_search(problem, params, seeds, penalty) if seeds else []
     n = params.n
     # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
-    # 2**16: a larger request is drawn whole, so a large run holds about what it asks for
-    block = min(16 * n * (problem.dimension + 1), 1 << 16)
+    # MAX_BLOCK: a larger request is drawn whole, so a large run holds about what it asks for
+    block = min(16 * n * (problem.dimension + 1), MAX_BLOCK)
     rng = _UniformStream(np.random.default_rng(seed), block)
     # (n, d) rows, so that the steps and the fresh nests combine operands of one shape
     rows = (step_scale(problem, params), problem.lower, problem.width)
@@ -462,7 +471,6 @@ def cuckoo_search(
     pop = initialize(problem, params, rng, penalty)
     history = [pop.best_objective]
     history_evaluations = [pop.evaluations]
-    # between phases stall is the last iteration's count, which is below any window
     stall = 0
     reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
@@ -477,31 +485,21 @@ def cuckoo_search(
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
         pop.record_best()
-        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
-        if reason is None:
-            m = min(n, budget - pop.evaluations)
+        m = min(n, budget - pop.evaluations)
+        if m:
             j, k = partner_pairs(n, m, rng)
             candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale[:m])
-            # the abandonment's nests are next in the stream
+            # the abandonment's nests, next in the stream, are scored in the same call
             count = min(abandoned, budget - pop.evaluations - m)
             fresh = _fresh_nests(lower[:count], width[:count], count, rng)
-            if stop.target_objective is None:
-                # nothing but the budget can stop the run before the abandonment: score them now
-                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-                scored, F, feasible = (fresh, F[m:], feasible[m:]), F[:m], feasible[:m]
-            else:
-                F, feasible = evaluate(problem, candidates, penalty)
+            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
             pop.evaluations += m
-            pop.replace_prefix(candidates, F, feasible)
+            pop.replace_prefix(candidates, F[:m], feasible[:m])
             pop.record_best()
-            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
-
-        if reason is None and abandoned:
-            if stop.target_objective is not None:
-                scored = (fresh, *evaluate(problem, fresh, penalty))
-            abandon_fraction(pop, *scored)
-            pop.record_best()
+            if count:
+                abandon_fraction(pop, fresh, F[m:], feasible[m:])
+                pop.record_best()
 
         history.append(pop.best_objective)
         history_evaluations.append(pop.evaluations)
@@ -509,8 +507,7 @@ def cuckoo_search(
             stall = 0
         else:
             stall += 1
-        if reason is None:
-            reason = stop.reason(pop.best_objective, pop.evaluations, stall)
+        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
 
     return RunResult(
         best_position=pop.best_position.copy(),
@@ -530,11 +527,11 @@ def _stacked_search(
     """:func:`cuckoo_search` for several seeds, run as one stack (see the module docstring).
 
     The phases and their draws are those of :func:`cuckoo_search`, per
-    trial; the stack's records are (T,) and (T, d) arrays, and a trial
-    that stops after a phase leaves the stack before the next.
+    trial; the stack's records are (T,) and (T, d) arrays, and the trials
+    that stop leave the stack at the end of an iteration.
     """
     T, n, d = len(seeds), params.n, problem.dimension
-    block = min(16 * n * (d + 1), 1 << 16)
+    block = min(16 * n * (d + 1), MAX_BLOCK)
     rng = _StackedStream([np.random.default_rng(s) for s in seeds], block)
     # (T * n, d) rows, as in cuckoo_search; the rows are identical, so any T * count
     # of them serve T trials' count nests
@@ -543,26 +540,14 @@ def _stacked_search(
     slots = np.arange(T * n).reshape(T, n)  # row t * n + i is slot i of trial t
     stop = params.stop
     budget = stop.max_evaluations
-    target = -math.inf if stop.target_objective is None else stop.target_objective
-    window = math.inf if stop.stagnation_window is None else stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
 
     X = _fresh_nests(lower, width, n, rng)
     records = (np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool))
     pop = Population(X, *evaluate(problem, X, penalty), *records, n)
-    # per trial left in the stack: its seed's index and its stall count, which
-    # between phases is the last iteration's, below any window
-    ids, stall = np.arange(T), np.zeros(T, dtype=np.intp)
-    history = [[] for _ in seeds]  # each seed's records at its iterations' starts ...
-    pending = []  # ... but those since the stack last changed: a (T,) row per iteration
-    spent = []  # the evaluations at each iteration's start, the same for every trial
-    results = [None] * T
 
-    def record() -> bool:
-        """Copy each trial's best nest (first on ties) into its record where strictly better.
-
-        Returns whether a trial stops now, on its target or the budget.
-        """
+    def record() -> None:
+        """Copy each trial's best nest (first on ties) into its record where strictly better."""
         best = pop.F.reshape(T, n).argmin(axis=1)
         best += slots[:T, 0]
         F = pop.F[best]
@@ -571,80 +556,70 @@ def _stacked_search(
         pop.best_objective[better] = F[better]
         pop.best_position[better] = pop.X[best]
         pop.best_feasible[better] = pop.feasible[best]
-        return pop.evaluations >= budget or pop.best_objective.min() <= target
 
-    start = pop.best_objective  # each trial's record when its iteration began
-    phase, stopping = 0, record()
+    record()
+    # per trial in the stack: its seed's index, history and stall count
+    ids, histories, stall = list(range(T)), [[] for _ in seeds], np.zeros(T, dtype=np.intp)
+    spent = []  # the evaluations at each iteration's end, the same for every trial
+    results = [None] * T
     while True:
-        if stopping:  # finish the trials that stop now and take them out of the stack
-            done = (pop.best_objective <= target) | (stall >= window) | (pop.evaluations >= budget)
-            for t, column in zip(ids.tolist(), np.reshape(pending, (-1, T)).T.tolist()):
-                history[t] += column
-            pending = []
-            for k in np.flatnonzero(done).tolist():
-                t, best = ids[k], float(pop.best_objective[k])
-                reason = stop.reason(best, pop.evaluations, int(stall[k]))
-                results[t] = RunResult(pop.best_position[k].copy(), best, bool(pop.best_feasible[k]),
-                                       history[t] + [best], spent + [pop.evaluations], pop.evaluations,
-                                       seeds[t], reason)
-            kept = ~done
-            ids, stall, start = ids[kept], stall[kept], start[kept]
+        best = pop.best_objective.tolist()
+        for history, value in zip(histories, best):
+            history.append(value)
+        spent.append(pop.evaluations)
+        reasons = list(map(stop.reason, best, [pop.evaluations] * T, stall.tolist()))
+        if any(reasons):  # the trials that stop now leave the stack
+            for k, reason in enumerate(reasons):
+                if reason is not None:
+                    t = ids[k]
+                    results[t] = RunResult(pop.best_position[k].copy(), best[k], bool(pop.best_feasible[k]),
+                                           histories[k], spent.copy(), pop.evaluations, seeds[t], reason)
+            kept = [reason is None for reason in reasons]
+            ids, histories = list(compress(ids, kept)), list(compress(histories, kept))
             T = len(ids)
             if not T:
                 return results
+            stall = stall[kept]
             rng.keep(kept)
             rows = np.repeat(kept, n)
-            pop.X, pop.F, pop.feasible = pop.X[rows], pop.F[rows], pop.feasible[rows]
-            records = (pop.best_position, pop.best_objective, pop.best_feasible)
-            pop.best_position, pop.best_objective, pop.best_feasible = (a[kept] for a in records)
+            pop = Population(pop.X[rows], pop.F[rows], pop.feasible[rows], pop.best_position[kept],
+                             pop.best_objective[kept], pop.best_feasible[kept], pop.evaluations)
+        start = pop.best_objective.copy()
 
-        if phase == 0:
-            start = pop.best_objective.copy()
-            pending.append(start)
-            spent.append(pop.evaluations)
-            m = min(n, budget - pop.evaluations)
-            # the budget's last phase: only the first m nests of each trial propose
-            x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
-            candidates = global_walk(x, problem, params, rng, scale_rows)
-            F, feasible = evaluate(problem, candidates, penalty)
-            pop.evaluations += m
-            if params.compare_to == "random":
-                targets = (rng.random(m) * n).astype(np.intp)
-                targets += slots[:T, :1]  # rows of the stack
-            else:
-                targets = slots[:T, :m]
-            targets = targets.ravel()
-            won = winning_bids(targets, F)
-            pop.replace(targets[won], candidates[won], F[won], feasible[won])
-        elif phase == 1:
-            m = min(n, budget - pop.evaluations)
-            x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
+        m = min(n, budget - pop.evaluations)
+        # the budget's last phase: only the first m nests of each trial propose
+        x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
+        candidates = global_walk(x, problem, params, rng, scale_rows)
+        F, feasible = evaluate(problem, candidates, penalty)
+        pop.evaluations += m
+        if params.compare_to == "random":
+            targets = (rng.random(m) * n).astype(np.intp)
+            targets += slots[:T, :1]  # rows of the stack
+        else:
+            targets = slots[:T, :m]
+        targets = targets.ravel()
+        won = winning_bids(targets, F)
+        pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        record()
+
+        m = min(n, budget - pop.evaluations)
+        if m:
             pairs = partner_pairs(n, m, rng)
             pairs += slots[:T, :1]  # rows of the stack
             x_j, x_k = pop.X.take(pairs, axis=0)
-            candidates = local_walk(x, x_j, x_k, problem, params, rng, scale_rows)
+            # x is a view of pop.X, so it holds the global walk's winners
+            candidates = local_walk(x[:, :m], x_j, x_k, problem, params, rng, scale_rows[:, :m])
             count = min(abandoned, budget - pop.evaluations - m)
-            if stop.target_objective is None:
-                # nothing but the budget, which stops every trial, can stop one before the
-                # abandonment: its nests, next in the stream, are scored now
-                fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
-                F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-                scored, F, feasible = (fresh, F[T * m :], feasible[T * m :]), F[: T * m], feasible[: T * m]
-            else:
-                F, feasible = evaluate(problem, candidates, penalty)
+            fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
+            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
             pop.evaluations += m
-            pop.replace(slots[:T, :m].ravel(), candidates, F, feasible)
-        elif abandoned:
-            if stop.target_objective is not None:
-                # drawn from the streams of the trials left: their next uniforms all the same
-                fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
-                scored = (fresh, *evaluate(problem, fresh, penalty))
-            # as abandon_fraction, per trial: its last ``count`` rows by objective (stable sort)
-            worst = pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + slots[:T, :1]
-            pop.X[worst.ravel()], pop.F[worst.ravel()], pop.feasible[worst.ravel()] = scored
-            pop.evaluations += count
-        stopping = record()
-        if phase == 2 and stop.stagnation_window is not None:
-            stall = np.where(pop.best_objective < start - STAGNATION_EPS, 0, stall + 1)
-            stopping = stopping or stall.max() >= window
-        phase = (phase + 1) % 3
+            pop.replace(slots[:T, :m].ravel(), candidates, F[: T * m], feasible[: T * m])
+            record()
+            if count:
+                # as abandon_fraction, per trial: its last ``count`` rows by objective (stable sort)
+                worst = (pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + slots[:T, :1]).ravel()
+                pop.X[worst], pop.F[worst], pop.feasible[worst] = fresh, F[T * m :], feasible[T * m :]
+                pop.evaluations += count
+                record()
+
+        stall = np.where(pop.best_objective < start - STAGNATION_EPS, 0, stall + 1)

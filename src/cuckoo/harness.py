@@ -51,7 +51,7 @@ from typing import Optional
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import AlgorithmParams, StopCriterion, cuckoo_search
+from .core import MAX_BLOCK, AlgorithmParams, StopCriterion, cuckoo_search
 from .problems import DEFAULT_PENALTY, PenaltyConfig, check_number, get_problem
 
 __all__ = [
@@ -410,13 +410,13 @@ def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
     """Run one cell's consecutive trials where they ran, writing each record as it ends.
 
     Cuckoo trials run as one stack while its largest array, the global walk's
-    (T, 2, n, d) uniforms, holds at most 2**16 values, like the uniform
+    (T, 2, n, d) uniforms, holds at most MAX_BLOCK values, like the uniform
     stream's blocks; their records appear when the stack ends.  Others run
     one by one: hill climbing in lockstep was measured slower than alone.
     """
     params = tasks[0]["params"]
     stacked = isinstance(params, AlgorithmParams) and len(tasks) > 1 and (
-        len(tasks) * 2 * params.n * tasks[0]["dimension"] <= 1 << 16
+        len(tasks) * 2 * params.n * tasks[0]["dimension"] <= MAX_BLOCK
     )
     records = []
     for record in _execute_stack(tasks) if stacked else map(_execute_trial, tasks):

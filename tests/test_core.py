@@ -450,18 +450,16 @@ class TestAbandonment:
 
 class TestSearchLoop:
     def test_draw_order_first_iteration(self, monkeypatch):
-        self.check_first_iteration(monkeypatch, target=None)
-
-    def test_draw_order_first_iteration_with_target(self, monkeypatch):
-        # a target the run cannot reach keeps one batch per phase
-        self.check_first_iteration(monkeypatch, target=-1.0)
+        # a target the run cannot reach changes neither the draws nor the batches
+        for target in (None, -1.0):
+            self.check_first_iteration(monkeypatch, target)
 
     @staticmethod
     def check_first_iteration(monkeypatch, target):
         # a budget of one whole iteration, rebuilt from a second generator in
         # the documented order: initial block, Levy block, defenders,
-        # partners, step factors and gates, abandonment block; without a
-        # target the local walk and the fresh nests are scored as one batch
+        # partners, step factors and gates, abandonment block; the local
+        # walk and the fresh nests are scored as one batch
         problem = unit_box(3, lo=-2.0, hi=3.0)
         stop = StopCriterion(max_evaluations=6 + 6 + 6 + 2, target_objective=target)
         params = AlgorithmParams(n=6, alpha=0.5, stop=stop)
@@ -495,10 +493,7 @@ class TestSearchLoop:
         improved = evaluate(problem, local)[0] < F
         X[improved] = local[improved]
         fresh = lower + 5.0 * replay.random((2, 3))
-        if target is None:
-            expected = (initial, candidates, np.concatenate((local, fresh)))
-        else:
-            expected = (initial, candidates, local, fresh)
+        expected = (initial, candidates, np.concatenate((local, fresh)))
         assert len(batches) == len(expected)
         for batch, points in zip(batches, expected):
             assert np.array_equal(batch, points)
@@ -516,8 +511,8 @@ class TestSearchLoop:
     )
     @settings(max_examples=150, deadline=None)
     def test_unreachable_target_changes_nothing(self, name, n, p_a, compare_to, extra, seed):
-        # without a target the local walk and the fresh nests share one
-        # evaluate call; with one they take two, and the run must not tell
+        # the target is read only at the end of an iteration, so one the run
+        # never reaches must change neither its draws nor its batches
         if name == "nan_corner":
             problem = Problem("nan_corner", [(0.0, 1.0)] * 2,
                               objective=lambda x: np.where(x[0] > 0.98, np.nan, x[0] + x[1] * x[1]))
@@ -613,22 +608,22 @@ class TestSearchLoop:
         assert all(a >= b for a, b in zip(result.history, result.history[1:]))
 
     def test_evaluation_accounting_instrumented(self):
-        self.check_accounting(StopCriterion(max_evaluations=700), "max_evaluations", 2)
+        self.check_accounting(StopCriterion(max_evaluations=700), "max_evaluations")
 
     @pytest.mark.parametrize(
-        "stop, terminated_by, per_iteration",
+        "stop, terminated_by",
         [
-            (StopCriterion(max_evaluations=700, target_objective=-1.0), "max_evaluations", 3),
-            (StopCriterion(max_evaluations=100_000, target_objective=1e-3), "target", 3),
-            (StopCriterion(max_evaluations=100_000, stagnation_window=5), "stagnation", 2),
+            (StopCriterion(max_evaluations=700, target_objective=-1.0), "max_evaluations"),
+            (StopCriterion(max_evaluations=100_000, target_objective=1e-3), "target"),
+            (StopCriterion(max_evaluations=100_000, stagnation_window=5), "stagnation"),
         ],
         ids=["unreached-target", "target", "stagnation"],
     )
-    def test_evaluation_accounting_other_stops(self, stop, terminated_by, per_iteration):
-        self.check_accounting(stop, terminated_by, per_iteration)
+    def test_evaluation_accounting_other_stops(self, stop, terminated_by):
+        self.check_accounting(stop, terminated_by)
 
     @staticmethod
-    def check_accounting(stop, terminated_by, per_iteration):
+    def check_accounting(stop, terminated_by):
         problem = get_problem("sphere", 4)
         calls = {"calls": 0, "points": 0}
         # a flat objective never improves, so only it can stagnate
@@ -645,11 +640,11 @@ class TestSearchLoop:
         assert calls["points"] == result.evaluations
         if terminated_by == "max_evaluations":
             assert result.evaluations == 700
-        # one batch for the initial population, then one per phase, with the
-        # local walk and abandonment sharing one when no target is set; the
-        # last iteration may stop after any of its phases
+        # one batch for the initial population, then two per iteration, the
+        # local walk and abandonment sharing one, whatever the stop rule; only
+        # the budget can end an iteration after its first
         iterations = len(result.history) - 1
-        assert 1 + per_iteration * (iterations - 1) < calls["calls"] <= 1 + per_iteration * iterations
+        assert 1 + 2 * (iterations - 1) < calls["calls"] <= 1 + 2 * iterations
 
     def test_each_constraint_runs_once_per_batch(self):
         problem = get_problem("welded_beam")
@@ -731,12 +726,12 @@ class TestStack:
         params = AlgorithmParams(n=5, alpha=0.5, stop=StopCriterion(600, 0.01, 3))
         stacked = cuckoo_search(problem, params, seed=range(5))
         assert [(r.terminated_by, r.evaluations) for r in stacked] == [
-            ("stagnation", 149), ("stagnation", 377), ("target", 507), ("stagnation", 269),
+            ("stagnation", 149), ("stagnation", 377), ("target", 509), ("stagnation", 269),
             ("max_evaluations", 600),
         ]
         assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in range(5)]
 
-    def test_one_seed_or_several(self):
+    def test_one_seed_or_several(self, monkeypatch):
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(stop=budget(200))
         one = cuckoo_search(problem, params, seed=np.int64(3))
@@ -746,5 +741,8 @@ class TestStack:
         # None draws fresh entropy, as numpy's default_rng(None) does
         fresh = cuckoo_search(problem, params, seed=None)
         assert isinstance(fresh, core.RunResult) and fresh.seed is None and fresh.evaluations == 200
-        with pytest.raises(TypeError, match="seed must be an integer or a sequence of integers"):
-            cuckoo_search(problem, params, seed=2.5)
+        # every seed is checked before any trial runs, as check_number checks integers
+        monkeypatch.setattr(core, "evaluate", lambda *args: pytest.fail("a trial ran"))
+        for seed in (2.5, True, "ab", [True], [[1, 2]], [1, None, 2.0], np.array(3.0)):
+            with pytest.raises(TypeError, match="seed must be an integer or a sequence of integers"):
+                cuckoo_search(problem, params, seed=seed)

@@ -1,7 +1,9 @@
 """Golden digests of the records of a fixed small grid.
 
 The grid runs twice: budget-only, and with a target that some cells reach
-and others do not.  Each line of golden_records.txt is a record stem, the
+and others do not.  The test runs both serially and with two workers,
+where each cuckoo cell's two trials run as one stack, and both must
+match the same digests.  Each line of golden_records.txt is a record stem, the
 sha256 of its TSV, and the sha256 of its sidecar without wall_time_seconds.
 After a deliberate change of the draws, regenerate the file with
 
@@ -25,7 +27,7 @@ STOPS = {
 }
 
 
-def digests(root: Path) -> dict[str, str]:
+def digests(root: Path, workers: int = 1) -> dict[str, str]:
     lines = {}
     for name, stop in STOPS.items():
         spec = spec_from_dict({
@@ -33,7 +35,7 @@ def digests(root: Path) -> dict[str, str]:
             + ["spring_design", "welded_beam"],
             "algorithms": ["cuckoo", {"name": "cuckoo", "label": "cuckoo-parent",
                                      "params": {"compare_to": "parent"}}, "hill_climb"],
-            "trials": 2, "base_seed": 7, "stop": stop, "output": str(root / name), "workers": 1,
+            "trials": 2, "base_seed": 7, "stop": stop, "output": str(root / name), "workers": workers,
         })
         run_experiment(spec)
         for tsv in sorted((root / name / "records").glob("*.tsv")):
@@ -46,13 +48,15 @@ def digests(root: Path) -> dict[str, str]:
 
 def test_records_match_golden_digests(tmp_path):
     golden = dict(line.split(" ", 1) for line in GOLDEN.read_text(encoding="utf-8").splitlines())
-    now = digests(tmp_path)
-    changed = sorted(stem for stem in golden.keys() | now.keys() if golden.get(stem) != now.get(stem))
-    assert not changed, (
-        f"records changed for {len(changed)} stems: {', '.join(changed)}. The digests are tied to"
-        f" numpy {NUMPY} (running {np.__version__}); regenerate them as the module docstring says"
-        " only if the change of the draws is deliberate."
-    )
+    for workers in (1, 2):
+        now = digests(tmp_path / f"workers{workers}", workers)
+        changed = sorted(stem for stem in golden.keys() | now.keys() if golden.get(stem) != now.get(stem))
+        assert not changed, (
+            f"with {workers} workers, records changed for {len(changed)} stems: {', '.join(changed)}."
+            f" The digests are tied to"
+            f" numpy {NUMPY} (running {np.__version__}); regenerate them as the module docstring says"
+            " only if the change of the draws is deliberate."
+        )
 
 
 if __name__ == "__main__":
