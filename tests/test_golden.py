@@ -2,8 +2,8 @@
 
 The grid runs twice: budget-only, and with a target that some cells reach
 and others do not.  The test runs both serially and with two workers,
-where each cuckoo cell's two trials run as one stack, and both must
-match the same digests.  Each line of golden_records.txt is a record stem, the
+where each cuckoo cell's two trials run as one stack, and both must match
+the same digests.  Each line of golden_records.txt is a record stem, the
 sha256 of its TSV, and the sha256 of its sidecar without wall_time_seconds.
 After a deliberate change of the draws, regenerate the file with
 
@@ -53,9 +53,8 @@ def test_records_match_golden_digests(tmp_path):
         changed = sorted(stem for stem in golden.keys() | now.keys() if golden.get(stem) != now.get(stem))
         assert not changed, (
             f"with {workers} workers, records changed for {len(changed)} stems: {', '.join(changed)}."
-            f" The digests are tied to"
-            f" numpy {NUMPY} (running {np.__version__}); regenerate them as the module docstring says"
-            " only if the change of the draws is deliberate."
+            f" The digests are tied to numpy {NUMPY} (running {np.__version__}); regenerate them as"
+            " the module docstring says only if the change of the draws is deliberate."
         )
 
 
