@@ -450,9 +450,11 @@ class TestAbandonment:
 
 class TestSearchLoop:
     def test_draw_order_first_iteration(self, monkeypatch):
+        self.check_first_iteration(monkeypatch, target=None)
+
+    def test_draw_order_first_iteration_with_target(self, monkeypatch):
         # a target the run cannot reach changes neither the draws nor the batches
-        for target in (None, -1.0):
-            self.check_first_iteration(monkeypatch, target)
+        self.check_first_iteration(monkeypatch, target=-1.0)
 
     @staticmethod
     def check_first_iteration(monkeypatch, target):
