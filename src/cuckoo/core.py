@@ -25,27 +25,30 @@ exactly ``max_evaluations`` (the initial population is always evaluated
 whole).
 
 The best solution ever evaluated is tracked separately and can only
-improve (the abandonment step never touches it).  All randomness flows
-through one seeded numpy generator, so runs replay bit-identically.
+improve (the abandonment step never touches it).  It is kept once per
+iteration, at its end: each trial's first least nest, by slot, enters
+its record where strictly better (and, when the abandonment replaces
+every nest, also just before it).  All randomness flows through one
+seeded numpy generator per trial, so runs replay bit-identically.
 Each iteration draws uniforms only, one ``rng.random`` block per group:
 the global walk's magnitudes then signs; the defenders (under
 ``compare_to="random"``); the partners j then k; the local walk's step
 factors then gates (row by row); one row per abandoned nest.  An index
 below n is ``floor(u * n)``.  :func:`cuckoo_search` takes these blocks
-from one per-run stream that draws a few iterations' uniforms at a time:
-the same values, in the same order, as one generator call per group.
+from one per-trial stream that draws a few iterations' uniforms at a
+time: the same values, in the same order, as one generator call per
+group.
 
-Given several seeds, :func:`cuckoo_search` runs their trials as one
-stack: trial t owns rows t*n ... t*n + n - 1 of the arrays and entry t
-of the records, each :func:`evaluate` call scores the candidates of
-every trial, and each trial keeps its own generator and draw order, so
-it ends exactly as it would alone.  The budget, which all trials spend
-alike, cuts the same phase of each; at the end of an iteration, a trial
-for which :meth:`StopCriterion.reason` names a reason leaves the stack:
-its rows, record and generator are dropped.  One seed runs the one-trial
-loop, which the stack's tests take as their reference: a stack of one
-runs at 0.7-0.85x its speed, the cost of row offsets, per-trial sorts,
-records and stop checks and a two-dimensional stream.
+One loop serves one seed and many.  :func:`cuckoo_search` runs its
+trials as one stack, an integer seed as a stack of one: trial t owns
+rows t*n ... t*n + n - 1 of the arrays and entry t of the records, each
+:func:`evaluate` call scores the candidates of every trial, and each
+trial keeps its own generator and draw order, so it ends exactly as it
+would alone.  The budget, which all trials spend alike, cuts the same
+phase of each; at the end of an iteration, a trial for which
+:meth:`StopCriterion.reason` names a reason leaves the stack: its rows,
+record and generator are dropped.  One seed pays for the stack's row
+offsets, per-trial sorts and two-dimensional stream: ONE_SEED_RATIO
 """
 
 from __future__ import annotations
@@ -96,7 +99,11 @@ class Population:
     (see :func:`cuckoo_search`) holds trial t's n nests in rows t*n ...
     t*n + n - 1 and its record in row t of a (T, d) best_position and
     entry t of (T,) best_objective and best_feasible arrays; it counts
-    the evaluations of one trial, as all spend alike.
+    the evaluations of one trial, as all spend alike.  :meth:`record`
+    keeps the records at the end of each iteration: each trial takes its
+    first least nest, by slot, where strictly better than its record, so
+    of nests that tie the lowest slot is recorded, and a tie with the
+    record keeps the record.
     """
 
     X: np.ndarray
@@ -107,9 +114,7 @@ class Population:
     best_feasible: bool | np.ndarray
     evaluations: int
 
-    def replace(
-        self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
-    ) -> None:
+    def replace(self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
         """Slot ``slots[c]`` takes candidate c where strictly better.
 
         Ties keep the incumbent.  The slots must be distinct.
@@ -120,24 +125,16 @@ class Population:
         self.F[slots] = F[better]
         self.feasible[slots] = feasible[better]
 
-    def replace_prefix(self, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> None:
-        """Slot c < len(F) takes candidate c where strictly better; ties keep the incumbent."""
-        m = len(F)
-        better = F < self.F[:m]
-        np.copyto(self.X[:m], X, where=better[:, None])
-        np.copyto(self.F[:m], F, where=better)
-        np.copyto(self.feasible[:m], feasible, where=better)
-
-    def record_best(self) -> None:
-        """Copy the best nest (first on ties) into the record if it improves on it.
-
-        For one trial; :func:`cuckoo_search` keeps a stack's records.
-        """
-        i = int(self.F.argmin())
-        if self.F[i] < self.best_objective:
-            self.best_position = self.X[i].copy()
-            self.best_objective = float(self.F[i])
-            self.best_feasible = bool(self.feasible[i])
+    def record(self) -> None:
+        """Each trial's first least nest, by slot, enters its (T,) record where strictly better."""
+        n = len(self.F) // len(self.best_objective)
+        best = self.F.reshape(-1, n).argmin(axis=1).tolist()
+        # trial by trial, on scalars: for the few trials of a stack, cheaper than masks
+        for k, (i, value) in enumerate(zip(best, self.best_objective.tolist())):
+            i += k * n
+            if self.F[i] < value:
+                self.best_position[k] = self.X[i]
+                self.best_objective[k], self.best_feasible[k] = self.F[i], self.feasible[i]
 
 
 @dataclass(frozen=True)
@@ -231,6 +228,14 @@ def step_scale(problem: Problem, params: AlgorithmParams) -> np.ndarray:
 
 
 @functools.cache
+def _stack_rows(T: int, n: int, m: int) -> np.ndarray:
+    """A read-only (T, m) array whose row t is t * n, the first row of trial t in a stack of n nests each."""
+    rows = np.repeat(np.arange(0, T * n, n), m).reshape(T, m)
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.cache
 def abandonment_count(p_a: float, n: int) -> int:
     """ceil(p_a * n), guarding the product against binary-float drift."""
     return math.ceil(round(p_a * n, 9))
@@ -245,16 +250,20 @@ def initialize(
     """Uniform random population inside the bounds, evaluated as one batch.
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
-    The best-so-far record starts as a copy of the best initial nest
-    (first one on ties).  :func:`cuckoo_search` starts each trial of a
-    stack the same way.
+    The record starts as a copy of the best initial nest (first one on
+    ties): a point, a float and a bool, or from a stack's stream, as
+    :func:`cuckoo_search` starts every run, a stack's (T,) records.
     """
-    X = _fresh_nests(problem.lower, problem.width, params.n, rng)
+    n, d = params.n, problem.dimension
+    X = _fresh_nests(problem.lower, problem.width, n, rng)
     F, feasible = evaluate(problem, X, penalty)
-    best = int(np.argmin(F))
-    return Population(
-        X, F, feasible, X[best].copy(), float(F[best]), bool(feasible[best]), params.n
-    )
+    T = len(F) // n
+    pop = Population(X, F, feasible, np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool), n)
+    pop.record()
+    if isinstance(rng, np.random.Generator):  # one trial: its record as a point, a float and a bool
+        pop.best_position, pop.best_objective, pop.best_feasible = (
+            pop.best_position[0], float(pop.best_objective[0]), bool(pop.best_feasible[0]))
+    return pop
 
 
 def global_walk(
@@ -324,10 +333,16 @@ def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
     From a stack's stream the array is (2, T, m), one row per trial.
     """
-    pairs = (rng.random((2, m)) * [[n], [n - 1]]).astype(np.intp).swapaxes(0, -2)
+    pairs = (rng.random((2, m)) * _partner_ranges(n)).astype(np.intp).swapaxes(0, -2)
     j, k = pairs
     k += k >= j
     return pairs
+
+
+@functools.cache
+def _partner_ranges(n: int) -> np.ndarray:
+    """The read-only (2, 1) column [[n], [n - 1]] that scales a block of partner uniforms."""
+    return np.broadcast_to([[n], [n - 1]], (2, 1))
 
 
 def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -339,8 +354,9 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     order = np.lexsort((values, targets))  # by slot, then value; stable
     slots = targets[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = slots[1:] != slots[:-1]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(slots[1:], slots[:-1], out=first[1:])
     return order[first]
 
 
@@ -350,27 +366,7 @@ def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.nd
     From a stack's stream: T * count rows, trial by trial, against (T * count, d) bound rows.
     """
     d = lower.shape[-1]
-    return lower + width * rng.random((count, d)).reshape(-1, d)
-
-
-class _UniformStream:
-    """``random(size)`` gives what ``rng.random(size)`` would, drawn ``block`` (or more) at a time."""
-
-    def __init__(self, rng: np.random.Generator, block: int) -> None:
-        self._rng = rng
-        self._block = block
-        self._buffer = np.empty(0)
-        self._next = 0
-
-    def random(self, size) -> np.ndarray:
-        count = math.prod(size) if isinstance(size, tuple) else size
-        start, self._next = self._next, self._next + count
-        if self._next <= len(self._buffer):
-            return self._buffer[start : self._next].reshape(size)
-        rest = self._buffer[start:]
-        self._buffer = self._rng.random(max(self._block, count))
-        self._next = count - len(rest)
-        return np.concatenate((rest, self._buffer[: self._next])).reshape(size)
+    return lower + width * rng.random(count * d).reshape(-1, d)
 
 
 class _StackedStream:
@@ -398,7 +394,7 @@ class _StackedStream:
                 rng.random(out=row)
             self._end, self._next = self._buffer.shape[1], count - rest.shape[1]
             u = np.concatenate((rest, self._buffer[:, : self._next]), axis=1)
-        return u.reshape(len(u), *size) if isinstance(size, tuple) else u
+        return u.reshape((len(u), *size)) if isinstance(size, tuple) else u
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep the generators where the boolean mask ``kept`` is set, and drop the rest."""
@@ -406,20 +402,22 @@ class _StackedStream:
         self._buffer = self._buffer[kept]
 
 
-def abandon_fraction(
-    pop: Population, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
-) -> Population:
-    """Replace the worst ``len(F)`` nests with the scored fresh nests ``X``.
+def abandon_fraction(pop: Population, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> Population:
+    """Replace each trial's worst nests with the scored fresh nests ``X``.
 
-    Row r goes to the r-th least bad of those slots, so the last row
-    replaces the worst nest; ties on the objective are broken by slot
-    order (stable sort).  :func:`cuckoo_search` passes ceil(p_a * n)
-    rows, or the evaluations left in its budget if fewer.  The
-    best-so-far record is not consulted or modified here; evaluations
-    grow by the replacement count.  Mutates and returns ``pop``.
+    Each of the T trials of ``pop`` (one, or a stack's) takes its share of
+    the rows, in trial order.  Row r of a share goes to the r-th least bad
+    of the trial's replaced slots, so its last row replaces the worst nest;
+    ties on the objective are broken by slot order (stable sort).
+    :func:`cuckoo_search` passes ceil(p_a * n) rows per trial, or the
+    evaluations left in its budget if fewer.  The record is not consulted
+    or modified; evaluations grow by the replacement count.  Mutates and
+    returns ``pop``.
     """
-    n, count = len(pop.F), len(F)
-    slots = pop.F.argsort(kind="stable")[n - count :]
+    T = pop.best_position.size // pop.X.shape[1]  # a record is a (d,) or (T, d) array
+    n, count = len(pop.F) // T, len(F) // T
+    slots = pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + _stack_rows(T, n, count)
+    slots = slots.ravel()
     pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
     pop.evaluations += count
     return pop
@@ -436,7 +434,11 @@ def cuckoo_search(
     The stop rule is checked after initialization and at the end of each
     iteration, which adds one history entry; inside an iteration only the
     budget acts (see the module docstring), and every point scored is
-    counted.  The same seed always reproduces the same result bit for bit.
+    counted.  The record is kept at the end of each iteration (and before
+    an abandonment that replaces every nest): the first least nest, by
+    slot, enters it where strictly better, so of nests that tie the lowest
+    slot is recorded.  The same seed always reproduces the same result
+    bit for bit.
 
     ``seed`` is an integer (not a bool) or None, which draws fresh entropy
     as ``numpy.random.default_rng(None)`` does.  Given a sequence of them,
@@ -446,180 +448,105 @@ def cuckoo_search(
     checked before any trial runs: anything else raises a TypeError.  An
     error in any trial stops the whole stack.
     """
-    if not (seed is None or _is_number(seed, integer=True)):
-        try:
-            seeds = list(seed)
-        except TypeError:  # not a sequence: reported as itself
-            seeds = [seed]
-        if not all(s is None or _is_number(s, integer=True) for s in seeds):
-            raise TypeError(f"seed must be an integer or a sequence of integers (None allowed,"
-                            f" bools not), got {seed!r}")
-        return _stacked_search(problem, params, seeds, penalty) if seeds else []
-    n = params.n
+    if seed is None or _is_number(seed, integer=True):
+        return _search(problem, params, [seed], penalty)[0]
+    try:
+        seeds = list(seed)
+    except TypeError:  # not a sequence: reported as itself
+        seeds = [seed]
+    if not all(s is None or _is_number(s, integer=True) for s in seeds):
+        raise TypeError(f"seed must be an integer or a sequence of integers (None allowed,"
+                        f" bools not), got {seed!r}")
+    return _search(problem, params, seeds, penalty) if seeds else []
+
+
+def _search(problem: Problem, params: AlgorithmParams, seeds: list,
+            penalty: PenaltyConfig) -> list[RunResult]:
+    """:func:`cuckoo_search` for a list of seeds, run as one stack (see the module docstring)."""
+    T, n, d = len(seeds), params.n, problem.dimension
     # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
     # MAX_BLOCK: a larger request is drawn whole, so a large run holds about what it asks for
-    block = min(16 * n * (problem.dimension + 1), MAX_BLOCK)
-    rng = _UniformStream(np.random.default_rng(seed), block)
-    # (n, d) rows, so that the steps and the fresh nests combine operands of one shape
-    rows = (step_scale(problem, params), problem.lower, problem.width)
-    scale, lower, width = np.repeat(np.stack(rows)[:, None], n, axis=1)
-    stop = params.stop
-    budget = stop.max_evaluations
-    slots = np.arange(n)
-    abandoned = abandonment_count(params.p_a, n)
-
-    pop = initialize(problem, params, rng, penalty)
-    history = [pop.best_objective]
-    history_evaluations = [pop.evaluations]
-    stall = 0
-    reason = stop.reason(pop.best_objective, pop.evaluations, stall)
-
-    while reason is None:
-        previous_best = pop.best_objective
-
-        m = min(n, budget - pop.evaluations)
-        candidates = global_walk(pop.X[:m], problem, params, rng, scale[:m])
-        F, feasible = evaluate(problem, candidates, penalty)
-        pop.evaluations += m
-        targets = (rng.random(m) * n).astype(np.intp) if params.compare_to == "random" else slots[:m]
-        won = winning_bids(targets, F)
-        pop.replace(targets[won], candidates[won], F[won], feasible[won])
-        pop.record_best()
-
-        m = min(n, budget - pop.evaluations)
-        if m:
-            j, k = partner_pairs(n, m, rng)
-            candidates = local_walk(pop.X[:m], pop.X[j], pop.X[k], problem, params, rng, scale[:m])
-            # the abandonment's nests, next in the stream, are scored in the same call
-            count = min(abandoned, budget - pop.evaluations - m)
-            fresh = _fresh_nests(lower[:count], width[:count], count, rng)
-            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-            pop.evaluations += m
-            pop.replace_prefix(candidates, F[:m], feasible[:m])
-            pop.record_best()
-            if count:
-                abandon_fraction(pop, fresh, F[m:], feasible[m:])
-                pop.record_best()
-
-        history.append(pop.best_objective)
-        history_evaluations.append(pop.evaluations)
-        if pop.best_objective < previous_best - STAGNATION_EPS:
-            stall = 0
-        else:
-            stall += 1
-        reason = stop.reason(pop.best_objective, pop.evaluations, stall)
-
-    return RunResult(
-        best_position=pop.best_position.copy(),
-        best_objective=pop.best_objective,
-        best_feasible=pop.best_feasible,
-        history=history,
-        history_evaluations=history_evaluations,
-        evaluations=pop.evaluations,
-        seed=seed,
-        terminated_by=reason,
-    )
-
-
-def _stacked_search(
-    problem: Problem, params: AlgorithmParams, seeds: list, penalty: PenaltyConfig
-) -> list[RunResult]:
-    """:func:`cuckoo_search` for several seeds, run as one stack (see the module docstring).
-
-    The phases and their draws are those of :func:`cuckoo_search`, per
-    trial; the stack's records are (T,) and (T, d) arrays, and the trials
-    that stop leave the stack at the end of an iteration.
-    """
-    T, n, d = len(seeds), params.n, problem.dimension
     block = min(16 * n * (d + 1), MAX_BLOCK)
     rng = _StackedStream([np.random.default_rng(s) for s in seeds], block)
-    # (T * n, d) rows, as in cuckoo_search; the rows are identical, so any T * count
-    # of them serve T trials' count nests
+    # (T * n, d) rows, so that the steps and the fresh nests combine operands of one shape;
+    # the rows are identical, so any T * count of them serve T trials' count nests
     rows = (step_scale(problem, params), problem.lower, problem.width)
     scale, lower, width = np.repeat(np.stack(rows)[:, None], T * n, axis=1)
-    slots = np.arange(T * n).reshape(T, n)  # row t * n + i is slot i of trial t
     stop = params.stop
-    budget = stop.max_evaluations
+    budget, target, window = stop.max_evaluations, stop.target_objective, stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
+    random_defenders = params.compare_to == "random"
 
-    X = _fresh_nests(lower, width, n, rng)
-    records = (np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool))
-    pop = Population(X, *evaluate(problem, X, penalty), *records, n)
-
-    def record() -> None:
-        """Copy each trial's best nest (first on ties) into its record where strictly better."""
-        best = pop.F.reshape(T, n).argmin(axis=1)
-        best += slots[:T, 0]
-        F = pop.F[best]
-        better = F < pop.best_objective
-        best = best[better]
-        pop.best_objective[better] = F[better]
-        pop.best_position[better] = pop.X[best]
-        pop.best_feasible[better] = pop.feasible[best]
-
-    record()
+    pop = initialize(problem, params, rng, penalty)
     # per trial in the stack: its seed's index, history and stall count
-    ids, histories, stall = list(range(T)), [[] for _ in seeds], np.zeros(T, dtype=np.intp)
+    ids, histories, stall = list(range(T)), [[] for _ in seeds], [0] * T
     spent = []  # the evaluations at each iteration's end, the same for every trial
     results = [None] * T
+    T = 0  # no views yet
     while True:
         best = pop.best_objective.tolist()
         for history, value in zip(histories, best):
             history.append(value)
         spent.append(pop.evaluations)
-        reasons = list(map(stop.reason, best, [pop.evaluations] * T, stall.tolist()))
-        if any(reasons):  # the trials that stop now leave the stack
-            for k, reason in enumerate(reasons):
+        if (pop.evaluations >= budget or (target is not None and min(best) <= target)
+                or (window is not None and max(stall) >= window)):
+            # the trials that stop now leave the stack
+            kept = []
+            for k, (t, value, history, s) in enumerate(zip(ids, best, histories, stall)):
+                reason = stop.reason(value, pop.evaluations, s)
+                kept.append(reason is None)
                 if reason is not None:
-                    t = ids[k]
-                    results[t] = RunResult(pop.best_position[k].copy(), best[k], bool(pop.best_feasible[k]),
-                                           histories[k], spent.copy(), pop.evaluations, seeds[t], reason)
-            kept = [reason is None for reason in reasons]
-            ids, histories = list(compress(ids, kept)), list(compress(histories, kept))
-            T = len(ids)
-            if not T:
+                    results[t] = RunResult(pop.best_position[k].copy(), value, bool(pop.best_feasible[k]),
+                                           history, spent.copy(), pop.evaluations, seeds[t], reason)
+            if not any(kept):
                 return results
-            stall = stall[kept]
+            ids, histories = list(compress(ids, kept)), list(compress(histories, kept))
+            stall = list(compress(stall, kept))
             rng.keep(kept)
             rows = np.repeat(kept, n)
             pop = Population(pop.X[rows], pop.F[rows], pop.feasible[rows], pop.best_position[kept],
                              pop.best_objective[kept], pop.best_feasible[kept], pop.evaluations)
-        start = pop.best_objective.copy()
+        if len(ids) != T:  # the stack is new or changed: its (T, n) views
+            T = len(ids)
+            nests, values, flags = pop.X.reshape(T, n, d), pop.F.reshape(T, n), pop.feasible.reshape(T, n)
+            # row t * n + i is slot i of trial t
+            first, own = _stack_rows(T, n, n), np.arange(T * n).reshape(T, n)
+            steps, column = scale[: T * n].reshape(T, n, d), first[:, :1]
 
         m = min(n, budget - pop.evaluations)
-        # the budget's last phase: only the first m nests of each trial propose
-        x, scale_rows = pop.X.reshape(T, n, d)[:, :m], scale[: T * n].reshape(T, n, d)[:, :m]
-        candidates = global_walk(x, problem, params, rng, scale_rows)
+        if m < n:  # the budget's last iteration: only the first m nests of each trial propose
+            nests, values, flags, steps, own, first = (
+                nests[:, :m], values[:, :m], flags[:, :m], steps[:, :m], own[:, :m], first[:, :m])
+        candidates = global_walk(nests, problem, params, rng, steps)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
-        if params.compare_to == "random":
-            targets = (rng.random(m) * n).astype(np.intp)
-            targets += slots[:T, :1]  # rows of the stack
-        else:
-            targets = slots[:T, :m]
-        targets = targets.ravel()
+        # the defenders, as rows of the stack
+        targets = ((rng.random(m) * n).astype(np.intp) + first if random_defenders else own).ravel()
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
-        record()
 
-        m = min(n, budget - pop.evaluations)
+        m = min(m, budget - pop.evaluations)
         if m:
-            pairs = partner_pairs(n, m, rng)
-            pairs += slots[:T, :1]  # rows of the stack
-            x_j, x_k = pop.X.take(pairs, axis=0)
-            # x is a view of pop.X, so it holds the global walk's winners
-            candidates = local_walk(x[:, :m], x_j, x_k, problem, params, rng, scale_rows[:, :m])
+            if m < nests.shape[1]:
+                nests, values, flags, steps = nests[:, :m], values[:, :m], flags[:, :m], steps[:, :m]
+            x_j, x_k = pop.X.take(partner_pairs(n, m, rng) + column, axis=0)  # rows of the stack
+            # nests is a view of pop.X, so it holds the global walk's winners
+            candidates = local_walk(nests, x_j, x_k, problem, params, rng, steps)
             count = min(abandoned, budget - pop.evaluations - m)
             fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
             F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
             pop.evaluations += m
-            pop.replace(slots[:T, :m].ravel(), candidates, F[: T * m], feasible[: T * m])
-            record()
+            # each nest keeps the better of itself and its local candidate
+            local = F[: T * m].reshape(T, m)
+            better = local < values
+            np.copyto(nests, candidates.reshape(T, m, d), where=better[:, :, None])
+            np.copyto(values, local, where=better)
+            np.copyto(flags, feasible[: T * m].reshape(T, m), where=better)
             if count:
-                # as abandon_fraction, per trial: its last ``count`` rows by objective (stable sort)
-                worst = (pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + slots[:T, :1]).ravel()
-                pop.X[worst], pop.F[worst], pop.feasible[worst] = fresh, F[T * m :], feasible[T * m :]
-                pop.evaluations += count
-                record()
-
-        stall = np.where(pop.best_objective < start - STAGNATION_EPS, 0, stall + 1)
+                if count == n:  # the abandonment replaces every nest
+                    pop.record()
+                abandon_fraction(pop, fresh, F[T * m :], feasible[T * m :])
+        pop.record()
+        if window is not None:
+            stall = [0 if value < history[-1] - STAGNATION_EPS else s + 1
+                     for value, history, s in zip(pop.best_objective.tolist(), histories, stall)]
