@@ -123,7 +123,6 @@ class TestInitialize:
         for x in pop.X:
             assert np.array_equal(x, replay.uniform(problem.lower, problem.upper))
 
-
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4), n=st.integers(2, 9))
     @settings(max_examples=40, deadline=None)
     def test_a_stack_starts_each_trial_as_alone(self, seeds, n):
@@ -719,8 +718,8 @@ class TestSearchLoop:
 
 class TestRecord:
     def test_the_first_least_nest_enters_the_record(self):
-        # a stack of two trials: in each, two nests tie at the least value
-        # and the lower slot is recorded; a tie with the record keeps it
+        # a stack of two trials: trial 0's two least nests tie, and the lower
+        # slot is recorded; trial 1's least nests tie its record, which stays
         pop = Population(
             X=np.arange(16.0).reshape(8, 2),
             F=np.array([5.0, 2.0, 2.0, 7.0, 4.0, 1.0, 6.0, 1.0]),
