@@ -25,6 +25,15 @@ the stack ends, and each trial's wall time is the stack's times its
 share of the stack's evaluations.  Serial runs call one trial at a time,
 so that each record keeps a wall time measured around its own trial.
 
+The worker pool lives as long as the process: a call with the same
+worker count reuses its warm workers, and one with another count, or
+after a worker died, replaces it.  An exception out of a parallel run
+shuts the pool down before the call raises, and the interpreter's exit
+shuts it down too.  Workers see the code and the problem corpus as they
+stood when the pool started, and write records under the output
+directory's absolute path.  ``cuckoo run`` runs one experiment per
+process, so it gains nothing from the kept pool.
+
 A trial's record files appear as soon as that trial ends, written by
 the process that ran it under a ``*.tmp`` name and then renamed, so a
 reader never sees a partial file and a crash or interrupt keeps every
@@ -374,7 +383,8 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     (out_dir / "summary.tsv").unlink(missing_ok=True)
     # first, so that the records a crash leaves behind can be summarized
     (out_dir / "experiment.yaml").write_text(resolved, encoding="utf-8")
-    run = partial(_run_and_write, records_dir=records_dir)
+    # absolute, because the kept workers keep the working directory they were forked in
+    run = partial(_run_and_write, records_dir=records_dir.resolve())
     # the pool forks every worker at the first submit, so start none that would idle
     workers = min(spec.workers, len(tasks))
     # a task is a run of one cell's consecutive trials: multiprocessing.Pool.map's
@@ -386,24 +396,47 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
         for start in range(0, spec.trials, size)
     ]
     if workers > 1:
-        # imported once here, numpy.random is inherited by the forked workers,
-        # each of which would otherwise import it (~20 ms) at its first trial
-        import numpy.random  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                records = [record for done in pool.map(run, chunks, chunksize=1) for record in done]
-            except BrokenProcessPool as exc:  # summarize the records written, name the others
-                records = read_records(out_dir) if any(records_dir.glob("*.meta.json")) else []
-                write_summary(summarize(records, spec.stop.target_objective), out_dir / "summary.tsv")
-                lost = sorted({_record_stem(task) for task in tasks} - {_record_stem(r) for r in records})
-                raise BrokenProcessPool(f"a worker process died; {len(lost)} of {len(tasks)} trials"
-                                        f" have no record: {', '.join(lost)}") from exc
+        pool = _worker_pool(workers)
+        try:
+            records = [record for done in pool.map(run, chunks, chunksize=1) for record in done]
+        except BaseException as exc:  # no chunk may write a record once this call has raised
+            _shutdown_pool()
+            if not isinstance(exc, BrokenProcessPool):
+                raise
+            records = read_records(out_dir) if any(records_dir.glob("*.meta.json")) else []
+            write_summary(summarize(records, spec.stop.target_objective), out_dir / "summary.tsv")
+            lost = sorted({_record_stem(task) for task in tasks} - {_record_stem(r) for r in records})
+            raise BrokenProcessPool(f"a worker process died; {len(lost)} of {len(tasks)} trials"
+                                    f" have no record: {', '.join(lost)}") from exc
     else:
         records = [record for chunk in chunks for record in run(chunk)]
     rows = summarize(records, spec.stop.target_objective)
     write_summary(rows, out_dir / "summary.tsv")
     return rows
+
+
+_kept_pool: Optional[tuple[int, ProcessPoolExecutor]] = None  # (worker count, pool)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool, started anew if there is none, it is broken or its worker count differs."""
+    global _kept_pool
+    if _kept_pool is None or _kept_pool[0] != workers or _kept_pool[1]._broken:
+        _shutdown_pool()
+        # imported once here, numpy.random is inherited by the forked workers,
+        # each of which would otherwise import it (~20 ms) at its first trial
+        import numpy.random  # noqa: F401
+
+        _kept_pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _kept_pool[1]
+
+
+def _shutdown_pool() -> None:
+    """Drop the kept pool, cancelling its queued chunks and waiting for the running ones."""
+    global _kept_pool
+    if _kept_pool is not None:
+        pool, _kept_pool = _kept_pool[1], None
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:

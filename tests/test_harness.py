@@ -1,7 +1,10 @@
 """Experiment harness: config parsing, records, summaries, CLI."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -53,6 +56,32 @@ def write_spec(tmp_path, overrides=None, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
+
+
+def records_but_wall_time(out: Path) -> dict:
+    """Each record file's content, the sidecars without their wall time."""
+    found = {}
+    for path in (out / "records").iterdir():
+        if path.name.endswith(".meta.json"):
+            meta = json.loads(path.read_text())
+            del meta["wall_time_seconds"]
+            found[path.name] = meta
+        else:
+            found[path.name] = path.read_bytes()
+    return found
+
+
+def worker_pids() -> set[int]:
+    """The pids of this process's live children: the kept pool's workers."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept pool before or after the test: forked workers run the code as it stood then."""
+    harness._shutdown_pool()
+    yield
+    harness._shutdown_pool()
 
 
 class TestConfigParsing:
@@ -484,17 +513,14 @@ class TestRunExperiment:
             for line_a, line_b in zip(summary_serial, summary_parallel):
                 assert line_a.rsplit("\t", 1)[0] == line_b.rsplit("\t", 1)[0]
 
-    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch, fresh_pool):
         started = []
 
         class RecordingPool:  # runs the chunks in this process, starting nothing
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
+            def shutdown(self, wait=True, *, cancel_futures=False):
                 return None
 
             def map(self, fn, tasks, chunksize):
@@ -509,6 +535,88 @@ class TestRunExperiment:
             rows = run_experiment(load_experiment(write_spec(tmp_path, overrides)))
             assert started == expected
             assert sum(row.trials for row in rows) == trials * len(algorithms)
+
+    def test_the_pool_is_kept_between_calls(self, tmp_path, fresh_pool):
+        serial_dir = tmp_path / "serial"
+        run_experiment(load_experiment(write_spec(tmp_path, {"output": str(serial_dir), "trials": 3})))
+        pids = []
+        for name in ("first", "second"):
+            overrides = {"output": str(tmp_path / name), "workers": 2, "trials": 3}
+            run_experiment(load_experiment(write_spec(tmp_path, overrides)))
+            pids.append(worker_pids())
+            assert records_but_wall_time(tmp_path / name) == records_but_wall_time(serial_dir)
+        assert len(pids[0]) == 2 and pids[0] == pids[1]
+
+    def test_another_worker_count_replaces_the_pool(self, tmp_path, fresh_pool):
+        spec = load_experiment(write_spec(tmp_path, {"workers": 2, "trials": 3}))
+        run_experiment(spec)
+        two = worker_pids()
+        run_experiment(replace(spec, workers=3))
+        three = worker_pids()
+        assert len(two) == 2 and len(three) == 3 and not two & three
+
+    def test_a_pool_whose_worker_died_between_calls_is_replaced(self, tmp_path, fresh_pool):
+        spec = load_experiment(write_spec(tmp_path, {"workers": 2, "trials": 3}))
+        run_experiment(spec)
+        before = worker_pids()
+        os.kill(min(before), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while worker_pids() and time.monotonic() < deadline:  # the pool ends its other worker
+            time.sleep(0.01)
+        assert not worker_pids()
+        assert sum(row.trials for row in run_experiment(spec)) == 6
+        after = worker_pids()
+        assert len(after) == 2 and not before & after
+
+    def test_records_land_where_each_call_says(self, tmp_path, monkeypatch):
+        # the workers forked for the first call keep its working directory
+        spec = load_experiment(write_spec(tmp_path, {"output": "res", "workers": 2}))
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            run_experiment(spec)
+        a, b = (records_but_wall_time(tmp_path / name / "res") for name in ("a", "b"))
+        assert len(a) == 8 and a == b
+
+    def test_an_interrupt_in_a_worker_drops_the_pool(self, tmp_path, monkeypatch, fresh_pool):
+        real = harness._execute_trial
+
+        def interrupted(task):  # runs in a forked worker
+            if task["trial"] == 1:
+                raise KeyboardInterrupt
+            return real(task)
+
+        monkeypatch.setattr(harness, "_execute_trial", interrupted)
+        spec = load_experiment(write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 8, "workers": 2}))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec)
+        # every worker is gone, so no record can appear after the call raised
+        assert harness._kept_pool is None and not worker_pids()
+        assert not (tmp_path / "out" / "records" / "sphere__hill_climb__t001.meta.json").exists()
+
+    def test_exit_leaves_no_worker_running(self, tmp_path):
+        child = (
+            "import multiprocessing, sys\n"
+            "from cuckoo.harness import load_experiment, run_experiment\n"
+            "for path in sys.argv[1:]:\n"
+            "    run_experiment(load_experiment(path))\n"
+            "print(*(child.pid for child in multiprocessing.active_children()))\n"
+        )
+        paths = [str(write_spec(tmp_path, {"output": str(tmp_path / name), "workers": 2}, name=f"{name}.yaml"))
+                 for name in ("a", "b")]
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # output to a file: a worker left running would hold a pipe open
+        with open(tmp_path / "child.txt", "w") as out:
+            done = subprocess.run([sys.executable, "-c", child, *paths], stdout=out,
+                                  stderr=subprocess.STDOUT, env=env, timeout=300)
+        text = (tmp_path / "child.txt").read_text()
+        assert done.returncode == 0, text
+        pids = [int(pid) for pid in text.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_interrupt_keeps_finished_records(self, tmp_path, monkeypatch, capsys):
         real = harness.cuckoo_search
@@ -696,7 +804,7 @@ class TestCli:
         assert captured.out.startswith("problem\talgorithm")
         assert captured.err == "# trial failed: sphere/hill_climb t001: RuntimeError: boom\n"
 
-    def test_lost_worker_keeps_the_finished_trials(self, tmp_path, capsys, monkeypatch):
+    def test_lost_worker_keeps_the_finished_trials(self, tmp_path, capsys, monkeypatch, fresh_pool):
         real = harness._execute_trial
 
         def dying(task):  # runs in a forked worker, which it ends at trial 2
@@ -717,6 +825,24 @@ class TestCli:
         # the summary covers the trials that have a record
         rows = [row.split("\t")[:3] for row in (out / "summary.tsv").read_text().splitlines()[1:]]
         assert rows == ([["sphere", "hill_climb", str(len(done))]] if done else [])
+
+    def test_a_lost_worker_leaves_no_pool_behind(self, tmp_path, capsys, monkeypatch, fresh_pool):
+        real = harness._execute_trial
+
+        def dying(task):  # runs in a forked worker, which it ends at trial 2
+            if task["trial"] == 2:
+                os._exit(1)
+            return real(task)
+
+        monkeypatch.setattr(harness, "_execute_trial", dying)
+        path = write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 6, "workers": 2})
+        assert main(["run", str(path)]) == 1
+        assert not worker_pids()
+        monkeypatch.undo()  # the next pool forks from unpatched code
+        assert main(["run", str(path)]) == 0
+        assert len(worker_pids()) == 2
+        assert len(list((tmp_path / "out" / "records").glob("*.meta.json"))) == 6
+        capsys.readouterr()
 
     def test_rerun_clears_old_records(self, tmp_path, capsys):
         out = tmp_path / "out"
