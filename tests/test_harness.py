@@ -826,7 +826,7 @@ class TestCli:
         rows = [row.split("\t")[:3] for row in (out / "summary.tsv").read_text().splitlines()[1:]]
         assert rows == ([["sphere", "hill_climb", str(len(done))]] if done else [])
 
-    def test_a_lost_worker_leaves_no_pool_behind(self, tmp_path, capsys, monkeypatch, fresh_pool):
+    def test_a_lost_worker_leaves_no_pool_behind(self, tmp_path, monkeypatch, fresh_pool):
         real = harness._execute_trial
 
         def dying(task):  # runs in a forked worker, which it ends at trial 2
@@ -842,7 +842,6 @@ class TestCli:
         assert main(["run", str(path)]) == 0
         assert len(worker_pids()) == 2
         assert len(list((tmp_path / "out" / "records").glob("*.meta.json"))) == 6
-        capsys.readouterr()
 
     def test_rerun_clears_old_records(self, tmp_path, capsys):
         out = tmp_path / "out"
