@@ -25,14 +25,8 @@ the stack ends, and each trial's wall time is the stack's times its
 share of the stack's evaluations.  Serial runs call one trial at a time,
 so that each record keeps a wall time measured around its own trial.
 
-The worker pool lives as long as the process: a call with the same
-worker count reuses its warm workers, and one with another count, or
-after a worker died, replaces it.  An exception out of a parallel run
-shuts the pool down before the call raises, and the interpreter's exit
-shuts it down too.  Workers see the code and the problem corpus as they
-stood when the pool started, and write records under the output
-directory's absolute path.  ``cuckoo run`` runs one experiment per
-process, so it gains nothing from the kept pool.
+The worker pool is kept for the life of the process.  Its workers are
+forked once and run the code as it stood then; record paths are absolute.
 
 A trial's record files appear as soon as that trial ends, written by
 the process that ran it under a ``*.tmp`` name and then renamed, so a
@@ -383,7 +377,6 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     (out_dir / "summary.tsv").unlink(missing_ok=True)
     # first, so that the records a crash leaves behind can be summarized
     (out_dir / "experiment.yaml").write_text(resolved, encoding="utf-8")
-    # absolute, because the kept workers keep the working directory they were forked in
     run = partial(_run_and_write, records_dir=records_dir.resolve())
     # the pool forks every worker at the first submit, so start none that would idle
     workers = min(spec.workers, len(tasks))
@@ -396,9 +389,8 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
         for start in range(0, spec.trials, size)
     ]
     if workers > 1:
-        pool = _worker_pool(workers)
         try:
-            records = [record for done in pool.map(run, chunks, chunksize=1) for record in done]
+            records = [record for done in _worker_pool(workers).map(run, chunks, chunksize=1) for record in done]
         except BaseException as exc:  # no chunk may write a record once this call has raised
             _shutdown_pool()
             if not isinstance(exc, BrokenProcessPool):
@@ -415,28 +407,26 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     return rows
 
 
-_kept_pool: Optional[tuple[int, ProcessPoolExecutor]] = None  # (worker count, pool)
+_kept_pool: dict[int, ProcessPoolExecutor] = {}  # worker count -> pool, at most one
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The kept pool, started anew if there is none, it is broken or its worker count differs."""
-    global _kept_pool
-    if _kept_pool is None or _kept_pool[0] != workers or _kept_pool[1]._broken:
+    pool = _kept_pool.get(workers)
+    if pool is None or pool._broken:
         _shutdown_pool()
         # imported once here, numpy.random is inherited by the forked workers,
         # each of which would otherwise import it (~20 ms) at its first trial
         import numpy.random  # noqa: F401
 
-        _kept_pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _kept_pool[1]
+        pool = _kept_pool[workers] = ProcessPoolExecutor(max_workers=workers)
+    return pool
 
 
 def _shutdown_pool() -> None:
     """Drop the kept pool, cancelling its queued chunks and waiting for the running ones."""
-    global _kept_pool
-    if _kept_pool is not None:
-        pool, _kept_pool = _kept_pool[1], None
-        pool.shutdown(cancel_futures=True)
+    while _kept_pool:
+        _kept_pool.popitem()[1].shutdown(cancel_futures=True)
 
 
 def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:

@@ -591,7 +591,7 @@ class TestRunExperiment:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(spec)
         # every worker is gone, so no record can appear after the call raised
-        assert harness._kept_pool is None and not worker_pids()
+        assert not harness._kept_pool and not worker_pids()
         assert not (tmp_path / "out" / "records" / "sphere__hill_climb__t001.meta.json").exists()
 
     def test_exit_leaves_no_worker_running(self, tmp_path):
