@@ -10,12 +10,11 @@ curve is a step function, so those rows lose nothing of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import STAGNATION_EPS, RunResult, StopCriterion
-from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, check_number, evaluate
+from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, _is_number, check_number, evaluate
 
 __all__ = ["HillClimbParams", "hill_climb_restart"]
 
@@ -47,47 +46,55 @@ class HillClimbParams:
 def hill_climb_restart(
     problem: Problem,
     params: HillClimbParams = HillClimbParams(),
-    seed: int = 0,
+    seed: int | None = 0,
     penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> RunResult:
     """Run the baseline on ``problem`` until the stop criterion fires.
 
     Only strict improvements are accepted.  The stop criterion is
-    checked after every evaluation, so max_evaluations is never
-    overshot.  history and history_evaluations hold a row for each
+    applied after every evaluation, so max_evaluations is never
+    overshot; its conditions are tested on Python numbers first and
+    :meth:`StopCriterion.reason` is asked only once one holds, as cuckoo
+    search does.  history and history_evaluations hold a row for each
     evaluation that improved the best, plus one for the last evaluation.
+    ``seed`` is one integer (not a bool) or None: one call, one climb.
+
+    Each climb keeps one working array: a move writes its coordinate and
+    evaluates the array, and a rejected move writes the old value back,
+    so the callables see the working point itself (keep a copy of any
+    point), and best_position is copied only when the best improves.
 
     Draw order: a restart point is ``lower + (upper - lower) * u`` from one
     block of ``dimension`` uniforms, as ``rng.uniform`` computes it.  The
     first move, and each one after a block is used up, draws MOVE_BLOCK
     coordinates, then MOVE_BLOCK offset uniforms; blocks outlive restarts.
     """
+    if not (seed is None or _is_number(seed, integer=True)):
+        raise TypeError(f"seed must be an integer (None allowed, bools not): hill climbing runs"
+                        f" one seed per call, got {seed!r}")
     rng = np.random.default_rng(seed)
-    stop_reason = params.stop.reason
-    lower, upper, width = problem.lower, problem.upper, problem.width
+    stop = params.stop
+    budget, target, window = stop.max_evaluations, stop.target_objective, stop.stagnation_window
+    lower, width = problem.lower, problem.width
     # per-coordinate bounds and steps as Python floats: the move below is
     # scalar work, where numpy scalars cost several times as much
-    low, high = lower.tolist(), upper.tolist()
+    low, high = lower.tolist(), problem.upper.tolist()
     start_step = (params.step_fraction * width).tolist()
-    shrink = params.shrink_factor
-    dimension = problem.dimension
+    shrink, stall_limit, dimension = params.shrink_factor, params.stall_limit, problem.dimension
 
     evaluations = 0
-    history: list[float] = []
-    history_evaluations: list[int] = []
-    best_position: Optional[np.ndarray] = None
+    history, history_evaluations = [], []
     best_objective = float("inf")
-    best_feasible = False
-    stall_iterations = 0
-    reason: Optional[str] = None
-    current: Optional[np.ndarray] = None  # None: the next point is a restart
-    scale = 1.0  # the step is start_step * scale
+    stall = 0  # counted only when the stop has a stagnation window
+    failures = stall_limit  # the first point is a restart
     moves = iter(())  # the (coordinate, uniform) pairs left in the block
 
-    while reason is None:
-        if current is None:
-            candidate = lower + width * rng.random(dimension)
-        else:
+    while True:
+        if failures >= stall_limit:  # a fresh climb: a new working point, the step reset
+            current = lower + width * rng.random(dimension)
+            value, feasible = evaluate(problem, current, penalty)
+            current_value, failures, scale = value, 0, 1.0
+        else:  # a move of one coordinate of the working point, undone if rejected
             move = next(moves, None)
             if move is None:
                 coords = rng.integers(dimension, size=MOVE_BLOCK).tolist()
@@ -97,26 +104,28 @@ def hill_climb_restart(
             # rng.uniform(-half, half) computes exactly this offset from the
             # move's uniform u, at a few times the cost
             half = start_step[coord] * scale
-            offset = -half + 2.0 * half * u
-            candidate = current.copy()
-            candidate[coord] = min(max(current.item(coord) + offset, low[coord]), high[coord])
-        value, feasible = evaluate(problem, candidate, penalty)
+            old = current.item(coord)
+            x = old + (-half + 2.0 * half * u)
+            # min(max(x, lo), hi) for every float, as lo < hi
+            current[coord] = low[coord] if x < low[coord] else high[coord] if x > high[coord] else x
+            value, feasible = evaluate(problem, current, penalty)
+            if value < current_value:
+                current_value, failures = value, 0
+            else:  # no better than the working point, so no better than the best
+                current[coord] = old
+                failures += 1
+                scale *= shrink
         evaluations += 1
-        stall_iterations = 0 if value < best_objective - STAGNATION_EPS else stall_iterations + 1
+        if window is not None:
+            stall = 0 if value < best_objective - STAGNATION_EPS else stall + 1
         if value < best_objective:
-            best_position, best_objective, best_feasible = candidate.copy(), value, feasible
+            best_position, best_objective, best_feasible = current.copy(), value, feasible
             history.append(best_objective)
             history_evaluations.append(evaluations)
-        reason = stop_reason(best_objective, evaluations, stall_iterations)
-        if current is None or value < current_value:
-            current, current_value, failures = candidate, value, 0
-        else:
-            failures += 1
-            scale *= shrink
-            if failures >= params.stall_limit:
-                current, scale = None, 1.0
+        if (evaluations >= budget or (target is not None and best_objective <= target)
+                or (window is not None and stall >= window)):
+            break
 
-    assert best_position is not None
     if history_evaluations[-1] != evaluations:
         history.append(best_objective)
         history_evaluations.append(evaluations)
@@ -128,5 +137,5 @@ def hill_climb_restart(
         history_evaluations=history_evaluations,
         evaluations=evaluations,
         seed=seed,
-        terminated_by=reason,
+        terminated_by=stop.reason(best_objective, evaluations, stall),
     )

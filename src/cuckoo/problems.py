@@ -118,7 +118,9 @@ class Problem:
     g(x) <= 0; equality constraints when |h(x)| <= eq_tolerance.  Every
     callable takes one point (d,) and returns a scalar, or a batch of
     points as columns (d, m) and returns shape (m,); for example
-    ``lambda x: x[0] * x[0] + x[1]`` does both.  lower, upper and their
+    ``lambda x: x[0] * x[0] + x[1]`` does both.  The hill climber passes
+    its working point, which changes after the call returns: a callable
+    that keeps a point must keep a copy.  lower, upper and their
     difference width are read-only (d,) arrays derived from bounds.
     """
 

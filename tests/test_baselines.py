@@ -1,8 +1,11 @@
 """Hill-climbing baseline: move rule, restarts, shared run contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import cuckoo.baselines
 from cuckoo.baselines import MOVE_BLOCK, HillClimbParams, hill_climb_restart
 from cuckoo.core import StopCriterion
 from cuckoo.problems import Problem, evaluate, get_problem
@@ -94,6 +97,27 @@ class TestRunContracts:
         assert result.terminated_by == "stagnation"
         # first evaluation sets the best, then 25 non-improving ones
         assert result.evaluations == 26
+
+    @pytest.mark.parametrize("seed", [True, range(3), [1, 2], 1.0], ids=["bool", "range", "list", "float"])
+    def test_a_seed_that_is_not_one_integer_is_refused(self, seed):
+        # cuckoo search runs one trial per seed of a sequence; hill climbing
+        # runs one seed per call, so a sequence must not become one climb
+        with pytest.raises(TypeError, match="one seed per call"):
+            hill_climb_restart(get_problem("sphere", 2), HillClimbParams(stop=budget(10)), seed=seed)
+
+    def test_the_loop_calls_evaluate_through_the_module(self, monkeypatch):
+        # the traced benchmark wraps cuckoo.baselines.evaluate: a loop that
+        # bound it at import would move its time into the loop's own
+        shapes = []
+
+        def counting(problem, x, penalty):
+            shapes.append(np.shape(x))
+            return evaluate(problem, x, penalty)
+
+        monkeypatch.setattr(cuckoo.baselines, "evaluate", counting)
+        result = hill_climb_restart(get_problem("rastrigin", 3), HillClimbParams(stop=budget(700)), seed=1)
+        assert result.evaluations == 700
+        assert shapes == [(3,)] * 700
 
     def test_best_position_cache_coherent(self):
         problem = get_problem("welded_beam")
@@ -235,3 +259,38 @@ class TestMoveRule:
                 if failures >= params.stall_limit:
                     current = None
         assert len(seen) == 1_500 and blocks >= 3 and restarts >= 3
+
+
+# sha256 of results frozen before the loop was rewritten for speed, for the
+# stops and params that the golden grid (default params, budget and target
+# stops) does not reach
+FROZEN = {
+    "stagnation-mid-run": ("rastrigin", 5, 2, {}, {"stagnation_window": 3000}, "stagnation",
+                           "9f9f347efc79ad3098625e5bb1a3d52000ff15e132807f8313bde5c3084a668f"),
+    "target-on-a-move": ("rastrigin", 2, 0, {}, {"target_objective": 0.5}, "target",
+                         "a7ba09796dc13c48fb69b92f397d69940c0057b29522a4703a9f47767b23e19a"),
+    "stall-limit-1": ("ackley", 5, 3, {"stall_limit": 1}, {}, "max_evaluations",
+                      "1b0ba61e30d7b7aaa8064fcd64cf80d0eec1aeaaaad191d292f9a7c3a65d447a"),
+    "shrink-0.9": ("rosenbrock", 5, 4, {"shrink_factor": 0.9}, {}, "max_evaluations",
+                   "ff4570cc594e4c8da2db5c51c1c82c48cb470401de66a4e650b62864cf8f6198"),
+    "step-fraction-1": ("rastrigin", 5, 5, {"step_fraction": 1.0}, {}, "max_evaluations",
+                        "1f412f8d0f105a7249ff09cdba4346f3f05d654bc5a993e31e451263603ee157"),
+    "welded-beam": ("welded_beam", None, 6, {}, {}, "max_evaluations",
+                    "c2a3a87f14b9ed18c801085f59ae8b60624e92dcaeb1435d4bad5697280939d8"),
+}
+
+
+def digest(result):
+    """sha256 over history, history_evaluations, best_objective, best_position's bytes, terminated_by."""
+    fields = (result.history, result.history_evaluations, result.best_objective, result.terminated_by)
+    return hashlib.sha256(repr(fields).encode() + result.best_position.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", FROZEN)
+def test_results_match_frozen_digests(case):
+    name, dimension, seed, params, stop, reason, expected = FROZEN[case]
+    problem = get_problem(name, dimension) if dimension else get_problem(name)
+    stop = StopCriterion(max_evaluations=20_000, **stop)
+    result = hill_climb_restart(problem, HillClimbParams(stop=stop, **params), seed=seed)
+    assert result.terminated_by == reason
+    assert digest(result) == expected
