@@ -54,8 +54,8 @@ def hill_climb_restart(
     Only strict improvements are accepted.  The stop criterion is
     applied after every evaluation, so max_evaluations is never
     overshot; its conditions are tested on Python numbers first and
-    :meth:`StopCriterion.reason` is asked only once one holds, as cuckoo
-    search does.  history and history_evaluations hold a row for each
+    :meth:`StopCriterion.reason`, which orders them, is asked only once
+    one holds.  history and history_evaluations hold a row for each
     evaluation that improved the best, plus one for the last evaluation.
     ``seed`` is one integer (not a bool) or None: one call, one climb.
 

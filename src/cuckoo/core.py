@@ -47,10 +47,7 @@ trial keeps its own generator and draw order, so it ends exactly as it
 would alone.  The budget, which all trials spend alike, cuts the same
 phase of each; at the end of an iteration, a trial for which
 :meth:`StopCriterion.reason` names a reason leaves the stack: its rows,
-record and generator are dropped.  One seed pays for the stack's row
-offsets, per-trial sorts and two-dimensional stream, and runs at
-0.92-0.98x the speed of the one-trial loop this loop replaced, while
-stacks of 5 and 10 run 1.09-1.23x faster than before (``BENCH_16.json``).
+record and generator are dropped.
 """
 
 from __future__ import annotations
@@ -92,15 +89,13 @@ MAX_BLOCK = 1 << 16
 
 @dataclass
 class Population:
-    """Mutable optimizer state.
+    """Mutable optimizer state of a stack of T trials (see :func:`cuckoo_search`).
 
-    Row i of X is nest i, with penalized objective F[i] and feasibility
-    flag feasible[i].  The best_* fields record the best point ever
-    evaluated, as a copy the population's later moves cannot touch;
-    evaluations counts every evaluation so far.  A stack of T trials
-    (see :func:`cuckoo_search`) holds trial t's n nests in rows t*n ...
-    t*n + n - 1 and its record in row t of a (T, d) best_position and
-    entry t of (T,) best_objective and best_feasible arrays; it counts
+    Row t*n + i of X is nest i of trial t, with penalized objective
+    F[t*n + i] and feasibility flag feasible[t*n + i].  Row t of the
+    (T, d) best_position and entry t of the (T,) best_objective and
+    best_feasible record the best point trial t ever evaluated, as a
+    copy the population's later moves cannot touch; evaluations counts
     the evaluations of one trial, as all spend alike.  :meth:`record`
     keeps the records at the end of each iteration: each trial takes its
     first least nest, by slot, where strictly better than its record, so
@@ -112,8 +107,8 @@ class Population:
     F: np.ndarray
     feasible: np.ndarray
     best_position: np.ndarray
-    best_objective: float | np.ndarray
-    best_feasible: bool | np.ndarray
+    best_objective: np.ndarray
+    best_feasible: np.ndarray
     evaluations: int
 
     def replace(
@@ -254,9 +249,9 @@ def initialize(
     """Uniform random population inside the bounds, evaluated as one batch.
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
-    The record starts as a copy of the best initial nest (first one on
-    ties): a point, a float and a bool, or from a stack's stream, as
-    :func:`cuckoo_search` starts every run, a stack's (T,) records.
+    From a stack's stream it starts T trials, and from a generator one;
+    each trial's record starts as a copy of its best initial nest (first
+    one on ties).
     """
     n, d = params.n, problem.dimension
     X = _fresh_nests(problem.lower, problem.width, n, rng)
@@ -264,9 +259,6 @@ def initialize(
     T = len(F) // n
     pop = Population(X, F, feasible, np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool), n)
     pop.record()
-    if isinstance(rng, np.random.Generator):  # one trial: its record as a point, a float and a bool
-        pop.best_position, pop.best_objective, pop.best_feasible = (
-            pop.best_position[0], float(pop.best_objective[0]), bool(pop.best_feasible[0]))
     return pop
 
 
@@ -275,22 +267,18 @@ def global_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    scale: Optional[np.ndarray] = None,
+    scale: np.ndarray,
 ) -> np.ndarray:
-    """Heavy-tailed step from ``x`` (d,), or from each row of ``x`` (m, d).
+    """Heavy-tailed step of ``scale`` (see :func:`step_scale`) from each row of ``x`` (m, d).
 
-    Consumes one signed step vector from ``rng`` per point, in one
+    Consumes one signed step vector from ``rng`` per row, in one
     block: all magnitudes, then all signs (see
     :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
     the bounds.  A stack passes its stream and (T, m, d) rows, and gets
     (T * m, d) candidates, trial by trial.
     """
-    if scale is None:
-        scale = step_scale(problem, params)
     d = x.shape[-1]
-    step = x + scale * sample_levy_vector(d, params.levy, rng, None if x.ndim == 1 else x.shape[-2])
-    if step.ndim == 3:
-        step = step.reshape(-1, d)
+    step = (x + scale * sample_levy_vector(d, params.levy, rng, x.shape[-2])).reshape(-1, d)
     np.maximum(step, problem.lower, out=step)  # clamp in place
     return np.minimum(step, problem.upper, out=step)
 
@@ -302,30 +290,25 @@ def local_walk(
     problem: Problem,
     params: AlgorithmParams,
     rng: np.random.Generator,
-    scale: Optional[np.ndarray] = None,
+    scale: np.ndarray,
 ) -> np.ndarray:
-    """Gated step from ``x_i`` along the difference ``x_j - x_k``.
+    """Gated step of ``scale`` from each row of ``x_i`` (m, d) along ``x_j - x_k``.
 
-    Draws one block: for one point (d,), one step factor s ~ U(0, 1),
-    then one gate uniform per component; for m points (m, d), m step
-    factors, then m * d gate uniforms row by row.  A component moves
-    only where its gate uniform falls below p_a.  With p_a = 0, or with
-    x_j identical to x_k, the result equals x_i exactly.  The candidate
-    is clamped to the bounds.  A stack passes its stream and (T, m, d)
-    rows, and gets (T * m, d) candidates, trial by trial.
+    Draws one block: m step factors s ~ U(0, 1), then m * d gate
+    uniforms row by row.  A component moves only where its gate uniform
+    falls below p_a.  With p_a = 0, or with x_j identical to x_k, the
+    result equals x_i exactly.  The candidate is clamped to the bounds.
+    A stack passes its stream and (T, m, d) rows, and gets (T * m, d)
+    candidates, trial by trial.
     """
     d = problem.dimension
-    if not (x_i.shape == x_j.shape == x_k.shape and x_i.ndim in (1, 2, 3) and x_i.shape[-1] == d):
-        raise ValueError("positions must all have the same shape, with the problem dimension last")
-    if scale is None:
-        scale = step_scale(problem, params)
-    m = 1 if x_i.ndim == 1 else x_i.shape[-2]
+    if not (x_i.shape == x_j.shape == x_k.shape and x_i.ndim in (2, 3) and x_i.shape[-1] == d):
+        raise ValueError("positions must be (m, d) or (T, m, d) rows of one shape, d the problem dimension")
+    m = x_i.shape[-2]
     u = rng.random(m * (d + 1))  # step factors, then gates
-    s = u[0] if x_i.ndim == 1 else u[..., :m, None]
+    s = u[..., :m, None]
     gate = u[..., m:].reshape(x_i.shape) < params.p_a
-    candidate = x_i + scale * s * gate * (x_j - x_k)
-    if candidate.ndim == 3:
-        candidate = candidate.reshape(-1, d)
+    candidate = (x_i + scale * s * gate * (x_j - x_k)).reshape(-1, d)
     np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
     return np.minimum(candidate, problem.upper, out=candidate)
 
@@ -409,16 +392,16 @@ class _StackedStream:
 def abandon_fraction(pop: Population, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> Population:
     """Replace each trial's worst nests with the scored fresh nests ``X``.
 
-    Each of the T trials of ``pop`` (one, or a stack's) takes its share of
-    the rows, in trial order.  Row r of a share goes to the r-th least bad
-    of the trial's replaced slots, so its last row replaces the worst nest;
-    ties on the objective are broken by slot order (stable sort).
+    Each of the T trials of ``pop`` takes its share of the rows, in trial
+    order.  Row r of a share goes to the r-th least bad of the trial's
+    replaced slots, so its last row replaces the worst nest; ties on the
+    objective are broken by slot order (stable sort).
     :func:`cuckoo_search` passes ceil(p_a * n) rows per trial, or the
     evaluations left in its budget if fewer.  The record is not consulted
     or modified; evaluations grow by the replacement count.  Mutates and
     returns ``pop``.
     """
-    T = pop.best_position.size // pop.X.shape[1]  # a record is a (d,) or (T, d) array
+    T = len(pop.best_objective)
     n, count = len(pop.F) // T, len(F) // T
     slots = (pop.F.reshape(T, n).argsort(kind="stable")[:, n - count :] + _stack_rows(T, n, count)).ravel()
     pop.X[slots], pop.F[slots], pop.feasible[slots] = X, F, feasible
@@ -476,7 +459,7 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
     rows = (step_scale(problem, params), problem.lower, problem.width)
     scale, lower, width = np.repeat(np.stack(rows)[:, None], T * n, axis=1)
     stop = params.stop
-    budget, target, window = stop.max_evaluations, stop.target_objective, stop.stagnation_window
+    budget, window = stop.max_evaluations, stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
     random_defenders = params.compare_to == "random"
 
@@ -491,16 +474,13 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
         for history, value in zip(histories, best):
             history.append(value)
         spent.append(pop.evaluations)
-        if (pop.evaluations >= budget or (target is not None and min(best) <= target)
-                or (window is not None and max(stall) >= window)):
-            # the trials that stop now leave the stack
-            kept = []
-            for k, (t, value, history, s) in enumerate(zip(ids, best, histories, stall)):
-                reason = stop.reason(value, pop.evaluations, s)
-                kept.append(reason is None)
+        reasons = [stop.reason(value, pop.evaluations, s) for value, s in zip(best, stall)]
+        if any(reasons):  # the trials that stop now leave the stack
+            for k, (t, value, history, reason) in enumerate(zip(ids, best, histories, reasons)):
                 if reason is not None:
                     results[t] = RunResult(pop.best_position[k].copy(), value, bool(pop.best_feasible[k]),
                                            history, spent.copy(), pop.evaluations, seeds[t], reason)
+            kept = [reason is None for reason in reasons]
             if not any(kept):
                 return results
             ids, histories = list(compress(ids, kept)), list(compress(histories, kept))

@@ -241,8 +241,9 @@ def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
     if name not in ALGORITHM_NAMES:
         raise ConfigError(f"unknown algorithm {name!r}; available: {', '.join(ALGORITHM_NAMES)}")
     label = entry.get("label", name)
-    if not isinstance(label, str) or not label or "__" in label:
-        raise ConfigError(f"algorithm label must be a nonempty string without '__', got {label!r}")
+    # the label names record files and fills a summary column
+    if not isinstance(label, str) or not label or "__" in label or "/" in label or not label.isprintable():
+        raise ConfigError(f"algorithm label must be nonempty and printable, without '__' or '/', got {label!r}")
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("algorithm params must be a mapping")
@@ -485,7 +486,7 @@ def read_records(output_dir) -> list[dict]:
         # a grid repeats a few names in every record: share one copy of each
         for key in ("problem", "algorithm", "status", "terminated_by"):
             record[key] = sys.intern(record[key])
-        tsv_path = meta_path.with_name(meta_path.name.replace(".meta.json", ".tsv"))
+        tsv_path = meta_path.with_name(meta_path.name.removesuffix(".meta.json") + ".tsv")
         history, history_evaluations = [], []
         for line in tsv_path.read_text(encoding="utf-8").splitlines()[1:]:
             _, value, evals = line.split("\t")

@@ -21,6 +21,7 @@ from cuckoo.core import (
     cuckoo_search,
     initialize,
     local_walk,
+    step_scale,
 )
 from cuckoo.harness import lower_median, run_experiment, spec_from_dict
 from cuckoo.levy import LevyConfig, sample_step_length
@@ -59,9 +60,10 @@ def test_criterion_2_gate_semantics():
     rng = np.random.default_rng(7)
     x_i = np.zeros(20)
     x_j, x_k = np.full(20, 2.0), np.full(20, 1.0)
+    scale = step_scale(box, params)
     moved = total = 0
     for _ in range(5_000):  # 100k gate draws
-        candidate = local_walk(x_i, x_j, x_k, box, params, rng)
+        candidate = local_walk(x_i[None], x_j[None], x_k[None], box, params, rng, scale)[0]
         moved += int(np.count_nonzero(candidate != x_i))
         total += 20
     fraction = moved / total
@@ -69,8 +71,9 @@ def test_criterion_2_gate_semantics():
     closed = AlgorithmParams(p_a=0.0, alpha=0.1, stop=StopCriterion(max_evaluations=10))
     small = Problem("box3", [(-50.0, 50.0)] * 3, objective=lambda x: 0.0)
     rng = np.random.default_rng(8)
+    scale = step_scale(small, closed)
     identical = all(
-        np.array_equal(local_walk(p, q, r, small, closed, rng), p)
+        np.array_equal(local_walk(p[None], q[None], r[None], small, closed, rng, scale)[0], p)
         for p, q, r in (
             (rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3))
             for _ in range(100_000)
@@ -82,8 +85,9 @@ def test_criterion_2_gate_semantics():
     x_j4 = np.array([1.0, 0.0, 2.0, 0.0])
     x_k4 = np.array([0.5, 0.0, 2.0, -3.0])  # components 0 and 3 differ
     rng = np.random.default_rng(9)
+    scale = step_scale(four, open_gate)
     all_differing_moved = all(
-        (local_walk(np.zeros(4), x_j4, x_k4, four, open_gate, rng) != 0.0).tolist()
+        (local_walk(np.zeros((1, 4)), x_j4[None], x_k4[None], four, open_gate, rng, scale)[0] != 0.0).tolist()
         == [True, False, False, True]
         for _ in range(1_000)
     )
@@ -262,7 +266,7 @@ def test_criterion_8_abandonment_contract():
             pop = initialize(problem, params, rng)
             before_positions = [x.copy() for x in pop.X]
             before_objectives = pop.F.tolist()
-            before_best = (pop.best_position.copy(), pop.best_objective)
+            before_best = (pop.best_position.copy(), pop.best_objective.copy())
             before_evaluations = pop.evaluations
 
             count = abandonment_count(params.p_a, n)
@@ -284,7 +288,7 @@ def test_criterion_8_abandonment_contract():
                 len(changed) == expected
                 and changed == worst
                 and pop.evaluations == before_evaluations + expected
-                and pop.best_objective == before_best[1]
+                and pop.best_objective[0] == before_best[1][0]
                 and np.array_equal(pop.best_position, before_best[0])
                 and coherent
             ):

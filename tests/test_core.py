@@ -109,9 +109,10 @@ class TestInitialize:
         assert np.all(pop.X >= 0.0) and np.all(pop.X <= 1.0)
         for x, value, feasible in zip(pop.X, pop.F, pop.feasible):
             assert (value, feasible) == evaluate(problem, x)
-        assert pop.best_objective == pop.F.min()
-        assert isinstance(pop.best_objective, float)
-        assert np.array_equal(pop.best_position, pop.X[np.argmin(pop.F)])
+        # a generator starts a stack of one trial
+        assert pop.best_position.shape == (1, 2) and pop.best_objective.shape == pop.best_feasible.shape == (1,)
+        assert pop.best_objective[0] == pop.F.min()
+        assert np.array_equal(pop.best_position[0], pop.X[np.argmin(pop.F)])
         # the record is a copy, not a view into the population
         assert not np.shares_memory(pop.best_position, pop.X)
 
@@ -136,41 +137,28 @@ class TestInitialize:
             assert stack.X[rows].tobytes() == alone.X.tobytes() and stack.F[rows].tobytes() == alone.F.tobytes()
             assert stack.feasible[rows].tolist() == alone.feasible.tolist()
             assert stack.best_position[t].tobytes() == alone.best_position.tobytes()
-            assert (stack.best_objective[t], stack.best_feasible[t]) == (alone.best_objective, alone.best_feasible)
+            assert (stack.best_objective[t], stack.best_feasible[t]) == (*alone.best_objective, *alone.best_feasible)
 
 
 class TestGlobalWalk:
     def test_replay_frozen(self):
         problem = unit_box(1, lo=-1.0, hi=1.0)
         params = AlgorithmParams(alpha=0.1, stop=budget(100))
-        x = np.array([0.5])
-        candidate = global_walk(x, problem, params, np.random.default_rng(7))
-        assert candidate[0] == pytest.approx(0.4998076674135267, abs=1e-15)
-        for seed, expected in ((11, 0.5001096087090473), (42, 0.5002694871571326)):
-            candidate = global_walk(x, problem, params, np.random.default_rng(seed))
-            assert candidate[0] == pytest.approx(expected, abs=1e-15)
+        x, scale = np.array([[0.5]]), step_scale(problem, params)
+        for seed, expected in ((7, 0.4998076674135267), (11, 0.5001096087090473), (42, 0.5002694871571326)):
+            candidate = global_walk(x, problem, params, np.random.default_rng(seed), scale)
+            assert candidate[0, 0] == pytest.approx(expected, abs=1e-15)
 
-    def test_consumes_one_signed_vector(self):
-        problem = unit_box(5, lo=-100.0, hi=100.0)
-        params = AlgorithmParams(alpha=2.0, stop=budget(100))
-        x = np.full(5, 1.5)
-        rng = np.random.default_rng(21)
-        candidate = global_walk(x, problem, params, rng)
-        replay = np.random.default_rng(21)
-        magnitudes = 1e-3 * (1.0 - replay.random(5)) ** (-1.0 / 1.5)
-        signs = np.where(replay.random(5) < 0.5, 1.0, -1.0)
-        assert np.array_equal(candidate, x + 2.0 * signs * magnitudes)
-        assert rng.random() == replay.random()
-
-    def test_batch_draws_magnitudes_then_signs(self):
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_draws_magnitudes_then_signs(self, m):
         problem = unit_box(3, lo=-100.0, hi=100.0)
         params = AlgorithmParams(alpha=0.5, stop=budget(100))
-        X = np.arange(12.0).reshape(4, 3)
+        X = np.arange(3.0 * m).reshape(m, 3)
         rng = np.random.default_rng(22)
-        candidates = global_walk(X, problem, params, rng)
+        candidates = global_walk(X, problem, params, rng, step_scale(problem, params))
         replay = np.random.default_rng(22)
-        magnitudes = 1e-3 * (1.0 - replay.random((4, 3))) ** (-1.0 / 1.5)
-        signs = np.where(replay.random((4, 3)) < 0.5, 1.0, -1.0)
+        magnitudes = 1e-3 * (1.0 - replay.random((m, 3))) ** (-1.0 / 1.5)
+        signs = np.where(replay.random((m, 3)) < 0.5, 1.0, -1.0)
         assert np.array_equal(candidates, X + 0.5 * signs * magnitudes)
         assert rng.random() == replay.random()
 
@@ -179,25 +167,27 @@ class TestGlobalWalk:
     def test_stays_in_bounds(self, seed, alpha):
         problem = unit_box(3, lo=-0.5, hi=2.0)
         params = AlgorithmParams(alpha=alpha, stop=budget(100))
-        x = np.array([0.0, 1.0, 2.0])
-        candidate = global_walk(x, problem, params, np.random.default_rng(seed))
+        x = np.array([[0.0, 1.0, 2.0]])
+        candidate = global_walk(x, problem, params, np.random.default_rng(seed), step_scale(problem, params))
         assert np.all(candidate >= -0.5) and np.all(candidate <= 2.0)
 
 
 class TestLocalWalk:
-    def test_draw_order_scalar_then_gates(self):
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_draw_order_factors_then_gates(self, m):
         problem = unit_box(3, lo=-10.0, hi=10.0)
         params = AlgorithmParams(alpha=1.0, stop=budget(100))
-        x_i = np.zeros(3)
-        x_j = np.array([1.0, 2.0, 3.0])
-        x_k = np.array([0.5, -1.0, 3.0])
-        candidate = local_walk(x_i, x_j, x_k, problem, params, np.random.default_rng(123))
-        replay = np.random.default_rng(123)
-        s = replay.random()
-        assert s == pytest.approx(0.6823518632481435, abs=1e-15)
-        gate = replay.random(3) < 0.25
-        scale = np.full(3, 1.0)
-        assert np.array_equal(candidate, x_i + scale * s * gate * (x_j - x_k))
+        rng = np.random.default_rng(5)
+        X_i, X_j, X_k = (rng.uniform(-10.0, 10.0, (m, 3)) for _ in range(3))
+        candidates = local_walk(X_i, X_j, X_k, problem, params, rng, step_scale(problem, params))
+        replay = np.random.default_rng(5)
+        for _ in range(3):
+            replay.uniform(-10.0, 10.0, (m, 3))
+        s = replay.random(m)
+        gate = replay.random((m, 3)) < 0.25
+        expected = np.clip(X_i + s[:, None] * gate * (X_j - X_k), -10.0, 10.0)
+        assert np.array_equal(candidates, expected)
+        assert rng.random() == replay.random()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -205,10 +195,8 @@ class TestLocalWalk:
         problem = unit_box(4, lo=-5.0, hi=5.0)
         params = AlgorithmParams(p_a=0.0, stop=budget(100))
         rng = np.random.default_rng(seed)
-        x_i = rng.uniform(-5.0, 5.0, 4)
-        x_j = rng.uniform(-5.0, 5.0, 4)
-        x_k = rng.uniform(-5.0, 5.0, 4)
-        assert np.array_equal(local_walk(x_i, x_j, x_k, problem, params, rng), x_i)
+        x_i, x_j, x_k = (rng.uniform(-5.0, 5.0, (1, 4)) for _ in range(3))
+        assert np.array_equal(local_walk(x_i, x_j, x_k, problem, params, rng, step_scale(problem, params)), x_i)
 
     @given(seed=st.integers(0, 2**32 - 1), p_a=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -216,44 +204,32 @@ class TestLocalWalk:
         problem = unit_box(3, lo=-5.0, hi=5.0)
         params = AlgorithmParams(p_a=p_a, stop=budget(100))
         rng = np.random.default_rng(seed)
-        x_i = rng.uniform(-5.0, 5.0, 3)
-        x_j = rng.uniform(-5.0, 5.0, 3)
-        assert np.array_equal(local_walk(x_i, x_j, x_j.copy(), problem, params, rng), x_i)
+        x_i, x_j = (rng.uniform(-5.0, 5.0, (1, 3)) for _ in range(2))
+        scale = step_scale(problem, params)
+        assert np.array_equal(local_walk(x_i, x_j, x_j.copy(), problem, params, rng, scale), x_i)
 
     def test_open_gate_moves_only_differing_components(self):
         problem = unit_box(4, lo=-5.0, hi=5.0)
         params = AlgorithmParams(p_a=1.0, stop=budget(100))
-        x_i = np.zeros(4)
-        x_j = np.array([1.0, 0.0, 2.0, 0.0])
-        x_k = np.array([0.5, 0.0, 2.0, -3.0])  # differs in components 0 and 3
+        x_i = np.zeros((1, 4))
+        x_j = np.array([[1.0, 0.0, 2.0, 0.0]])
+        x_k = np.array([[0.5, 0.0, 2.0, -3.0]])  # differs in components 0 and 3
+        scale = step_scale(problem, params)
         for seed in range(25):
-            candidate = local_walk(x_i, x_j, x_k, problem, params, np.random.default_rng(seed))
+            candidate = local_walk(x_i, x_j, x_k, problem, params, np.random.default_rng(seed), scale)
             moved = candidate != x_i
-            assert moved.tolist() == [True, False, False, True]
-
-    def test_batch_draw_order_factors_then_gates(self):
-        problem = unit_box(3, lo=-10.0, hi=10.0)
-        params = AlgorithmParams(alpha=1.0, stop=budget(100))
-        rng = np.random.default_rng(5)
-        X_i, X_j, X_k = (rng.uniform(-10.0, 10.0, (4, 3)) for _ in range(3))
-        candidates = local_walk(X_i, X_j, X_k, problem, params, rng)
-        replay = np.random.default_rng(5)
-        for _ in range(3):
-            replay.uniform(-10.0, 10.0, (4, 3))
-        s = replay.random(4)
-        gate = replay.random((4, 3)) < 0.25
-        expected = np.clip(X_i + s[:, None] * gate * (X_j - X_k), -10.0, 10.0)
-        assert np.array_equal(candidates, expected)
-        assert rng.random() == replay.random()
+            assert moved.tolist() == [[True, False, False, True]]
 
     def test_dimension_mismatch(self):
         problem = unit_box(3)
         params = AlgorithmParams(stop=budget(100))
+        scale, rng = step_scale(problem, params), np.random.default_rng(0)
         with pytest.raises(ValueError):
-            local_walk(np.zeros(3), np.zeros(2), np.zeros(3), problem, params, np.random.default_rng(0))
+            local_walk(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 3)), problem, params, rng, scale)
         with pytest.raises(ValueError):
-            local_walk(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)), problem, params,
-                       np.random.default_rng(0))
+            local_walk(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)), problem, params, rng, scale)
+        with pytest.raises(ValueError):  # one point is a (1, d) row
+            local_walk(np.zeros(3), np.zeros(3), np.zeros(3), problem, params, rng, scale)
 
 
 class TestSelectionAndPartners:
@@ -383,14 +359,14 @@ class TestAbandonment:
         pop = initialize(problem, params, rng)
         before_X, before_F = pop.X.copy(), pop.F.copy()
         worst_two = sorted(range(8), key=lambda i: before_F[i])[-2:]
-        best_before = (pop.best_position.copy(), pop.best_objective)
+        best_before = (pop.best_position.copy(), pop.best_objective.copy())
 
         abandon(pop, problem, abandonment_count(params.p_a, 8), rng)
 
         changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
         assert sorted(changed) == sorted(worst_two)
         assert pop.evaluations == 8 + 2
-        assert pop.best_objective == best_before[1]
+        assert pop.best_objective[0] == best_before[1][0]
         assert np.array_equal(pop.best_position, best_before[0])
         for i in changed:
             assert np.all(pop.X[i] >= problem.lower)
@@ -411,7 +387,7 @@ class TestAbandonment:
         rng = np.random.default_rng(seed)
         pop = initialize(problem, params, rng)
         before = pop.X.copy()
-        best_before = (pop.best_position.copy(), pop.best_objective)
+        best_before = (pop.best_position.copy(), pop.best_objective.copy())
 
         abandon(pop, problem, abandonment_count(p_a, n), rng)
 
@@ -419,7 +395,7 @@ class TestAbandonment:
         changed = sum(not np.array_equal(pop.X[i], before[i]) for i in range(n))
         assert changed == expected
         assert pop.evaluations == n + expected
-        assert pop.best_objective == best_before[1]
+        assert pop.best_objective[0] == best_before[1][0]
         assert np.array_equal(pop.best_position, best_before[0])
 
     @given(
@@ -441,7 +417,7 @@ class TestAbandonment:
         assert stack.evaluations == n + count
         for t in range(T):
             rows, new = slice(t * n, t * n + n), slice(t * count, t * count + count)
-            alone = Population(X[rows].copy(), F[rows].copy(), F[rows] > 0, np.zeros(2), 0.0, False, n)
+            alone = Population(X[rows].copy(), F[rows].copy(), F[rows] > 0, *(r[:1] for r in records), n)
             abandon_fraction(alone, fresh[new], fresh_F[new], fresh_F[new] > 0.5)
             assert stack.X[rows].tobytes() == alone.X.tobytes() and stack.F[rows].tobytes() == alone.F.tobytes()
             assert stack.feasible[rows].tolist() == alone.feasible.tolist()

@@ -149,6 +149,9 @@ class TestConfigParsing:
             {"stop": {"max_evaluations": 100, "stagnation_window": True}},
             {"problems": [{"name": "sphere", "dimension": True}]},
             {"algorithms": [{"name": "hill_climb", "params": {"stall_limit": True}}]},
+            # a label names record files and fills a summary column
+            {"algorithms": [{"name": "cuckoo", "label": "a/b"}]},
+            {"algorithms": [{"name": "cuckoo", "label": "x\ty"}]},
         ],
     )
     def test_rejects_malformed(self, overrides):
@@ -655,6 +658,17 @@ class TestRunExperiment:
             assert record["history"], "history came back empty"
             assert len(record["history"]) == len(record["history_evaluations"])
             assert record["best_objective"] == record["history"][-1]
+
+    def test_a_dotted_label_round_trips(self, tmp_path, capsys):
+        # the label holds the sidecar suffix, which only the end of a name may lose
+        spec = load_experiment(write_spec(tmp_path, {"algorithms": [{"name": "cuckoo", "label": "x.meta.json"}]}))
+        run_experiment(spec)
+        records = read_records(tmp_path / "out")
+        assert [(r["algorithm"], r["trial"]) for r in records] == [("x.meta.json", 0), ("x.meta.json", 1)]
+        assert all(r["history"][-1] == r["best_objective"] for r in records)
+        assert main(["summarize", str(tmp_path / "out")]) == 0
+        (line,) = capsys.readouterr().out.splitlines()[1:]
+        assert line.split("\t")[:3] == ["sphere", "x.meta.json", "2"]
 
 
 class TestSidecars:
