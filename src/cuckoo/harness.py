@@ -133,6 +133,11 @@ class ExperimentSpec:
         check_number(self, "trials", "[1, inf)", integer=True, error=ConfigError)
         check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
         check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)
+        # the longest record file name, <problem>__<label>__t<NNN>.meta.json.tmp, in bytes
+        longest = sum(max((len(os.fsencode(s)) for s in group), default=0) for group in (names, labels))
+        longest += len(f"____t{self.trials - 1:03d}.meta.json.tmp")
+        if longest > 255:
+            raise ConfigError(f"record file names would take {longest} bytes, above the 255 of a file name")
         d = max((p.dimension for p in self.problems), default=1)
         for a in self.algorithms:  # the global walk's (2, n, d) uniforms are the largest array
             if isinstance(a.params, AlgorithmParams) and 16 * a.params.n * d > sys.maxsize:

@@ -12,6 +12,9 @@ with indexing (``x[0]``), unpacking (``w, D, N = x``), ``axis=0``
 reductions and numpy ufuncs, one function serves both.  Powers are
 written as products: scalar and array ``**`` can round differently in
 the last bit, and a batch row must score exactly like the same point.
+The engineering designs score a point in Python floats (``x.tolist()``),
+which round as numpy scalars do at a fraction of their cost; Python's
+``cos`` and sums need not match numpy's, so the scalable functions do not.
 
 The corpus covers four classic unconstrained test functions (sphere,
 Rosenbrock, Ackley, Rastrigin, all scalable) and two constrained
@@ -163,26 +166,31 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     of shape (m,), computed by passing ``x.T`` to each callable once; a
     callable that returns any other shape raises ValueError (a scalar is
     never broadcast).  A batch row scores exactly like the same point,
-    and like the same row inside any larger batch.
+    and like the same row inside any larger batch; a point whose callable
+    raises ZeroDivisionError, as Python floats do, is scored as a batch.
     Raises :class:`EvaluationError` if the penalized value is NaN or
     infinite, as a NaN or ``+inf`` constraint value makes it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return _evaluate_batch(problem, x, penalty)
-    raw = float(problem.objective(x))
-    violation_sq = 0.0
-    feasible = True
-    for g in problem.inequality_constraints:
-        v = float(g(x))
-        if not v <= 0.0:  # NaN counts as violated
-            violation_sq += v * v
-            feasible = False
-    for h in problem.equality_constraints:
-        v = abs(float(h(x))) - penalty.eq_tolerance
-        if not v <= 0.0:
-            violation_sq += v * v
-            feasible = False
+    try:
+        raw = float(problem.objective(x))
+        violation_sq = 0.0
+        feasible = True
+        for g in problem.inequality_constraints:
+            v = float(g(x))
+            if not v <= 0.0:  # NaN counts as violated
+                violation_sq += v * v
+                feasible = False
+        for h in problem.equality_constraints:
+            v = abs(float(h(x))) - penalty.eq_tolerance
+            if not v <= 0.0:
+                violation_sq += v * v
+                feasible = False
+    except ZeroDivisionError:  # where numpy divides to +-inf or NaN
+        values, feasible = _evaluate_batch(problem, x[None], penalty)
+        return float(values[0]), bool(feasible[0])
     value = raw + penalty.penalty_weight * violation_sq
     if not math.isfinite(value):
         raise EvaluationError(
@@ -228,7 +236,7 @@ def _evaluate_batch(
     if np.count_nonzero(finite) != count:
         row = int(np.argmin(finite))
         raise EvaluationError(
-            f"non-finite penalized objective ({values[row]!r}) on {problem.name!r}", X[row]
+            f"non-finite penalized objective ({float(values[row])!r}) on {problem.name!r}", X[row]
         )
     # without constraints every point is feasible, and finite is all True here
     return values, finite if feasible is None else feasible
@@ -303,6 +311,13 @@ def rastrigin(dimension: int = 10) -> Problem:
 
 
 # --- constrained engineering designs -----------------------------------------
+# Each callable turns a point into Python floats first; a batch's rows are
+# indexed, not unpacked, as unpacking every row slows the batch path by ~10%.
+
+def _sqrt(v):
+    """``np.sqrt`` of an array, or of a float as a float (NaN below zero, as numpy gives)."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v) if v >= 0.0 else math.nan
+
 
 def spring_design() -> Problem:
     """Tension/compression spring weight minimization (Arora's formulation).
@@ -314,18 +329,18 @@ def spring_design() -> Problem:
     outside diameter.
     """
 
-    # indexing, not unpacking: a point's callables run once per hill-climb
-    # evaluation, and x[0] costs a tenth of ``w, D, N = x``
     def f(x: np.ndarray):
-        w = x[0]
-        return (x[2] + 2.0) * x[1] * w * w
+        x = x.tolist() if x.ndim == 1 else x
+        return (x[2] + 2.0) * x[1] * x[0] * x[0]
 
     def deflection(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
         D = x[1]
         w2 = x[0] * x[0]
         return 1.0 - D * D * D * x[2] / (71785.0 * (w2 * w2))
 
     def shear_stress(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
         w, D = x[0], x[1]
         w2 = w * w
         return (
@@ -334,12 +349,15 @@ def spring_design() -> Problem:
             - 1.0
         )
 
-    gs = (
-        deflection,
-        shear_stress,
-        lambda x: 1.0 - 140.45 * x[0] / (x[1] * x[1] * x[2]),
-        lambda x: (x[0] + x[1]) / 1.5 - 1.0,
-    )
+    def surge_frequency(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return 1.0 - 140.45 * x[0] / (x[1] * x[1] * x[2])
+
+    def outside_diameter(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return (x[0] + x[1]) / 1.5 - 1.0
+
+    gs = (deflection, shear_stress, surge_frequency, outside_diameter)
     bounds = [(0.05, 2.0), (0.25, 1.3), (2.0, 15.0)]
     return Problem("spring_design", bounds, f, inequality_constraints=gs)
 
@@ -357,37 +375,54 @@ def welded_beam() -> Problem:
     thickness, tip deflection, and buckling load.
     """
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
+    root2, root_e_4g = math.sqrt(2.0), math.sqrt(E / (4.0 * G))  # constants, computed once
+    bending_moment, deflection_load = 6.0 * P * L, 4.0 * P * (L * L * L)
 
     def f(x: np.ndarray):
-        h, l = x[0], x[1]
-        return 1.10471 * h * h * l + 0.04811 * x[2] * x[3] * (14.0 + l)
+        x = x.tolist() if x.ndim == 1 else x
+        return 1.10471 * x[0] * x[0] * x[1] + 0.04811 * x[2] * x[3] * (14.0 + x[1])
 
     def weld_shear(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
         h, l, t = x[0], x[1], x[2]
         half_ht = (h + t) / 2.0
-        tau1 = P / (math.sqrt(2.0) * h * l)
+        tau1 = P / (root2 * h * l)
         moment = P * (L + l / 2.0)
-        radius = np.sqrt(l * l / 4.0 + half_ht * half_ht)
-        polar = 2.0 * (math.sqrt(2.0) * h * l * (l * l / 12.0 + half_ht * half_ht))
+        radius = _sqrt(l * l / 4.0 + half_ht * half_ht)
+        polar = 2.0 * (root2 * h * l * (l * l / 12.0 + half_ht * half_ht))
         tau2 = moment * radius / polar
-        return np.sqrt(tau1 * tau1 + 2.0 * tau1 * tau2 * l / (2.0 * radius) + tau2 * tau2)
+        return _sqrt(tau1 * tau1 + 2.0 * tau1 * tau2 * l / (2.0 * radius) + tau2 * tau2) - 13600.0
+
+    def bending_stress(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return bending_moment / (x[3] * (x[2] * x[2])) - 30000.0
+
+    def thickness_order(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return x[0] - x[3]
+
+    def side_cost(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return 0.10471 * (x[0] * x[0]) + 0.04811 * x[2] * x[3] * (14.0 + x[1]) - 5.0
+
+    def minimum_weld(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return 0.125 - x[0]
+
+    def tip_deflection(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
+        return deflection_load / (E * (x[2] * x[2] * x[2]) * x[3]) - 0.25
 
     def buckling_load(x: np.ndarray):
+        x = x.tolist() if x.ndim == 1 else x
         t, b = x[2], x[3]
         b3 = b * b * b
-        return (4.013 * E * np.sqrt(t * t * (b3 * b3) / 36.0) / (L * L)) * (
-            1.0 - (t / (2.0 * L)) * math.sqrt(E / (4.0 * G))
+        return P - (4.013 * E * _sqrt(t * t * (b3 * b3) / 36.0) / (L * L)) * (
+            1.0 - (t / (2.0 * L)) * root_e_4g
         )
 
-    gs = (
-        lambda x: weld_shear(x) - 13600.0,
-        lambda x: 6.0 * P * L / (x[3] * (x[2] * x[2])) - 30000.0,
-        lambda x: x[0] - x[3],
-        lambda x: 0.10471 * (x[0] * x[0]) + 0.04811 * x[2] * x[3] * (14.0 + x[1]) - 5.0,
-        lambda x: 0.125 - x[0],
-        lambda x: 4.0 * P * (L * L * L) / (E * (x[2] * x[2] * x[2]) * x[3]) - 0.25,
-        lambda x: P - buckling_load(x),
-    )
+    gs = (weld_shear, bending_stress, thickness_order, side_cost, minimum_weld,
+          tip_deflection, buckling_load)
     bounds = [(0.1, 2.0), (0.1, 10.0), (0.1, 10.0), (0.1, 2.0)]
     return Problem("welded_beam", bounds, f, inequality_constraints=gs)
 

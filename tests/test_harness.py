@@ -874,6 +874,21 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split("\t")[2] for row in rows] == ["2", "2"]
 
+    def test_a_label_too_long_for_a_file_name_keeps_the_old_records(self, tmp_path, capsys):
+        # sphere__<label>__t001.meta.json.tmp takes 28 bytes beside the label
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        before = sorted(p.name for p in (out / "records").iterdir())
+        for label in ("a" * 228, "é" * 114, "a" * 260):
+            path = write_spec(tmp_path, {"algorithms": [{"name": "cuckoo", "label": label}]}, name="long.yaml")
+            assert main(["run", str(path)]) == 2
+            assert "above the 255 of a file name" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "records").iterdir()) == before
+        # the longest label that fits runs and writes its records
+        edge = {"algorithms": [{"name": "cuckoo", "label": "a" * 227}], "output": str(tmp_path / "edge")}
+        run_experiment(spec_from_dict({**BASE_SPEC, **edge}))
+        assert len(list((tmp_path / "edge" / "records").glob("*.meta.json"))) == 2
+
     def test_missing_paths(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
         assert main(["summarize", str(tmp_path / "never_ran")]) == 2

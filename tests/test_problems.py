@@ -1,5 +1,6 @@
 """Benchmark corpus: definitions, penalty math, evaluation contract."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,6 +130,29 @@ class TestEngineeringDesigns:
         assert feasible is False
         assert penalized > beam.objective(x)
 
+    @pytest.mark.parametrize("name", ["spring_design", "welded_beam"])
+    def test_a_point_is_scored_in_python_floats(self, name):
+        # the point path's speed: numpy scalars cost several times as much
+        problem = get_problem(name)
+        rng = np.random.default_rng(3)
+        for x in (BEST_KNOWN[name][0], problem.lower, rng.uniform(problem.lower, problem.upper)):
+            for c in (problem.objective,) + problem.inequality_constraints:
+                assert type(c(np.array(x))) is float
+
+    def test_a_zero_denominator_raises_the_same_error_on_both_paths(self):
+        # w = D is inside the bounds and zeroes the shear stress's denominator:
+        # a point's Python floats raise where the batch's numpy divides to inf
+        spring = get_problem("spring_design")
+        x = np.array([1.0, 1.0, 5.0])
+        with np.errstate(divide="ignore"):
+            with pytest.raises(EvaluationError) as point:
+                evaluate(spring, x)
+            with pytest.raises(EvaluationError) as batch:
+                evaluate(spring, x[None])
+        message = "non-finite penalized objective (inf) on 'spring_design'"
+        assert str(point.value) == str(batch.value) == message
+        assert point.value.x.tolist() == batch.value.x.tolist() == x.tolist()
+
 
 class TestPenalty:
     @staticmethod
@@ -227,6 +251,20 @@ class TestBatchContract:
             problem = get_problem(name, dimension)
         rng = np.random.default_rng(m * 1000 + problem.dimension)
         X = rng.uniform(problem.lower, problem.upper, size=(m, problem.dimension))
+        self._rows_match_points(problem, X, rng)
+
+    @pytest.mark.parametrize("name", ["spring_design", "welded_beam"])
+    def test_design_corners_and_best_known_point_match_bit_for_bit(self, name):
+        # the climber clamps its moves to the bounds, so bound values are common
+        problem = get_problem(name)
+        corners = list(itertools.product(*problem.bounds.tolist()))
+        X = np.array(corners + [BEST_KNOWN[name][0].tolist()])
+        assert len(X) == 2**problem.dimension + 1
+        self._rows_match_points(problem, X, np.random.default_rng(problem.dimension))
+
+    @staticmethod
+    def _rows_match_points(problem, X, rng):
+        m = len(X)
         values, feasible = evaluate(problem, X)
         assert values.shape == feasible.shape == (m,)
         objectives = problem.objective(X.T)
