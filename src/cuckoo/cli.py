@@ -71,14 +71,8 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> list[SummaryRow]:
-    spec = load_experiment(args.experiment)
-    overrides = {}
-    if args.output is not None:
-        overrides["output"] = args.output
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        spec = replace(spec, **overrides)
+    overrides = {key: getattr(args, key) for key in ("output", "workers") if getattr(args, key) is not None}
+    spec = replace(load_experiment(args.experiment), **overrides)
     rows = run_experiment(spec)
     print(format_summary(rows), end="")
     print(f"# wrote {Path(spec.output) / 'summary.tsv'}")

@@ -46,7 +46,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -99,15 +99,42 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemRef:
+    """A corpus problem; a scalable one without a dimension gets its default."""
+
     name: str
-    dimension: int
+    dimension: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"problem name must be a string, got {self.name!r}")
+        try:
+            built = get_problem(self.name, self.dimension)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "dimension", built.dimension)
 
 
 @dataclass(frozen=True)
 class AlgorithmRef:
-    name: str
-    label: str
+    """An algorithm, named by the class of its params, under a label that defaults to that name."""
+
     params: AlgorithmParams | HillClimbParams
+    label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.name is None:
+            raise ConfigError(f"params must be one of {[c.__name__ for c in _PARAMS_CLASSES.values()]},"
+                              f" got {self.params!r}")
+        label = self.name if self.label is None else self.label
+        object.__setattr__(self, "label", label)
+        # the label names record files and fills a summary column
+        if not isinstance(label, str) or not label or "__" in label or "/" in label or not label.isprintable():
+            raise ConfigError(f"algorithm label must be nonempty and printable, without '__' or '/',"
+                              f" got {label!r}")
+
+    @property
+    def name(self) -> Optional[str]:
+        return next((name for name, cls in _PARAMS_CLASSES.items() if type(self.params) is cls), None)
 
 
 @dataclass(frozen=True)
@@ -122,6 +149,11 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for key, cls in (("problems", ProblemRef), ("algorithms", AlgorithmRef)):
+            entries = getattr(self, key)
+            if not isinstance(entries, tuple) or not entries or not all(isinstance(e, cls) for e in entries):
+                raise ConfigError(f"{key} must be a non-empty tuple of {cls.__name__} (a list in a file),"
+                                  f" got {entries!r}")
         names = [p.name for p in self.problems]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate problem names: {names}")
@@ -133,11 +165,11 @@ class ExperimentSpec:
         check_number(self, "trials", "[1, inf)", integer=True, error=ConfigError)
         check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
         check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)
-        # the longest record file name, <problem>__<label>__t<NNN>.meta.json.tmp, in bytes
-        longest = sum(max((len(os.fsencode(s)) for s in group), default=0) for group in (names, labels))
-        longest += len(f"____t{self.trials - 1:03d}.meta.json.tmp")
-        if longest > 255:
-            raise ConfigError(f"record file names would take {longest} bytes, above the 255 of a file name")
+        # the longest record file name in bytes: a sidecar's, with the suffix _write_atomic adds
+        longest = [max(group, key=lambda s: len(os.fsencode(s)), default="") for group in (names, labels)]
+        stem = _record_stem(dict(zip(("problem", "algorithm"), longest), trial=self.trials - 1))
+        if (size := len(os.fsencode(stem + ".meta.json.tmp"))) > 255:
+            raise ConfigError(f"record file names would take {size} bytes, above the 255 of a file name")
         d = max((p.dimension for p in self.problems), default=1)
         for a in self.algorithms:  # the global walk's (2, n, d) uniforms are the largest array
             if isinstance(a.params, AlgorithmParams) and 16 * a.params.n * d > sys.maxsize:
@@ -179,119 +211,78 @@ def lower_median(values):
 
 def load_experiment(path) -> ExperimentSpec:
     """Parse and validate an experiment YAML file."""
-    text = Path(path).read_text(encoding="utf-8")
-    data = yaml.safe_load(text)
-    if not isinstance(data, dict):
-        raise ConfigError(f"experiment file must hold a mapping, got {type(data).__name__}")
-    return spec_from_dict(data)
+    return spec_from_dict(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build a validated spec from a plain dict (the YAML layout).
 
-    Only the keys given are passed on; the dataclasses supply the rest.
+    This checks the layout alone: mappings of known keys, lists, known
+    algorithm names.  The dataclasses hold every other rule.
     """
-    _check_keys(data, ExperimentSpec, "experiment")
-    for f in fields(ExperimentSpec):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"experiment is missing required key {f.name!r}")
-    given = dict(data)
-    given["problems"] = tuple(_parse_problem(entry) for entry in _as_list(data["problems"], "problems"))
-    given["stop"] = stop = _parse_config(StopCriterion, data["stop"], "stop")
-    given["algorithms"] = tuple(
-        _parse_algorithm(entry, stop) for entry in _as_list(data["algorithms"], "algorithms")
-    )
-    if "penalty" in data:
-        given["penalty"] = _parse_config(PenaltyConfig, data["penalty"], "penalty")
-    return ExperimentSpec(**given)
+    def each(build):  # the entries of a list built; ExperimentSpec refuses anything else
+        return lambda entries: tuple(map(build, entries)) if isinstance(entries, (list, tuple)) else entries
+
+    def arguments(block: dict) -> dict:
+        # the stop first, since each algorithm's params carry it
+        stop = _build(StopCriterion, block["stop"], "stop") if "stop" in block else None
+        parse = {
+            "problems": each(lambda entry: _build(ProblemRef, entry, "problem")),
+            "algorithms": each(lambda entry: _build(
+                AlgorithmRef, entry, "algorithm", {"name", "label", "params"},
+                lambda given: {"label": given.get("label"), "params": _parse_algorithm(given, stop)})),
+            "stop": lambda _: stop,
+            "penalty": lambda entry: _build(PenaltyConfig, entry, "penalty"),
+        }
+        return {key: parse[key](value) if key in parse else value for key, value in block.items()}
+
+    return _build(ExperimentSpec, data, "experiment", arguments=arguments)
 
 
-def _check_keys(block: dict, cls, what: str) -> None:
-    unknown = set(block) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+def _build(cls, block, what: str, keys=None, arguments=dict):
+    """``cls(**arguments(block))`` for a YAML block of ``keys``, by default the fields of ``cls``.
 
-
-def _as_list(value, key: str) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key} must be a non-empty list")
-    return value
-
-
-def _entry(entry, cls, what: str) -> dict:
-    """A problem or algorithm entry as a mapping; a bare name is its name."""
-    if isinstance(entry, str):
-        entry = {"name": entry}
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{what} entries must be names or mappings, got {entry!r}")
-    _check_keys(entry, cls, what)
-    return entry
-
-
-def _parse_problem(entry) -> ProblemRef:
-    entry = _entry(entry, ProblemRef, "problem")
-    name, dimension = entry.get("name"), entry.get("dimension")
-    if not isinstance(name, str):
-        raise ConfigError(f"problem name must be a string, got {name!r}")
+    A bare string is ``{name: ...}`` where ``name`` is a key.  A missing key,
+    or a value that ``cls`` refuses, raises ConfigError.
+    """
+    keys = keys or {f.name for f in fields(cls)}
+    if isinstance(block, str) and "name" in keys:
+        block = {"name": block}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a mapping, got {block!r}")
+    if unknown := set(block) - keys:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}; allowed: {sorted(keys)}")
     try:
-        built = get_problem(name, dimension)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ProblemRef(name=name, dimension=built.dimension)
+        return cls(**arguments(block))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _parse_algorithm(entry, stop: StopCriterion) -> AlgorithmRef:
-    entry = _entry(entry, AlgorithmRef, "algorithm")
+def _parse_algorithm(entry: dict, stop: StopCriterion):
+    """An algorithm entry's params, given flat as :func:`_flat_params` writes them, as its name's class."""
     name = entry.get("name")
     if name not in ALGORITHM_NAMES:
         raise ConfigError(f"unknown algorithm {name!r}; available: {', '.join(ALGORITHM_NAMES)}")
-    label = entry.get("label", name)
-    # the label names record files and fills a summary column
-    if not isinstance(label, str) or not label or "__" in label or "/" in label or not label.isprintable():
-        raise ConfigError(f"algorithm label must be nonempty and printable, without '__' or '/', got {label!r}")
-    params = entry.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("algorithm params must be a mapping")
-    unknown = set(params) - PARAM_KEYS[name]
-    if unknown:
-        raise ConfigError(
-            f"unknown {name} params: {sorted(unknown)}; allowed: {sorted(PARAM_KEYS[name])}"
-        )
-    try:
-        built = _build_params(name, params, stop)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} params: {exc}") from exc
-    return AlgorithmRef(name=name, label=label, params=built)
-
-
-def _parse_config(cls, block, what: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be a mapping")
-    _check_keys(block, cls, what)
-    try:
-        return cls(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} block: {exc}") from exc
-
-
-def _build_params(name: str, block: dict, stop: StopCriterion):
-    """The inverse of :func:`_flat_params`; defaults fill the keys not given."""
     default = _PARAMS_CLASSES[name]()
-    kwargs = {}
-    for f in fields(default):
-        value = getattr(default, f.name)
-        if isinstance(value, StopCriterion):
-            kwargs[f.name] = stop
-        elif is_dataclass(value):
-            kwargs[f.name] = replace(value, **{k: block[k] for k in asdict(value) if k in block})
-        elif f.name in block:
-            kwargs[f.name] = block[f.name]
-    return replace(default, **kwargs)
+
+    def nested(flat: dict) -> dict:  # the step law rebuilt, the experiment's stop set
+        kwargs = {"stop": stop}
+        for f in fields(default):
+            value = getattr(default, f.name)
+            if is_dataclass(value) and not isinstance(value, StopCriterion):
+                kwargs[f.name] = replace(value, **{k: flat[k] for k in asdict(value) if k in flat})
+            elif f.name in flat:
+                kwargs[f.name] = flat[f.name]
+        return kwargs
+
+    return _build(type(default), entry.get("params", {}), f"{name} params", PARAM_KEYS[name], nested)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Plain-dict form of a spec, every field written; parseable by :func:`spec_from_dict`."""
-    algorithms = [{**asdict(a), "params": _flat_params(a.params)} for a in spec.algorithms]
+    algorithms = [{"name": a.name, "label": a.label, "params": _flat_params(a.params)} for a in spec.algorithms]
     return {**asdict(spec), "algorithms": algorithms}
 
 

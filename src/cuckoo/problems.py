@@ -24,6 +24,7 @@ standard bounds and best-known reference points.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -164,10 +165,11 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     value, NaN included, is a violation, and feasible is True iff no
     constraint is violated.  For a batch, returns the same two as arrays
     of shape (m,), computed by passing ``x.T`` to each callable once; a
-    callable that returns any other shape raises ValueError (a scalar is
-    never broadcast).  A batch row scores exactly like the same point,
-    and like the same row inside any larger batch; a point whose callable
-    raises ZeroDivisionError, as Python floats do, is scored as a batch.
+    callable that returns another shape raises ValueError, as an array
+    for a point does (a scalar is never broadcast).  A batch row scores
+    exactly like the same point, and like the same row inside any larger
+    batch; a point whose callable raises ZeroDivisionError, as Python
+    floats do, is scored as a batch.
     Raises :class:`EvaluationError` if the penalized value is NaN or
     infinite, as a NaN or ``+inf`` constraint value makes it.
     """
@@ -191,6 +193,11 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     except ZeroDivisionError:  # where numpy divides to +-inf or NaN
         values, feasible = _evaluate_batch(problem, x[None], penalty)
         return float(values[0]), bool(feasible[0])
+    except TypeError:  # float() of an array: call again up to the first non-scalar, and name it
+        callables = (problem.objective, *problem.inequality_constraints, *problem.equality_constraints)
+        with contextlib.suppress(TypeError):  # raised by a callable itself, not by float()
+            _reject_shapes(problem, (f(x) for f in callables), ())
+        raise
     value = raw + penalty.penalty_weight * violation_sq
     if not math.isfinite(value):
         raise EvaluationError(
@@ -207,7 +214,7 @@ def _evaluate_batch(
     # a copy, so that values returned without a penalty pass never alias the input
     values = np.array(problem.objective(columns), dtype=float)
     if values.shape != (count,):
-        _reject_shapes(problem, [values], count)
+        _reject_shapes(problem, [values], (count,))
     feasible = None
     inequalities = len(problem.inequality_constraints)
     if inequalities or problem.equality_constraints:
@@ -216,10 +223,10 @@ def _evaluate_batch(
         try:
             G = np.array(results, dtype=float)
         except ValueError:  # results of different shapes, or not numbers
-            _reject_shapes(problem, results, count)
+            _reject_shapes(problem, results, (count,))
             raise
         if G.shape != (len(results), count):
-            _reject_shapes(problem, results, count)
+            _reject_shapes(problem, results, (count,))
         if problem.equality_constraints:
             equalities = G[inequalities:]
             np.abs(equalities, out=equalities)
@@ -242,15 +249,13 @@ def _evaluate_batch(
     return values, finite if feasible is None else feasible
 
 
-def _reject_shapes(problem: Problem, results: list, count: int) -> None:
-    """Raise ValueError at the first batch result whose shape is not (count,)."""
+def _reject_shapes(problem: Problem, results, expected: tuple) -> None:
+    """Raise ValueError at the first result whose shape is not ``expected``."""
     for result in results:
         shape = np.shape(result)
-        if shape != (count,):
-            raise ValueError(
-                f"a callable of {problem.name!r} returned shape {shape} for a batch of"
-                f" {count} points; given (d, m) coordinates it must return shape (m,)"
-            )
+        if shape != expected:
+            raise ValueError(f"a callable of {problem.name!r} returned shape {shape} where {expected} was due;"
+                             f" given (d, m) coordinates it must return shape (m,), and given (d,) a scalar")
 
 
 # --- unconstrained test functions -------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import cuckoo
+from cuckoo.harness import spec_from_dict, spec_to_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,6 +34,22 @@ def test_every_traced_function_exists(monkeypatch):
     missing = [f"{module.__name__}.{attribute}" for module, attribute, _ in targets
                if not callable(getattr(module, attribute, None))]
     assert not missing, f"the traced benchmark wraps functions that do not exist: {', '.join(missing)}"
+
+
+def test_the_benchmark_spec_layouts_parse(monkeypatch, tmp_path):
+    # the grid's dict and the dicts that the traced runs of the other workloads build
+    workloads = load(monkeypatch, BENCH / "workloads.py")
+    grid = workloads.build("grid", 1, smoke=True).grid
+    assert "cuckoo" in grid["algorithms"] and {"name": "welded_beam"} in grid["problems"]
+    traced = []
+    monkeypatch.setattr(workloads, "traced_grid_call", lambda wl, tracer, seed, out, spec: traced.append(spec))
+    for name in ("multimodal", "constrained"):
+        workloads.traced(workloads.build(name, 1, smoke=True), {"trials": []}, None, tmp_path)
+    assert len(traced) == 4
+    assert all(spec["workers"] == 1 and "params" in spec["algorithms"][0] for spec in traced)
+    for layout in [grid, *traced]:
+        spec = spec_from_dict({**layout, "output": str(tmp_path / "out")})
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 def test_the_micro_timings_call_what_exists(monkeypatch):

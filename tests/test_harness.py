@@ -22,8 +22,10 @@ from cuckoo.cli import main
 from cuckoo.core import AlgorithmParams, StopCriterion
 from cuckoo.harness import (
     PARAM_KEYS,
+    AlgorithmRef,
     ConfigError,
     ExperimentSpec,
+    ProblemRef,
     _execute_trial,
     format_summary,
     load_experiment,
@@ -166,12 +168,61 @@ class TestConfigParsing:
     def test_shipped_experiments_load(self, path):
         spec = load_experiment(path)
         assert spec.problems and spec.algorithms
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_missing_required_key(self):
         data = dict(BASE_SPEC)
         del data["stop"]
         with pytest.raises(ConfigError, match="stop"):
             spec_from_dict(data)
+
+    def test_a_bare_string_is_a_name_only_where_a_name_is_a_key(self):
+        assert spec_from_dict({**BASE_SPEC, "problems": ["sphere"]}).problems[0].name == "sphere"
+        for key in ("stop", "penalty"):
+            with pytest.raises(ConfigError, match=f"^{key} must be a mapping, got 'sphere'$"):
+                spec_from_dict({**BASE_SPEC, key: "sphere"})
+
+    def test_a_spec_built_in_python_obeys_the_file_rules(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        before = {path.name: path.read_bytes() for path in (out / "records").iterdir()}
+        params = AlgorithmParams(n=10, stop=StopCriterion(max_evaluations=400))
+        # a label that cannot name a record file
+        with pytest.raises(ConfigError, match="label must be"):
+            AlgorithmRef(params, "a/b")
+        # the name comes from the params, so a name where the params go is refused
+        with pytest.raises(ConfigError, match=r"params must be one of \['AlgorithmParams', 'HillClimbParams'\]"):
+            AlgorithmRef("hill_climb", "h")
+        assert AlgorithmRef(params, "h").name == "cuckoo"
+        assert AlgorithmRef(HillClimbParams()).label == "hill_climb"
+        # a problem gets its default dimension, or is refused
+        assert ProblemRef("sphere", None) == ProblemRef("sphere") == ProblemRef("sphere", 10)
+        assert ProblemRef("welded_beam").dimension == 4
+        for args in (("made_up",), ("sphere", 0), ("welded_beam", 3), (["sphere"],), ("sphere", True)):
+            with pytest.raises(ConfigError):
+                ProblemRef(*args)
+        # an experiment needs at least one problem and one algorithm, as entries
+        spec = load_experiment(write_spec(tmp_path))
+        for problems in ((), ["sphere"], ("sphere",), [ProblemRef("sphere")]):
+            with pytest.raises(ConfigError, match="problems must be a non-empty tuple of ProblemRef"):
+                replace(spec, problems=problems)
+        with pytest.raises(ConfigError, match="algorithms must be a non-empty tuple of AlgorithmRef"):
+            replace(spec, algorithms=())
+        assert {path.name: path.read_bytes() for path in (out / "records").iterdir()} == before
+
+    def test_a_spec_built_in_python_runs_and_reloads(self, tmp_path, capsys):
+        stop = StopCriterion(max_evaluations=300)
+        spec = ExperimentSpec(
+            problems=(ProblemRef("sphere"),),
+            algorithms=(AlgorithmRef(HillClimbParams(stall_limit=5, stop=stop)),),
+            trials=2, base_seed=7, stop=stop, output=str(tmp_path / "out"),
+        )
+        assert [(p.name, p.dimension) for p in spec.problems] == [("sphere", 10)]
+        (row,) = run_experiment(spec)
+        assert (row.problem, row.algorithm, row.trials) == ("sphere", "hill_climb", 2)
+        assert load_experiment(tmp_path / "out" / "experiment.yaml") == spec
+        assert main(["summarize", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("sphere\thill_climb\t2\t")
 
     def test_two_cuckoo_variants_need_labels(self):
         data = {
@@ -884,6 +935,10 @@ class TestCli:
             assert main(["run", str(path)]) == 2
             assert "above the 255 of a file name" in capsys.readouterr().err
         assert sorted(p.name for p in (out / "records").iterdir()) == before
+        # the longest label counts, wherever it sorts
+        labels = [{"name": "cuckoo", "label": "a" * 228}, {"name": "hill_climb", "label": "z"}]
+        with pytest.raises(ConfigError, match="take 256 bytes"):
+            spec_from_dict({**BASE_SPEC, "algorithms": labels})
         # the longest label that fits runs and writes its records
         edge = {"algorithms": [{"name": "cuckoo", "label": "a" * 227}], "output": str(tmp_path / "edge")}
         run_experiment(spec_from_dict({**BASE_SPEC, **edge}))

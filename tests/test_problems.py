@@ -341,6 +341,31 @@ class TestBatchContract:
         with pytest.raises(ValueError, match="shape"):
             evaluate(constant, np.full((3, 2), 0.5))
 
+    def test_an_array_for_a_point_is_rejected_on_both_paths(self):
+        # x * x serves neither shape: (d,) for a point, (d, m) for a batch
+        squares = Problem("squares", [(0.0, 1.0)] * 3, objective=lambda x: x * x)
+        with pytest.raises(ValueError, match=r"^a callable of 'squares' returned shape \(3,\) where \(\) was due"):
+            evaluate(squares, np.full(3, 0.5))
+        with pytest.raises(ValueError, match=r"^a callable of 'squares' returned shape \(3, 2\) where \(2,\) was due"):
+            evaluate(squares, np.full((2, 3), 0.5))
+        # the first callable that returns an array is named, here a constraint
+        rows = Problem("rows", [(0.0, 1.0)] * 2, objective=lambda x: x[0], inequality_constraints=(lambda x: x,))
+        with pytest.raises(ValueError, match=r"^a callable of 'rows' returned shape \(2,\) where \(\) was due"):
+            evaluate(rows, np.full(2, 0.5))
+        # a TypeError that a callable raises itself comes out as it was first raised
+        raised = []
+
+        def failing(x):
+            raised.append(TypeError("from the callable"))
+            raise raised[-1]
+
+        for problem in (Problem("failing", [(0.0, 1.0)], objective=failing),
+                        Problem("failing", [(0.0, 1.0)], objective=lambda x: x[0], inequality_constraints=(failing,))):
+            raised.clear()
+            with pytest.raises(TypeError) as excinfo:
+                evaluate(problem, np.array([0.5]))
+            assert excinfo.value is raised[0]
+
     def test_batch_values_are_a_copy(self):
         # without constraints the objective's values are returned as they are
         problem = Problem("first", [(-1.0, 1.0)] * 2, objective=lambda x: x[0])
