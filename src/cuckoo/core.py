@@ -140,12 +140,12 @@ class Population:
 class StopCriterion:
     """Termination rule: a budget, optionally with a target and a window.
 
-    max_evaluations stops once the evaluation count reaches the budget;
-    both optimizers spend it exactly (cuckoo search cuts the phase that
-    reaches it short).  target_objective stops when the best penalized
-    objective is <= the target.  stagnation_window stops after that many
-    consecutive iterations without a best improvement above 1e-12.
-    Cuckoo search asks :meth:`reason` only at the end of an iteration.
+    max_evaluations stops once the evaluation count reaches the budget; both optimizers
+    spend it exactly (cuckoo search cuts the phase that reaches it short).  target_objective
+    stops when the best penalized objective is <= the target.  stagnation_window stops after
+    that many steps in a row without a best gain above 1e-12.  A step is an iteration of
+    cuckoo search, which asks :meth:`reason` after each one, or an evaluation of hill
+    climbing, which asks it after each new best and, under a window, after every evaluation.
     """
 
     max_evaluations: int
@@ -196,6 +196,9 @@ class AlgorithmParams:
         check_number(self, "n", "[2, inf)", integer=True)
         check_number(self, "p_a", "[0, 1]")
         check_number(self, "alpha", "(0, inf)", optional=True)
+        for key, cls in (("levy", LevyConfig), ("stop", StopCriterion)):
+            if not isinstance(getattr(self, key), cls):
+                raise TypeError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
         if self.compare_to not in ("random", "parent"):
             raise ValueError(f"compare_to must be 'random' or 'parent', got {self.compare_to!r}")
 

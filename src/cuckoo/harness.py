@@ -162,6 +162,8 @@ class ExperimentSpec:
             raise ConfigError(f"duplicate algorithm labels: {labels}; set distinct 'label' values")
         if any(a.params.stop != self.stop for a in self.algorithms):
             raise ConfigError("every algorithm's params must carry the experiment's stop criterion")
+        if not isinstance(self.penalty, PenaltyConfig):
+            raise ConfigError(f"penalty must be a PenaltyConfig, got {self.penalty!r}")
         check_number(self, "trials", "[1, inf)", integer=True, error=ConfigError)
         check_number(self, "base_seed", "[0, inf)", integer=True, error=ConfigError)
         check_number(self, "workers", "[1, inf)", integer=True, error=ConfigError)

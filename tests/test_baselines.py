@@ -1,6 +1,7 @@
 """Hill-climbing baseline: move rule, restarts, shared run contracts."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestRunContracts:
         assert result.terminated_by == "stagnation"
         # first evaluation sets the best, then 25 non-improving ones
         assert result.evaluations == 26
+
+    def test_gains_of_at_most_1e_12_are_stall_evaluations(self):
+        # every evaluation sets a new best, but by 1e-15, so each is a stall step
+        calls = itertools.count()
+        creeping = Problem("creeping", [(0.0, 1.0)] * 2, objective=lambda x: 1.0 - 1e-15 * next(calls))
+        stop = StopCriterion(max_evaluations=100, stagnation_window=7)
+        result = hill_climb_restart(creeping, HillClimbParams(stop=stop), seed=0)
+        assert result.terminated_by == "stagnation"
+        assert result.evaluations == 8
+        assert result.history_evaluations == list(range(1, 9))
 
     @pytest.mark.parametrize("seed", [True, range(3), [1, 2], 1.0], ids=["bool", "range", "list", "float"])
     def test_a_seed_that_is_not_one_integer_is_refused(self, seed):
@@ -277,6 +288,10 @@ FROZEN = {
                         "1f412f8d0f105a7249ff09cdba4346f3f05d654bc5a993e31e451263603ee157"),
     "welded-beam": ("welded_beam", None, 6, {}, {}, "max_evaluations",
                     "c2a3a87f14b9ed18c801085f59ae8b60624e92dcaeb1435d4bad5697280939d8"),
+    "target-under-a-window": ("ackley", 2, 3, {}, {"target_objective": 3.0, "stagnation_window": 500}, "target",
+                              "2fbfb0ad4e5054aaec9ab1295baf39ed66b1fc8c6e8a5b474f5c0545052954c9"),
+    "stagnation-under-a-target": ("rastrigin", 3, 2, {}, {"target_objective": 2.0, "stagnation_window": 2000},
+                                  "stagnation", "5f431d1cd06afa301777350e2ad88b0b6be5d3c28a6dc323bb28370df268cc48"),
 }
 
 

@@ -580,6 +580,14 @@ class TestSearchLoop:
         assert len(result.history) == 1 + 4
         assert result.best_objective == 1.0
 
+    def test_gains_of_at_most_1e_12_are_stall_iterations(self):
+        creeping = Problem("creeping", [(0.0, 1.0)] * 3, objective=lambda x: 1.0 - 1e-13 * x[0])
+        stop = StopCriterion(max_evaluations=100_000, stagnation_window=4)
+        result = cuckoo_search(creeping, AlgorithmParams(stop=stop), seed=0)
+        assert result.terminated_by == "stagnation"
+        assert len(result.history) == 1 + 4
+        assert result.best_objective < result.history[0]
+
     def test_determinism(self):
         problem = get_problem("rosenbrock", 5)
         params = AlgorithmParams(stop=budget(1_500))

@@ -210,6 +210,21 @@ class TestConfigParsing:
             replace(spec, algorithms=())
         assert {path.name: path.read_bytes() for path in (out / "records").iterdir()} == before
 
+    def test_config_objects_of_the_wrong_type_are_refused(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        before = {path.name: path.read_bytes() for path in (out / "records").iterdir()}
+        spec = load_experiment(write_spec(tmp_path))
+        with pytest.raises(ConfigError, match="penalty must be a PenaltyConfig, got 'heavy'"):
+            replace(spec, penalty="heavy")
+        with pytest.raises(ConfigError, match="must carry the experiment's stop criterion"):
+            replace(spec, stop=None)
+        for cls, key, name in ((HillClimbParams, "stop", "StopCriterion"), (AlgorithmParams, "stop", "StopCriterion"),
+                               (AlgorithmParams, "levy", "LevyConfig")):
+            with pytest.raises(TypeError, match=f"{key} must be a {name}, got 'x'"):
+                cls(**{key: "x"})
+        assert {path.name: path.read_bytes() for path in (out / "records").iterdir()} == before
+
     def test_a_spec_built_in_python_runs_and_reloads(self, tmp_path, capsys):
         stop = StopCriterion(max_evaluations=300)
         spec = ExperimentSpec(
