@@ -116,13 +116,13 @@ class Population:
     ) -> None:
         """Slot ``slots[c]`` takes candidate c where strictly better.
 
-        Ties keep the incumbent.  The slots must be distinct.
+        Ties keep the incumbent, and the slots must be distinct.  Both walks keep their winners here.
         """
-        better = F < self.F[slots]
-        slots = slots[better]
-        self.X[slots] = X[better]
-        self.F[slots] = F[better]
-        self.feasible[slots] = feasible[better]
+        kept = (F < self.F[slots]).nonzero()[0]  # indices: on a phase's few rows, cheaper than a mask
+        slots = slots.take(kept)
+        self.X[slots] = X.take(kept, axis=0)
+        self.F[slots] = F.take(kept)
+        self.feasible[slots] = feasible.take(kept)
 
     def record(self) -> None:
         """Each trial's first least nest, by slot, enters its (T,) record where strictly better."""
@@ -494,27 +494,25 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
                              pop.best_objective[kept], pop.best_feasible[kept], pop.evaluations)
         if len(ids) != T:  # the stack is new or changed: its (T, n) views
             T = len(ids)
-            nests, values, flags = pop.X.reshape(T, n, d), pop.F.reshape(T, n), pop.feasible.reshape(T, n)
-            # row t * n + i is slot i of trial t
-            first, own = _stack_rows(T, n, n), np.arange(T * n).reshape(T, n)
-            steps, column = scale[: T * n].reshape(T, n, d), first[:, :1]
+            # row t * n + i is slot i of trial t, and column[t] is t * n
+            nests, own, column = pop.X.reshape(T, n, d), np.arange(T * n).reshape(T, n), _stack_rows(T, n, 1)
+            steps = scale[: T * n].reshape(T, n, d)
 
         m = min(n, budget - pop.evaluations)
         if m < n:  # the budget's last iteration: only the first m nests of each trial propose
-            nests, values, flags, steps, own, first = (
-                nests[:, :m], values[:, :m], flags[:, :m], steps[:, :m], own[:, :m], first[:, :m])
+            nests, steps, own = nests[:, :m], steps[:, :m], own[:, :m]
         candidates = global_walk(nests, problem, params, rng, steps)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += m
         # the defenders, as rows of the stack
-        targets = ((rng.random(m) * n).astype(np.intp) + first if random_defenders else own).ravel()
+        targets = ((rng.random(m) * n).astype(np.intp) + column if random_defenders else own).ravel()
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
 
         m = min(m, budget - pop.evaluations)
         if m:
             if m < nests.shape[1]:
-                nests, values, flags, steps = nests[:, :m], values[:, :m], flags[:, :m], steps[:, :m]
+                nests, steps, own = nests[:, :m], steps[:, :m], own[:, :m]
             x_j, x_k = pop.X.take(partner_pairs(n, m, rng) + column, axis=0)  # rows of the stack
             # nests is a view of pop.X, so it holds the global walk's winners
             candidates = local_walk(nests, x_j, x_k, problem, params, rng, steps)
@@ -523,11 +521,7 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
             pop.evaluations += m
             # each nest keeps the better of itself and its local candidate
-            local = F[: T * m].reshape(T, m)
-            better = local < values
-            np.copyto(nests, candidates.reshape(T, m, d), where=better[:, :, None])
-            np.copyto(values, local, where=better)
-            np.copyto(flags, feasible[: T * m].reshape(T, m), where=better)
+            pop.replace(own.ravel(), candidates, F[: T * m], feasible[: T * m])
             if count:
                 if count == n:  # the abandonment replaces every nest
                     pop.record()

@@ -212,8 +212,12 @@ def lower_median(values):
 # --- experiment loading -------------------------------------------------------
 
 def load_experiment(path) -> ExperimentSpec:
-    """Parse and validate an experiment YAML file."""
-    return spec_from_dict(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
+    """Parse and validate an experiment YAML file; one that is not UTF-8 YAML raises ConfigError."""
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not UTF-8 YAML: {exc}") from exc
+    return spec_from_dict(data)
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:

@@ -763,21 +763,30 @@ class TestRecord:
     def test_the_loop_calls_the_contract_functions(self, monkeypatch, seed, trials):
         # criteria 3 and 8 and the traced benchmark's abandon_fraction span
         # cover these two functions only while the loop calls them
+        # (and both walks keep their winners through Population.replace, the one rule that writes the nests)
         calls = []
 
         def counting(name, function):
             def wrapper(*args):
                 result = function(*args)
-                calls.append((name, np.shape(result.best_objective)))
+                pop = result if name == "initialize" else args[0]
+                calls.append((name, np.shape(pop.best_objective)))
                 return result
             return wrapper
 
         for name in ("initialize", "abandon_fraction"):
             monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
-        # three whole iterations of 5 + 5 + 2 evaluations, each with an abandonment
-        params = AlgorithmParams(n=5, p_a=0.25, stop=budget(5 + 3 * 12))
-        cuckoo_search(get_problem("sphere", 2), params, seed=seed)
-        assert calls == [("initialize", (trials,))] + [("abandon_fraction", (trials,))] * 3
+        monkeypatch.setattr(core.Population, "replace", counting("replace", core.Population.replace))
+        start = [("initialize", (trials,))]
+        iteration = [("replace", (trials,))] * 2 + [("abandon_fraction", (trials,))]  # global walk, local walk
+        for evaluations, expected in [
+            (5 + 3 * 12, start + iteration * 3),  # three whole iterations of 5 + 5 + 2 evaluations
+            (5 + 2 * 12 + 5, start + iteration * 2 + [("replace", (trials,))]),  # the last has no local walk
+        ]:
+            calls.clear()
+            params = AlgorithmParams(n=5, p_a=0.25, stop=budget(evaluations))
+            cuckoo_search(get_problem("sphere", 2), params, seed=seed)
+            assert calls == expected
 
 
 def outcome(result):

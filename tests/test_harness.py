@@ -805,6 +805,20 @@ class TestCli:
         path = write_spec(tmp_path, {"algorithms": ["annealing"]})
         assert main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        # a YAML syntax error and a file that is not UTF-8: exit 2 (not 1, a failed trial) naming the file
+        for text in (b"trials: [2\n", b"trials: 2\noutput: \xff\n"):
+            path.write_bytes(text)
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 YAML: ")
+        # summarize reads the stored spec: a corrupt one leaves the old summary as it was
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        before = (out / "summary.tsv").read_bytes()
+        (out / "experiment.yaml").write_text("stop: {max_evaluations: 400\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'experiment.yaml'} is not UTF-8 YAML: ")
+        assert (out / "summary.tsv").read_bytes() == before
 
     def test_bad_workers_override_exit_code(self, tmp_path, capsys):
         assert main(["run", str(write_spec(tmp_path)), "--workers", "0"]) == 2
