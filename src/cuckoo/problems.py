@@ -12,9 +12,11 @@ with indexing (``x[0]``), unpacking (``w, D, N = x``), ``axis=0``
 reductions and numpy ufuncs, one function serves both.  Powers are
 written as products: scalar and array ``**`` can round differently in
 the last bit, and a batch row must score exactly like the same point.
-The engineering designs score a point in Python floats (``x.tolist()``),
-which round as numpy scalars do at a fraction of their cost; Python's
-``cos`` and sums need not match numpy's, so the scalable functions do not.
+A point is scored in Python floats (``x.tolist()``), which round as numpy
+scalars do at a fraction of their cost.  The engineering designs always do
+so; the scalable functions do below FOLD_LIMIT coordinates, where numpy sums
+by a left fold as a Python loop does and ``math.cos`` matches ``np.cos``.
+``math.exp`` does not match ``np.exp``, so Ackley keeps numpy's.
 
 The corpus covers four classic unconstrained test functions (sphere,
 Rosenbrock, Ackley, Rastrigin, all scalable) and two constrained
@@ -168,8 +170,8 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     callable that returns another shape raises ValueError, as an array
     for a point does (a scalar is never broadcast).  A batch row scores
     exactly like the same point, and like the same row inside any larger
-    batch; a point whose callable raises ZeroDivisionError, as Python
-    floats do, is scored as a batch.
+    batch; a point whose callable raises ZeroDivisionError or ValueError,
+    as Python floats and ``math.cos`` at infinity do, is scored as a batch.
     Raises :class:`EvaluationError` if the penalized value is NaN or
     infinite, as a NaN or ``+inf`` constraint value makes it.
     """
@@ -190,7 +192,7 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
             if not v <= 0.0:
                 violation_sq += v * v
                 feasible = False
-    except ZeroDivisionError:  # where numpy divides to +-inf or NaN
+    except (ZeroDivisionError, ValueError):  # where numpy gives +-inf or NaN
         values, feasible = _evaluate_batch(problem, x[None], penalty)
         return float(values[0]), bool(feasible[0])
     except TypeError:  # float() of an array: call again up to the first non-scalar, and name it
@@ -259,15 +261,33 @@ def _reject_shapes(problem: Problem, results, expected: tuple) -> None:
 
 
 # --- unconstrained test functions -------------------------------------------
+# numpy's add.reduce sums fewer than 8 terms left to right from 0.0, as a Python
+# loop does; from 8 on it adds in 8 lanes, so a longer point keeps numpy's sum.
+FOLD_LIMIT = 8
+TWO_PI = 2.0 * math.pi
+
+
+def _scalable(point: Callable[[list], float], batch: Objective, dimension: int) -> Objective:
+    """Score a (d,) point's Python floats with ``point`` below FOLD_LIMIT, all else with ``batch``."""
+    if dimension >= FOLD_LIMIT:
+        return batch
+    return lambda x: point(x.tolist()) if x.ndim == 1 else batch(x)
+
 
 def sphere(dimension: int = 10) -> Problem:
     """Sum of squares on [-5.12, 5.12]^d.  Global minimum f(0) = 0."""
     _check_dimension(dimension)
 
-    def f(x: np.ndarray):
+    def point(x: list) -> float:
+        total = 0.0
+        for v in x:
+            total += v * v
+        return total
+
+    def batch(x: np.ndarray):
         return np.add.reduce(x * x, axis=0)
 
-    return Problem("sphere", _box(-5.12, 5.12, dimension), f)
+    return Problem("sphere", _box(-5.12, 5.12, dimension), _scalable(point, batch, dimension))
 
 
 def rosenbrock(dimension: int = 10) -> Problem:
@@ -277,12 +297,19 @@ def rosenbrock(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension, minimum=2)
 
-    def f(x: np.ndarray):
+    def point(x: list) -> float:
+        total = 0.0
+        for head, tail in zip(x, x[1:]):
+            valley = tail - head * head
+            total += 100.0 * (valley * valley) + (1.0 - head) * (1.0 - head)
+        return total
+
+    def batch(x: np.ndarray):
         head = x[:-1]
         valley = x[1:] - head * head
         return np.add.reduce(100.0 * (valley * valley) + (1.0 - head) * (1.0 - head), axis=0)
 
-    return Problem("rosenbrock", _box(-5.0, 10.0, dimension), f)
+    return Problem("rosenbrock", _box(-5.0, 10.0, dimension), _scalable(point, batch, dimension))
 
 
 def ackley(dimension: int = 10) -> Problem:
@@ -292,13 +319,22 @@ def ackley(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension)
 
-    def f(x: np.ndarray):
+    def point(x: list) -> float:
+        squares = cosines = 0.0
+        for v in x:
+            squares += v * v
+            cosines += math.cos(TWO_PI * v)
+        # math.exp rounds differently from np.exp, so the two exponentials stay numpy's
+        far, near = float(np.exp(-0.2 * math.sqrt(squares / len(x)))), float(np.exp(cosines / len(x)))
+        return -20.0 * far - near + 20.0 + math.e
+
+    def batch(x: np.ndarray):
         d = x.shape[0]
         root_mean_sq = np.sqrt(np.add.reduce(x * x, axis=0) / d)
-        cos_mean = np.add.reduce(np.cos(2.0 * math.pi * x), axis=0) / d
+        cos_mean = np.add.reduce(np.cos(TWO_PI * x), axis=0) / d
         return -20.0 * np.exp(-0.2 * root_mean_sq) - np.exp(cos_mean) + 20.0 + math.e
 
-    return Problem("ackley", _box(-32.768, 32.768, dimension), f)
+    return Problem("ackley", _box(-32.768, 32.768, dimension), _scalable(point, batch, dimension))
 
 
 def rastrigin(dimension: int = 10) -> Problem:
@@ -309,10 +345,16 @@ def rastrigin(dimension: int = 10) -> Problem:
     """
     _check_dimension(dimension)
 
-    def f(x: np.ndarray):
-        return 10.0 * x.shape[0] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * math.pi * x), axis=0)
+    def point(x: list) -> float:
+        total = 0.0
+        for v in x:
+            total += v * v - 10.0 * math.cos(TWO_PI * v)
+        return 10.0 * len(x) + total
 
-    return Problem("rastrigin", _box(-5.12, 5.12, dimension), f)
+    def batch(x: np.ndarray):
+        return 10.0 * x.shape[0] + np.add.reduce(x * x - 10.0 * np.cos(TWO_PI * x), axis=0)
+
+    return Problem("rastrigin", _box(-5.12, 5.12, dimension), _scalable(point, batch, dimension))
 
 
 # --- constrained engineering designs -----------------------------------------

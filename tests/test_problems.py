@@ -8,6 +8,8 @@ import pytest
 
 from cuckoo.problems import (
     BEST_KNOWN,
+    FOLD_LIMIT,
+    TWO_PI,
     EvaluationError,
     PenaltyConfig,
     Problem,
@@ -18,6 +20,12 @@ from cuckoo.problems import (
 )
 
 ALL_NAMES = ["sphere", "rosenbrock", "ackley", "rastrigin", "spring_design", "welded_beam"]
+SCALABLE = ALL_NAMES[:4]
+
+
+def _smallest(name: str) -> int:
+    """The smallest dimension a scalable function takes."""
+    return 2 if name == "rosenbrock" else 1
 
 
 class TestRegistry:
@@ -81,6 +89,19 @@ class TestDefinitions:
         expected = -20.0 * math.exp(-0.2) - math.e + 20.0 + math.e
         assert get_problem("ackley", 4).objective(np.ones(4)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_a_point_is_scored_in_python_floats(self, name):
+        # the point path's speed: numpy scalars cost several times as much
+        if name in BEST_KNOWN:
+            problems, points = [get_problem(name)], [BEST_KNOWN[name][0]]
+        else:  # below FOLD_LIMIT coordinates, where numpy's sum is a left fold
+            problems, points = [get_problem(name, d) for d in range(_smallest(name), FOLD_LIMIT)], []
+        rng = np.random.default_rng(3)
+        for problem in problems:
+            for x in points + [problem.lower, rng.uniform(problem.lower, problem.upper)]:
+                for c in (problem.objective,) + problem.inequality_constraints:
+                    assert type(c(np.array(x))) is float
+
     def test_objectives_are_pure(self):
         rng = np.random.default_rng(0)
         for problem in corpus():
@@ -129,15 +150,6 @@ class TestEngineeringDesigns:
         penalized, feasible = evaluate(beam, x)
         assert feasible is False
         assert penalized > beam.objective(x)
-
-    @pytest.mark.parametrize("name", ["spring_design", "welded_beam"])
-    def test_a_point_is_scored_in_python_floats(self, name):
-        # the point path's speed: numpy scalars cost several times as much
-        problem = get_problem(name)
-        rng = np.random.default_rng(3)
-        for x in (BEST_KNOWN[name][0], problem.lower, rng.uniform(problem.lower, problem.upper)):
-            for c in (problem.objective,) + problem.inequality_constraints:
-                assert type(c(np.array(x))) is float
 
     def test_a_zero_denominator_raises_the_same_error_on_both_paths(self):
         # w = D is inside the bounds and zeroes the shear stress's denominator:
@@ -236,7 +248,8 @@ def _cells():
         if name in ("spring_design", "welded_beam"):
             yield name, None
         else:
-            for dimension in (2, 5, 10, 13):
+            # both sides of FOLD_LIMIT, where a point stops being scored in Python floats
+            for dimension in [*range(_smallest(name), 11), 13]:
                 yield name, dimension
     yield "many_constraints", None
 
@@ -261,6 +274,36 @@ class TestBatchContract:
         X = np.array(corners + [BEST_KNOWN[name][0].tolist()])
         assert len(X) == 2**problem.dimension + 1
         self._rows_match_points(problem, X, np.random.default_rng(problem.dimension))
+
+    @pytest.mark.parametrize("name", SCALABLE)
+    def test_many_points_below_fold_limit_match_their_rows(self, name):
+        # a last-bit difference, such as math.exp's from np.exp in Ackley,
+        # survives the final rounding in under 1% of points
+        for d in range(_smallest(name), FOLD_LIMIT):
+            problem = get_problem(name, d)
+            X = np.random.default_rng(d).uniform(problem.lower, problem.upper, size=(2000, d))
+            rows = problem.objective(X.T).tolist()
+            assert [problem.objective(x) for x in X] == rows, d
+
+    @pytest.mark.parametrize("name", SCALABLE)
+    def test_a_nonfinite_or_huge_coordinate_scores_as_its_batch_row(self, name):
+        # math.cos raises at +-inf where np.cos gives NaN, and Python floats
+        # overflow without numpy's warning: a point still ends as its batch row
+        def outcome(problem, x):
+            try:
+                values, feasible = evaluate(problem, x)
+            except EvaluationError as error:
+                return str(error), error.x.tobytes()
+            return float(np.ravel(values)[0]).hex(), bool(np.ravel(feasible)[0])
+
+        with np.errstate(all="ignore"):
+            for d in range(_smallest(name), 10):
+                problem = get_problem(name, d)
+                x = np.random.default_rng(d).uniform(problem.lower, problem.upper)
+                for i, special in itertools.product(range(d), (math.inf, -math.inf, math.nan, 1e200)):
+                    y = x.copy()
+                    y[i] = special
+                    assert outcome(problem, y) == outcome(problem, y[None]), (d, i, special)
 
     @staticmethod
     def _rows_match_points(problem, X, rng):
@@ -380,6 +423,38 @@ class TestBatchContract:
             with pytest.raises(EvaluationError) as excinfo:
                 evaluate(problem, np.array([[0.5], [0.0], [0.25]]))
         assert excinfo.value.x.tolist() == [0.0]
+
+
+class TestPointPathFacts:
+    """The numpy behaviour that lets a scalable function score a point below
+    FOLD_LIMIT in Python floats exactly as numpy scores its batch row.  Both
+    hold on numpy 2.4.6; another build may compute a ufunc or a sum otherwise."""
+
+    def test_math_cos_matches_np_cos_across_every_corpus_box(self):
+        rng = np.random.default_rng(11)
+        for problem in corpus():
+            angles = TWO_PI * rng.uniform(problem.lower.min(), problem.upper.max(), 20000)
+            expected = np.cos(angles)
+            got = np.array([math.cos(v) for v in angles.tolist()])
+            differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+            assert differ.size == 0, (
+                f"math.cos({angles[differ[0]]!r}) = {got[differ[0]]!r} but np.cos gives"
+                f" {expected[differ[0]]!r} on numpy {np.__version__}; scalable points must keep np.cos"
+            )
+
+    def test_add_reduce_below_fold_limit_is_a_left_fold_from_zero(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, FOLD_LIMIT):
+            rows = rng.standard_normal((5000, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (5000, n))
+            rows[0] = -0.0  # a fold from 0.0 sums negative zeros to +0.0
+            for row in rows:
+                total = 0.0
+                for v in row.tolist():
+                    total += v
+                assert total.hex() == float(np.add.reduce(row)).hex(), (
+                    f"np.add.reduce({row.tolist()}) is not a left fold from 0.0 on numpy {np.__version__};"
+                    f" FOLD_LIMIT ({FOLD_LIMIT}) must come down to {n}"
+                )
 
 
 class TestProblemValidation:
