@@ -40,7 +40,7 @@ time: the same values, in the same order, as one generator call per
 group.
 
 One loop serves one seed and many.  :func:`cuckoo_search` runs its
-trials as one stack, an integer seed as a stack of one: trial t owns
+trials as stacks it sizes, an integer seed as a stack of one: trial t owns
 rows t*n ... t*n + n - 1 of the arrays and entry t of the records, each
 :func:`evaluate` call scores the candidates of every trial, and each
 trial keeps its own generator and draw order, so it ends exactly as it
@@ -237,7 +237,6 @@ def _stack_rows(T: int, n: int, m: int) -> np.ndarray:
     return rows
 
 
-@functools.cache
 def abandonment_count(p_a: float, n: int) -> int:
     """ceil(p_a * n), guarding the product against binary-float drift."""
     return math.ceil(round(p_a * n, 9))
@@ -431,11 +430,12 @@ def cuckoo_search(
 
     ``seed`` is an integer (not a bool) or None, which draws fresh entropy
     as ``numpy.random.default_rng(None)`` does.  Given a sequence of them,
-    runs one trial per seed as one stack (see the module docstring) and
-    returns their results in seed order, each what that seed alone
-    returns; an empty sequence returns an empty list.  Every seed is
-    checked before any trial runs: anything else raises a TypeError.  An
-    error in any trial stops the whole stack.
+    runs one trial per seed, in consecutive stacks (see the module docstring)
+    of at most ``max(1, MAX_BLOCK // (2 * n * d))`` trials: a stack's global
+    walk draws at most MAX_BLOCK uniforms unless one trial needs more.  The
+    results come in seed order, each what that seed alone returns (none for
+    no seeds).  Every seed is checked before any trial runs: anything else
+    raises a TypeError.  An error in any trial stops the whole call.
     """
     if seed is None or _is_number(seed, integer=True):
         return _search(problem, params, [seed], penalty)[0]
@@ -446,12 +446,13 @@ def cuckoo_search(
     if not all(s is None or _is_number(s, integer=True) for s in seeds):
         raise TypeError(f"seed must be an integer or a sequence of integers (None allowed,"
                         f" bools not), got {seed!r}")
-    return _search(problem, params, seeds, penalty) if seeds else []
+    cap = max(1, MAX_BLOCK // (2 * params.n * problem.dimension))
+    return [r for i in range(0, len(seeds), cap) for r in _search(problem, params, seeds[i : i + cap], penalty)]
 
 
 def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             penalty: PenaltyConfig) -> list[RunResult]:
-    """:func:`cuckoo_search` for a list of seeds, run as one stack (see the module docstring)."""
+    """:func:`cuckoo_search` for a nonempty list of seeds, run as one stack (see the module docstring)."""
     T, n, d = len(seeds), params.n, problem.dimension
     # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
     # MAX_BLOCK: a larger request is drawn whole, so a large run holds about what it asks for

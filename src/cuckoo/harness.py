@@ -19,11 +19,12 @@ index (k - 1) // 2 of the sorted k values, never an average, so every
 reported number is one that actually occurred.
 
 With several workers, each pool task is a run of one cell's consecutive
-trials, and a run of cuckoo trials is one stack (see :mod:`cuckoo.core`):
-its records equal the trials' records alone, but appear together when
-the stack ends, and each trial's wall time is the stack's times its
-share of the stack's evaluations.  Serial runs call one trial at a time,
-so that each record keeps a wall time measured around its own trial.
+trials, and a run of cuckoo trials is one :func:`cuckoo_search` call, which
+sizes its stacks itself: the records equal the trials' records alone, but
+appear together when the call returns, however large the cell, and each
+trial's wall time is the call's times its share of the call's evaluations.
+Serial runs call one trial at a time, so that each record keeps a wall
+time measured around its own trial.
 
 The worker pool is kept for the life of the process.  Its workers are
 forked once and run the code as it stood then; record paths are absolute.
@@ -54,7 +55,7 @@ from typing import Optional
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import MAX_BLOCK, AlgorithmParams, StopCriterion, cuckoo_search
+from .core import AlgorithmParams, StopCriterion, cuckoo_search
 from .problems import DEFAULT_PENALTY, PenaltyConfig, check_number, get_problem
 
 __all__ = [
@@ -309,12 +310,12 @@ def _execute_trial(task: dict) -> dict:
 
 
 def _execute_stack(tasks: list[dict]) -> list[dict]:
-    """Run trials of one cuckoo cell as one stack (see :mod:`cuckoo.core`); never raises.
+    """Run trials of one cuckoo cell in one :func:`cuckoo_search` call, as its stacks; never raises.
 
-    Each trial adds to its wall time the stack's times its share of the
-    stack's evaluations (equal shares if none has any), so a cell's wall
-    times add up to the time spent.  If the stack raises, its trials run
-    one at a time instead, and each adds its share of the failed stack's
+    Each trial adds to its wall time the call's times its share of the
+    call's evaluations (equal shares if none has any), so a cell's wall
+    times add up to the time spent.  If the call raises, its trials run
+    one at a time instead, and each adds its share of the failed call's
     time to the wall time of its own run.
     """
     started = time.perf_counter()
@@ -435,15 +436,11 @@ def _shutdown_pool() -> None:
 def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
     """Run one cell's consecutive trials where they ran, writing each record as it ends.
 
-    Cuckoo trials run as one stack while its largest array, the global walk's
-    (T, 2, n, d) uniforms, holds at most MAX_BLOCK values, like the uniform
-    stream's blocks; their records appear when the stack ends.  Others run
+    Two or more cuckoo trials run in one :func:`cuckoo_search` call, which
+    sizes its own stacks; their records appear when it returns.  Others run
     one by one: hill climbing in lockstep was measured slower than alone.
     """
-    params = tasks[0]["params"]
-    stacked = isinstance(params, AlgorithmParams) and len(tasks) > 1 and (
-        len(tasks) * 2 * params.n * tasks[0]["dimension"] <= MAX_BLOCK
-    )
+    stacked = isinstance(tasks[0]["params"], AlgorithmParams) and len(tasks) > 1
     records = []
     for record in _execute_stack(tasks) if stacked else map(_execute_trial, tasks):
         _write_record(record, records_dir)

@@ -179,7 +179,7 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
     if x.ndim == 2:
         return _evaluate_batch(problem, x, penalty)
     try:
-        raw = float(problem.objective(x))
+        value = float(problem.objective(x))
         violation_sq = 0.0
         feasible = True
         for g in problem.inequality_constraints:
@@ -200,7 +200,8 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
         with contextlib.suppress(TypeError):  # raised by a callable itself, not by float()
             _reject_shapes(problem, (f(x) for f in callables), ())
         raise
-    value = raw + penalty.penalty_weight * violation_sq
+    if problem.inequality_constraints or problem.equality_constraints:  # as a batch adds it: -0.0 stays without
+        value += penalty.penalty_weight * violation_sq
     if not math.isfinite(value):
         raise EvaluationError(
             f"non-finite penalized objective ({value!r}) on {problem.name!r}", x

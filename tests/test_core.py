@@ -796,6 +796,18 @@ def outcome(result):
             result.terminated_by)
 
 
+def record_stacks(monkeypatch):
+    """A list to which each stack that cuckoo_search runs appends its number of trials."""
+    sizes, search = [], core._search
+
+    def recording(problem, params, seeds, penalty):
+        sizes.append(len(seeds))
+        return search(problem, params, seeds, penalty)
+
+    monkeypatch.setattr(core, "_search", recording)
+    return sizes
+
+
 class TestStack:
     @given(
         name=st.sampled_from(["sphere", "rastrigin", "spring_design", "welded_beam"]),
@@ -828,6 +840,28 @@ class TestStack:
             ("max_evaluations", 600),
         ]
         assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in range(5)]
+
+    @pytest.mark.parametrize("max_block", [1, 63], ids=["cap-1", "cap-3"])
+    def test_a_seed_list_runs_in_stacks_of_at_most_the_cap(self, monkeypatch, max_block):
+        # n = 4 and d = 2 give 16 global-walk uniforms per trial: a cap of
+        # max(1, max_block // 16) trials per stack
+        problem, cap = get_problem("sphere", 2), max(1, max_block // 16)
+        params = AlgorithmParams(n=4, stop=budget(40))
+        alone = {s: outcome(cuckoo_search(problem, params, seed=s)) for s in range(2 * cap + 1)}
+        monkeypatch.setattr(core, "MAX_BLOCK", max_block)
+        sizes = record_stacks(monkeypatch)
+        for count in sorted({0, 1, cap, cap + 1, 2 * cap, 2 * cap + 1}):
+            sizes.clear()
+            stacked = cuckoo_search(problem, params, seed=range(count))
+            assert [outcome(r) for r in stacked] == [alone[s] for s in range(count)]
+            assert sum(sizes) == count and all(0 < size <= cap for size in sizes)
+            assert len(sizes) == -(-count // cap)
+
+    def test_the_cap_follows_n_and_d(self, monkeypatch):
+        # 2 * 25 * 100 = 5000 uniforms per trial: 13 trials fill 2**16 values at most
+        sizes = record_stacks(monkeypatch)
+        results = cuckoo_search(get_problem("sphere", 100), AlgorithmParams(stop=budget(25)), seed=range(27))
+        assert sizes == [13, 13, 1] and [r.seed for r in results] == list(range(27))
 
     def test_one_seed_or_several(self, monkeypatch):
         problem = get_problem("sphere", 2)

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuckoo import harness
+from cuckoo import core, harness
 from cuckoo.baselines import HillClimbParams
 from cuckoo.cli import main
 from cuckoo.core import AlgorithmParams, StopCriterion
@@ -447,21 +447,40 @@ class TestStackedTrials:
         # the reruns' wall times include their shares of the failed stack's
         assert 0.05 <= sum(r["wall_time_seconds"] for r in records) <= wall
 
-    def test_large_cells_and_hill_climbing_run_alone(self, tmp_path, monkeypatch):
+    def test_hill_climbing_runs_alone(self, tmp_path, monkeypatch):
         def refuse(tasks):
             raise AssertionError("stacked")
 
         monkeypatch.setattr(harness, "_execute_stack", refuse)
-        # 2 trials * 2 * n * d above 2**16 values: the chunk runs trial by trial
-        params = {"n": 900, "p_a": 0.25}
-        tasks = self.tasks({"problems": [{"name": "sphere", "dimension": 20}], "trials": 2,
-                            "algorithms": [{"name": "cuckoo", "params": params}],
-                            "stop": {"max_evaluations": 2000}}, 2)
         spec = spec_from_dict({**BASE_SPEC, "output": "unused"})
-        tasks += [t for t in harness._tasks(spec) if t["algorithm"] == "hill_climb"]
-        records = harness._run_and_write(tasks[:2], tmp_path) + harness._run_and_write(tasks[2:], tmp_path)
+        tasks = [t for t in harness._tasks(spec) if t["algorithm"] == "hill_climb"]
+        records = harness._run_and_write(tasks, tmp_path)
         assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
-        assert len(list(tmp_path.glob("*.meta.json"))) == 4
+        assert len(list(tmp_path.glob("*.meta.json"))) == 2
+
+    def test_a_large_cuckoo_cell_runs_in_one_call(self, tmp_path, monkeypatch):
+        # 5 trials * 2 * n * d = 80000 values, above 2**16: one call, which
+        # cuckoo_search runs as stacks of 4 and 1 trials
+        calls, sizes = [], []
+        execute_stack, search = harness._execute_stack, core._search
+
+        def stack(tasks):
+            calls.append(len(tasks))
+            return execute_stack(tasks)
+
+        def recording(problem, params, seeds, penalty):
+            sizes.append(len(seeds))
+            return search(problem, params, seeds, penalty)
+
+        monkeypatch.setattr(harness, "_execute_stack", stack)
+        monkeypatch.setattr(core, "_search", recording)
+        tasks = self.tasks({"problems": [{"name": "sphere", "dimension": 20}], "trials": 5,
+                            "algorithms": [{"name": "cuckoo", "params": {"n": 400, "p_a": 0.25}}],
+                            "stop": {"max_evaluations": 2000}}, 5)
+        records = harness._run_and_write(tasks, tmp_path)
+        assert (calls, sizes) == ([5], [4, 1])
+        assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
+        assert len(list(tmp_path.glob("*.meta.json"))) == 5
 
 
 class TestRunExperiment:

@@ -348,6 +348,18 @@ class TestBatchContract:
         assert values.tolist() == [0.5, 0.25]
         assert feasible.tolist() == [False, False]
 
+    @pytest.mark.parametrize("constrained", [False, True], ids=["unconstrained", "constrained"])
+    def test_a_negative_zero_scores_alike_on_both_paths(self, constrained):
+        # without constraints no penalty term is added, so -0.0 stays -0.0 on
+        # both paths; with one, both add penalty_weight * 0.0 and give +0.0
+        constraints = (lambda x: x[0] - 1.0,) if constrained else ()
+        problem = Problem("negzero", [(-1.0, 1.0)], objective=lambda x: -(x[0] * x[0]),
+                          inequality_constraints=constraints)
+        value, feasible = evaluate(problem, np.array([0.0]))
+        values, flags = evaluate(problem, np.array([[0.0]]))
+        assert feasible and flags.tolist() == [True]
+        assert math.copysign(1.0, value) == math.copysign(1.0, values[0]) == (1.0 if constrained else -1.0)
+
     def test_nan_constraint_raises_on_both_paths(self):
         # NaN is not <= 0, so it counts as violated and makes the value NaN;
         # -inf is <= 0 and stays satisfied
