@@ -90,9 +90,8 @@ def _summarize(args) -> list[SummaryRow]:
 def _list_problems() -> int:
     for name in problem_names():
         problem = get_problem(name)
-        constraints = len(problem.inequality_constraints) + len(problem.equality_constraints)
         if name in FIXED_DESIGNS:
-            shape = f"fixed d={problem.dimension}, {constraints} inequality constraints"
+            shape = f"fixed d={problem.dimension}, {len(problem.inequality_constraints)} inequality constraints"
         else:
             shape = f"scalable, default d={problem.dimension}"
         print(f"{name}\t{shape}")

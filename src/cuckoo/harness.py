@@ -239,7 +239,10 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
                 AlgorithmRef, entry, "algorithm", {"name", "label", "params"},
                 lambda given: {"label": given.get("label"), "params": _parse_algorithm(given, stop)})),
             "stop": lambda _: stop,
-            "penalty": lambda entry: _build(PenaltyConfig, entry, "penalty"),
+            # an experiment.yaml stored by earlier versions lists penalty.eq_tolerance,
+            # now the constant EQ_TOLERANCE: dropped unread, so old results still summarize
+            "penalty": lambda entry: _build(PenaltyConfig, {k: v for k, v in entry.items() if k != "eq_tolerance"}
+                                            if isinstance(entry, dict) else entry, "penalty"),
         }
         return {key: parse[key](value) if key in parse else value for key, value in block.items()}
 

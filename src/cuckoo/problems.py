@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -91,7 +91,7 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Quadratic exterior penalty settings.
+    """Quadratic exterior penalty setting.
 
     Violations are squared, summed, and scaled by penalty_weight.  The
     weight must be large relative to objective curvature: a quadratic
@@ -99,20 +99,20 @@ class PenaltyConfig:
     optimum sits slightly outside the feasible set at distance roughly
     (objective gradient) / (2 * weight).  The default keeps that offset
     below float-noise scale for objectives of order one.
-
-    Equality constraints h(x) = 0 count as violated only beyond
-    eq_tolerance, i.e. unless ``|h(x)| - eq_tolerance <= 0``.
     """
 
     penalty_weight: float = 1e8
-    eq_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
         check_number(self, "penalty_weight", "(0, inf)")
-        check_number(self, "eq_tolerance", "[0, inf)")
 
 
 DEFAULT_PENALTY = PenaltyConfig()
+# A sampled point never lands exactly on a surface h(x) = 0, so an equality is
+# met within this band, the one the constrained-benchmark literature uses (CEC
+# 2006).  No corpus problem has an equality; a caller who needs another band
+# writes the inequality |h(x)| - band <= 0 itself.
+EQ_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +120,10 @@ class Problem:
     """A box-bounded minimization problem.
 
     bounds is a (dimension, 2) array of [lower, upper] rows with
-    lower < upper everywhere.  Inequality constraints are satisfied when
-    g(x) <= 0; equality constraints when |h(x)| <= eq_tolerance.  Every
+    lower < upper everywhere.  Constraints are satisfied when g(x) <= 0.
+    An equality h(x) = 0, passed as equality_constraints, is stored after
+    them as the inequality ``|h(x)| - EQ_TOLERANCE <= 0``, so a problem
+    holds one constraint tuple and equality_constraints reads ().  Every
     callable takes one point (d,) and returns a scalar, or a batch of
     points as columns (d, m) and returns shape (m,); for example
     ``lambda x: x[0] * x[0] + x[1]`` does both.  The hill climber passes
@@ -134,9 +136,9 @@ class Problem:
     bounds: np.ndarray
     objective: Objective
     inequality_constraints: tuple[Objective, ...] = ()
-    equality_constraints: tuple[Objective, ...] = ()
+    equality_constraints: InitVar[tuple[Objective, ...]] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, equality_constraints) -> None:
         arr = np.array(self.bounds, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError(f"bounds must have shape (d, 2), got {arr.shape}")
@@ -150,6 +152,8 @@ class Problem:
         # attributes, not properties: the optimizers read them in every phase
         for name, value in zip(("bounds", "lower", "upper", "width"), (arr, *arr.T, width)):
             object.__setattr__(self, name, value)
+        folded = (lambda x, h=h: abs(h(x)) - EQ_TOLERANCE for h in equality_constraints)
+        object.__setattr__(self, "inequality_constraints", (*self.inequality_constraints, *folded))
 
     @property
     def dimension(self) -> int:
@@ -161,9 +165,8 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
 
     For a point, returns ``(value, feasible)`` as a float and a bool,
     where value is the raw objective plus ``penalty_weight`` times the
-    squared violations summed in constraint order, inequalities first.
-    A constraint is satisfied when ``g(x) <= 0`` or
-    ``|h(x)| - eq_tolerance <= 0`` (so ``-inf`` is satisfied); any other
+    squared violations summed in constraint order.  A constraint is
+    satisfied when ``g(x) <= 0`` (so ``-inf`` is satisfied); any other
     value, NaN included, is a violation, and feasible is True iff no
     constraint is violated.  For a batch, returns the same two as arrays
     of shape (m,), computed by passing ``x.T`` to each callable once; a
@@ -187,20 +190,15 @@ def evaluate(problem: Problem, x, penalty: PenaltyConfig = DEFAULT_PENALTY):
             if not v <= 0.0:  # NaN counts as violated
                 violation_sq += v * v
                 feasible = False
-        for h in problem.equality_constraints:
-            v = abs(float(h(x))) - penalty.eq_tolerance
-            if not v <= 0.0:
-                violation_sq += v * v
-                feasible = False
     except (ZeroDivisionError, ValueError):  # where numpy gives +-inf or NaN
         values, feasible = _evaluate_batch(problem, x[None], penalty)
         return float(values[0]), bool(feasible[0])
     except TypeError:  # float() of an array: call again up to the first non-scalar, and name it
-        callables = (problem.objective, *problem.inequality_constraints, *problem.equality_constraints)
+        callables = (problem.objective, *problem.inequality_constraints)
         with contextlib.suppress(TypeError):  # raised by a callable itself, not by float()
             _reject_shapes(problem, (f(x) for f in callables), ())
         raise
-    if problem.inequality_constraints or problem.equality_constraints:  # as a batch adds it: -0.0 stays without
+    if problem.inequality_constraints:  # as a batch adds it: -0.0 stays without
         value += penalty.penalty_weight * violation_sq
     if not math.isfinite(value):
         raise EvaluationError(
@@ -219,10 +217,8 @@ def _evaluate_batch(
     if values.shape != (count,):
         _reject_shapes(problem, [values], (count,))
     feasible = None
-    inequalities = len(problem.inequality_constraints)
-    if inequalities or problem.equality_constraints:
+    if problem.inequality_constraints:
         results = [g(columns) for g in problem.inequality_constraints]
-        results += [h(columns) for h in problem.equality_constraints]
         try:
             G = np.array(results, dtype=float)
         except ValueError:  # results of different shapes, or not numbers
@@ -230,10 +226,6 @@ def _evaluate_batch(
             raise
         if G.shape != (len(results), count):
             _reject_shapes(problem, results, (count,))
-        if problem.equality_constraints:
-            equalities = G[inequalities:]
-            np.abs(equalities, out=equalities)
-            equalities -= penalty.eq_tolerance
         # NaN fails ``<= 0``: it counts as violated and reaches the finiteness check
         satisfied = G <= 0.0
         feasible = np.logical_and.reduce(satisfied, axis=0)

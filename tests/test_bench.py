@@ -15,6 +15,7 @@ import numpy as np
 
 import cuckoo
 from cuckoo.harness import spec_from_dict, spec_to_dict
+from cuckoo.problems import Problem, corpus, evaluate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,3 +63,34 @@ def test_the_micro_timings_call_what_exists(monkeypatch):
     # the one-vector form, which only the micro timings call
     for d in (4, 10):
         assert micro.sample_levy_vector(d, micro.LevyConfig(), np.random.default_rng(0)).shape == (d,)
+
+
+class PassThrough:
+    """A tracer that records nothing: each wrapped callable calls the original."""
+
+    @staticmethod
+    def wrap(name, fn):
+        return lambda *args, **kwargs: fn(*args, **kwargs)
+
+
+def test_the_traced_problems_score_as_the_originals(monkeypatch):
+    workloads = load(monkeypatch, BENCH / "workloads.py")
+    # x[1] within 2e-4 of the equality's surface, where a second fold would change its value
+    equality = Problem("equality", [(-1.0, 1.0), (-2e-4, 2e-4)], objective=lambda x: x[0] * x[0] + x[1],
+                       inequality_constraints=(lambda x: x[0] - 0.5,), equality_constraints=(lambda x: x[1],))
+    rng = np.random.default_rng(0)
+    for problem in [*corpus(), equality]:
+        traced = workloads._traced_problem(PassThrough(), problem)
+        # the stored constraints are wrapped once each: an equality is not folded again
+        assert len(traced.inequality_constraints) == len(problem.inequality_constraints)
+        assert traced.equality_constraints == ()
+        X = rng.uniform(problem.lower, problem.upper, size=(25, problem.dimension))
+        value, feasible = evaluate(traced, X[0])
+        expected, expected_feasible = evaluate(problem, X[0])
+        assert (value.hex(), feasible) == (expected.hex(), expected_feasible), problem.name
+        values, feasible = evaluate(traced, X)
+        expected, expected_feasible = evaluate(problem, X)
+        assert values.tobytes() == expected.tobytes() and feasible.tolist() == expected_feasible.tolist()
+        # the constrained workload's feasibility check reads each constraint as a float
+        for g in problem.inequality_constraints:
+            assert isinstance(float(g(X[0])), float)

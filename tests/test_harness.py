@@ -97,6 +97,23 @@ class TestConfigParsing:
         assert [a.label for a in spec.algorithms] == ["cuckoo", "hill_climb"]
         assert spec.stop.max_evaluations == 400
 
+    def test_the_readme_layout_names_only_written_keys(self):
+        # the README's experiment-file block must parse, and name no key that a stored spec lacks
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = [part.split("```", 1)[0] for part in readme.split("```yaml\n")[1:]]
+        layout = yaml.safe_load(block)
+        written = spec_to_dict(spec_from_dict(layout))
+
+        def unwritten(given, stored, path):
+            if isinstance(given, dict):
+                for key, value in given.items():
+                    yield from unwritten(value, stored[key], f"{path}.{key}") if key in stored else [f"{path}.{key}"]
+            elif isinstance(given, list):
+                for i, (entry, kept) in enumerate(zip(given, stored)):
+                    yield from unwritten(entry, kept, f"{path}[{i}]")
+
+        assert list(unwritten(layout, written, "")) == []
+
     def test_bare_problem_name_gets_default_dimension(self):
         spec = spec_from_dict({**BASE_SPEC, "problems": ["rastrigin"]})
         assert spec.problems[0].dimension == 10
@@ -370,7 +387,7 @@ class TestExecuteTrial:
             "dimension": 2,
             "algorithm": "hill_climb",
             "params": HillClimbParams(stall_limit=5, stop=StopCriterion(max_evaluations=60)),
-            "penalty": PenaltyConfig(penalty_weight=1e8, eq_tolerance=1e-4),
+            "penalty": PenaltyConfig(penalty_weight=1e8),
             "trial": 3,
             "seed": 103,
         }
@@ -541,14 +558,14 @@ class TestRunExperiment:
                 {"name": "hill_climb", "params": {"stall_limit": np.int64(5)}},
             ],
             # an integer for a float setting is written back as a float
-            "penalty": {"penalty_weight": np.float64(1e6), "eq_tolerance": 0},
+            "penalty": {"penalty_weight": np.int64(1000000)},
         }
         spec = spec_from_dict(data)
         run_experiment(spec)
         assert load_experiment(out / "experiment.yaml") == spec
         stored = yaml.safe_load((out / "experiment.yaml").read_text())
-        assert stored["penalty"] == {"penalty_weight": 1e6, "eq_tolerance": 0.0}
-        assert isinstance(stored["penalty"]["eq_tolerance"], float)
+        assert stored["penalty"] == {"penalty_weight": 1e6}
+        assert isinstance(stored["penalty"]["penalty_weight"], float)
         assert [r["seed"] for r in read_records(out)] == [100, 101, 100, 101]
         # a spec that cannot be written fails before the earlier run's files are cleared
         before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
@@ -996,3 +1013,28 @@ class TestCli:
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
         assert main(["summarize", str(tmp_path / "never_ran")]) == 2
         capsys.readouterr()
+        records = tmp_path / "empty" / "records"
+        records.mkdir(parents=True)
+        assert main(["summarize", str(records.parent)]) == 2
+        assert capsys.readouterr().err == f"error: no records found under {records}\n"
+        # records whose experiment.yaml is gone: the target cannot be read back
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        (tmp_path / "out" / "experiment.yaml").unlink()
+        capsys.readouterr()
+        assert main(["summarize", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: missing {tmp_path / 'out' / 'experiment.yaml'};"
+                                           " cannot recover the target objective\n")
+
+    def test_an_experiment_file_that_lists_eq_tolerance_still_summarizes(self, tmp_path, capsys):
+        # every experiment.yaml stored before the tolerance became a constant lists it
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        stored = tmp_path / "out" / "experiment.yaml"
+        spec = load_experiment(stored)
+        before = (tmp_path / "out" / "summary.tsv").read_bytes()
+        old = yaml.safe_load(stored.read_text(encoding="utf-8"))
+        old["penalty"]["eq_tolerance"] = 0.0001
+        stored.write_text(yaml.safe_dump(old), encoding="utf-8")
+        assert load_experiment(stored) == spec
+        (tmp_path / "out" / "summary.tsv").unlink()
+        assert main(["summarize", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "summary.tsv").read_bytes() == before

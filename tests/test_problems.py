@@ -8,6 +8,7 @@ import pytest
 
 from cuckoo.problems import (
     BEST_KNOWN,
+    EQ_TOLERANCE,
     FOLD_LIMIT,
     TWO_PI,
     EvaluationError,
@@ -187,13 +188,20 @@ class TestPenalty:
 
     def test_equality_tolerance_band(self):
         problem = self._toy()
-        penalty = PenaltyConfig(penalty_weight=1e3, eq_tolerance=1e-4)
+        penalty = PenaltyConfig(penalty_weight=1e3)
         value, feasible = evaluate(problem, [0.5, 5e-5], penalty)
         assert feasible is True
         assert value == pytest.approx(0.25 + 25e-10)
         value, feasible = evaluate(problem, [0.5, 2e-4], penalty)
         assert feasible is False
         assert value == pytest.approx(0.25 + 4e-8 + 1e3 * (1e-4) ** 2)
+
+    def test_an_equality_is_held_as_an_inequality(self):
+        problem = self._toy()
+        assert problem.equality_constraints == () and len(problem.inequality_constraints) == 2
+        folded = problem.inequality_constraints[1]
+        for x in ([0.5, 5e-5], [0.5, -2e-4]):
+            assert folded(np.array(x)) == abs(x[1]) - EQ_TOLERANCE
 
     def test_feasible_means_exactly_zero_violation(self):
         problem = self._toy()
@@ -213,8 +221,6 @@ class TestPenalty:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PenaltyConfig(penalty_weight=0.0)
-        with pytest.raises(ValueError):
-            PenaltyConfig(eq_tolerance=-1e-9)
 
     def test_nonfinite_objective_raises(self):
         bad = Problem("bad", [(0.0, 1.0)], objective=lambda x: float("inf"))
@@ -327,7 +333,7 @@ class TestBatchContract:
     def test_batch_penalty_terms_match_point(self):
         problem = TestPenalty._toy()
         X = np.array([[2.0, 0.0], [0.5, 5e-5], [0.5, 2e-4], [1.0, 0.0], [3.0, -1.0]])
-        penalty = PenaltyConfig(penalty_weight=1e3, eq_tolerance=1e-4)
+        penalty = PenaltyConfig(penalty_weight=1e3)
         values, feasible = evaluate(problem, X, penalty)
         for i, x in enumerate(X):
             assert (values[i], feasible[i]) == evaluate(problem, x, penalty)
@@ -420,6 +426,28 @@ class TestBatchContract:
             with pytest.raises(TypeError) as excinfo:
                 evaluate(problem, np.array([0.5]))
             assert excinfo.value is raised[0]
+
+    def test_ragged_constraint_results_are_rejected_by_name(self):
+        # (m,) and (2, m) do not stack: the named shape error, not numpy's inhomogeneous one
+        ragged = Problem("ragged", [(0.0, 1.0)] * 2, objective=lambda x: x[0],
+                         inequality_constraints=(lambda x: x[0], lambda x: x))
+        with pytest.raises(ValueError, match=r"^a callable of 'ragged' returned shape \(2, 3\) where \(3,\) was due"):
+            evaluate(ragged, np.full((3, 2), 0.5))
+
+    def test_a_point_that_divides_by_zero_scores_as_its_batch_row(self):
+        # a Python float divided by 0.0 raises; the batch of one gives -inf, which is satisfied
+        def reciprocal(x):
+            x = x.tolist() if x.ndim == 1 else x
+            return -1.0 / x[0]
+
+        problem = Problem("reciprocal", [(-1.0, 1.0)], objective=lambda x: x[0] + 0.5,
+                          inequality_constraints=(reciprocal,))
+        with np.errstate(divide="ignore"):
+            value, feasible = evaluate(problem, np.array([0.0]))
+            values, flags = evaluate(problem, np.array([[0.0]]))
+        assert (value, feasible) == (0.5, True)
+        assert type(value) is float and type(feasible) is bool
+        assert (value, feasible) == (values[0], flags[0])
 
     def test_batch_values_are_a_copy(self):
         # without constraints the objective's values are returned as they are

@@ -32,7 +32,6 @@ FIELDS = [
     (HillClimbParams(), "shrink_factor", 0.5),
     (HillClimbParams(), "stall_limit", 7),
     (PenaltyConfig(), "penalty_weight", 0.5),
-    (PenaltyConfig(), "eq_tolerance", 0.5),
     (SPEC, "trials", 7),
     (SPEC, "base_seed", 7),
     (SPEC, "workers", 7),
