@@ -30,14 +30,20 @@ iteration, at its end: each trial's first least nest, by slot, enters
 its record where strictly better (and, when the abandonment replaces
 every nest, also just before it).  All randomness flows through one
 seeded numpy generator per trial, so runs replay bit-identically.
-Each iteration draws uniforms only, one ``rng.random`` block per group:
-the global walk's magnitudes then signs; the defenders (under
-``compare_to="random"``); the partners j then k; the local walk's step
-factors then gates (row by row); one row per abandoned nest.  An index
-below n is ``floor(u * n)``.  :func:`cuckoo_search` takes these blocks
-from one per-trial stream that draws a few iterations' uniforms at a
-time: the same values, in the same order, as one generator call per
-group.
+An iteration draws uniforms only, in this order: the global walk's
+magnitudes then signs; the defenders (under ``compare_to="random"``);
+the partners j then k; the local walk's step factors then gates (row by
+row); one row per abandoned nest.  An index below n is ``floor(u * n)``.
+None of these depend on the nests, so :func:`cuckoo_search` draws up to
+BLOCK_ITERATIONS whole iterations' uniforms from each generator at once
+(``Generator.random`` gives the same values however its draws are split)
+and turns that block into its steps, defender and partner rows, local
+walk factors and fresh nests with array operations over all its
+iterations (see :func:`global_walk`, :func:`local_walk` and
+:func:`partner_pairs`).  Each iteration then does only the work that
+depends on the nests: it adds and clamps, evaluates, keeps the winners,
+abandons and records.  The budget's last iteration, the only one whose
+phases the budget can cut, is a block of its own at its cut sizes.
 
 One loop serves one seed and many.  :func:`cuckoo_search` runs its
 trials as stacks it sizes, an integer seed as a stack of one: trial t owns
@@ -47,7 +53,8 @@ trial keeps its own generator and draw order, so it ends exactly as it
 would alone.  The budget, which all trials spend alike, cuts the same
 phase of each; at the end of an iteration, a trial for which
 :meth:`StopCriterion.reason` names a reason leaves the stack: its rows,
-record and generator are dropped.
+record and generator are dropped, and so are its uniforms of the drawn
+block, whose inputs are then rebuilt for the rows of the trials left.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +71,7 @@ from .levy import LevyConfig, sample_levy_vector
 from .problems import DEFAULT_PENALTY, PenaltyConfig, Problem, _is_number, check_number, evaluate
 
 __all__ = [
+    "BLOCK_ITERATIONS",
     "MAX_BLOCK",
     "STAGNATION_EPS",
     "AlgorithmParams",
@@ -75,6 +83,7 @@ __all__ = [
     "cuckoo_search",
     "global_walk",
     "initialize",
+    "iteration_draws",
     "local_walk",
     "partner_pairs",
     "step_scale",
@@ -83,8 +92,12 @@ __all__ = [
 
 # an objective improvement at or below this is treated as stagnation
 STAGNATION_EPS = 1e-12
-# the most uniforms a run's stream draws at once, unless one request asks for more
+# the most uniforms a stack draws at once, unless one iteration of its trials needs more
 MAX_BLOCK = 1 << 16
+# the most iterations whose uniforms a stack draws and transforms at once: the block's
+# numpy calls then cost little per iteration while its arrays stay small; at rastrigin-5,
+# blocks of 32 to 128 iterations measured within 2% of 16 (BENCH_27.json)
+BLOCK_ITERATIONS = 16
 
 
 @dataclass
@@ -245,18 +258,19 @@ def abandonment_count(p_a: float, n: int) -> int:
 def initialize(
     problem: Problem,
     params: AlgorithmParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> Population:
     """Uniform random population inside the bounds, evaluated as one batch.
 
     Draws one block of ``dimension`` uniforms per nest, in slot order.
-    From a stack's stream it starts T trials, and from a generator one;
-    each trial's record starts as a copy of its best initial nest (first
-    one on ties).
+    From a generator it starts one trial, and from a stack's list of
+    generators one trial each; each trial's record starts as a copy of
+    its best initial nest (first one on ties).
     """
     n, d = params.n, problem.dimension
-    X = _fresh_nests(problem.lower, problem.width, n, rng)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    X = problem.lower + problem.width * _uniforms(rngs, 1, n * d).reshape(-1, d)
     F, feasible = evaluate(problem, X, penalty)
     T = len(F) // n
     pop = Population(X, F, feasible, np.empty((T, d)), np.full(T, math.inf), np.zeros(T, dtype=bool), n)
@@ -264,66 +278,42 @@ def initialize(
     return pop
 
 
-def global_walk(
-    x: np.ndarray,
-    problem: Problem,
-    params: AlgorithmParams,
-    rng: np.random.Generator,
-    scale: np.ndarray,
-) -> np.ndarray:
-    """Heavy-tailed step of ``scale`` (see :func:`step_scale`) from each row of ``x`` (m, d).
+def global_walk(u: np.ndarray, params: AlgorithmParams, scale: np.ndarray) -> np.ndarray:
+    """The heavy-tailed steps of ``scale`` (see :func:`step_scale`) that uniforms ``u`` give.
 
-    Consumes one signed step vector from ``rng`` per row, in one
-    block: all magnitudes, then all signs (see
-    :func:`cuckoo.levy.sample_levy_vector`).  The result is clamped to
-    the bounds.  A stack passes its stream and (T, m, d) rows, and gets
-    (T * m, d) candidates, trial by trial.
+    ``u`` is (2, m, d), or (B, 2, m, d) for B blocks: m * d magnitudes,
+    then m * d signs, row by row (see :func:`cuckoo.levy.sample_levy_vector`),
+    for (m, d) or (B, m, d) steps.  A nest x proposes x + step, clamped to
+    the bounds.
     """
-    d = x.shape[-1]
-    step = (x + scale * sample_levy_vector(d, params.levy, rng, x.shape[-2])).reshape(-1, d)
-    np.maximum(step, problem.lower, out=step)  # clamp in place
-    return np.minimum(step, problem.upper, out=step)
+    return scale * sample_levy_vector(u.shape[-1], params.levy, u, u.shape[-2])
 
 
-def local_walk(
-    x_i: np.ndarray,
-    x_j: np.ndarray,
-    x_k: np.ndarray,
-    problem: Problem,
-    params: AlgorithmParams,
-    rng: np.random.Generator,
-    scale: np.ndarray,
-) -> np.ndarray:
-    """Gated step of ``scale`` from each row of ``x_i`` (m, d) along ``x_j - x_k``.
+def local_walk(u: np.ndarray, params: AlgorithmParams, scale: np.ndarray) -> np.ndarray:
+    """The gated step factors of ``scale`` that uniforms ``u`` give.
 
-    Draws one block: m step factors s ~ U(0, 1), then m * d gate
-    uniforms row by row.  A component moves only where its gate uniform
-    falls below p_a.  With p_a = 0, or with x_j identical to x_k, the
-    result equals x_i exactly.  The candidate is clamped to the bounds.
-    A stack passes its stream and (T, m, d) rows, and gets (T * m, d)
-    candidates, trial by trial.
+    ``u`` is (..., m * (d + 1)): m step factors s ~ U(0, 1), then m * d
+    gate uniforms row by row, d the length of ``scale``.  A component's
+    factor is ``scale * s`` where its gate uniform falls below p_a, and 0
+    elsewhere; the result is (..., m, d).  A nest x_i with partners x_j
+    and x_k proposes x_i + factor * (x_j - x_k), clamped to the bounds, so
+    with p_a = 0, or with x_j identical to x_k, it proposes x_i exactly.
     """
-    d = problem.dimension
-    if not (x_i.shape == x_j.shape == x_k.shape and x_i.ndim in (2, 3) and x_i.shape[-1] == d):
-        raise ValueError("positions must be (m, d) or (T, m, d) rows of one shape, d the problem dimension")
-    m = x_i.shape[-2]
-    u = rng.random(m * (d + 1))  # step factors, then gates
-    s = u[..., :m, None]
-    gate = u[..., m:].reshape(x_i.shape) < params.p_a
-    candidate = (x_i + scale * s * gate * (x_j - x_k)).reshape(-1, d)
-    np.maximum(candidate, problem.lower, out=candidate)  # clamp in place
-    return np.minimum(candidate, problem.upper, out=candidate)
+    d = scale.shape[-1]
+    m, rest = divmod(u.shape[-1], d + 1)
+    if rest:
+        raise ValueError(f"uniforms must be m * (d + 1) per row, d = {d}, got {u.shape[-1]}")
+    return scale * u[..., :m, None] * (u[..., m:].reshape(*u.shape[:-1], m, d) < params.p_a)
 
 
-def partner_pairs(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m uniform ordered pairs (j, k) with j != k from range(n), as one (2, m) array.
+def partner_pairs(n: int, u: np.ndarray) -> np.ndarray:
+    """Uniform ordered pairs (j, k) with j != k from range(n), from uniforms ``u`` (..., 2, m).
 
-    Draws one block of 2m uniforms: j is ``floor(u * n)`` of the first m,
-    k is ``floor(u * (n - 1))`` of the rest, shifted up where it reaches j.
-    From a stack's stream the array is (2, T, m), one row per trial.
+    j is ``floor(u * n)`` of the first m, k is ``floor(u * (n - 1))`` of
+    the rest, shifted up where it reaches j; the result is (..., 2, m).
     """
-    pairs = (rng.random((2, m)) * _partner_ranges(n)).astype(np.intp).swapaxes(0, -2)
-    j, k = pairs
+    pairs = (u * _partner_ranges(n)).astype(np.intp)
+    j, k = pairs[..., 0, :], pairs[..., 1, :]
     k += k >= j
     return pairs
 
@@ -349,46 +339,64 @@ def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _fresh_nests(lower: np.ndarray, width: np.ndarray, count: int, rng) -> np.ndarray:
-    """What ``rng.uniform(lower, upper, (count, d))`` draws, at a fraction of the call cost.
+def _uniforms(rngs: Sequence[np.random.Generator], K: int, count: int) -> np.ndarray:
+    """(K, T, count) uniforms: [k, t] is the k-th ``count`` uniforms generator t draws next."""
+    u = np.empty((len(rngs), K * count))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    return np.ascontiguousarray(u.reshape(len(rngs), K, count).swapaxes(0, 1))
 
-    From a stack's stream: T * count rows, trial by trial, against (T * count, d) bound rows.
+
+def _iteration_sizes(params: AlgorithmParams, left: float) -> tuple[int, int, int]:
+    """How many nests an iteration with ``left`` evaluations left moves in each phase.
+
+    The global walk's proposers, the local walk's and the abandoned nests:
+    (n, n, ceil(p_a * n)), cut where the budget runs out.
     """
-    d = lower.shape[-1]
-    return lower + width * rng.random(count * d).reshape(-1, d)
+    g = min(params.n, left)
+    local = min(g, left - g)
+    return g, local, min(abandonment_count(params.p_a, params.n), left - g - local)
 
 
-class _StackedStream:
-    """``random(size)`` gives what ``rng.random(size)`` would for each of T generators, as (T, *size).
+def iteration_draws(params: AlgorithmParams, dimension: int, left: float = math.inf) -> int:
+    """The uniforms one trial draws in an iteration with ``left`` evaluations left, by default a whole one.
 
-    Each generator draws ``block`` (or more) uniforms at a time, into one
-    row of a (T, block) buffer that all rows read at the same place.
+    Of the sizes (g, l, c) of :func:`_iteration_sizes`: 2gd Levy, g
+    defenders under compare_to="random", 2l partners, l(d + 1) local walk
+    and cd fresh ones, so a whole iteration draws 3nd + 4n + ceil(p_a * n) * d.
     """
+    g, local, c = _iteration_sizes(params, left)
+    d = dimension
+    return (2 * d + (params.compare_to == "random")) * g + (d + 3) * local + c * d
 
-    def __init__(self, rngs: list[np.random.Generator], block: int) -> None:
-        self._rngs = rngs
-        self._block = block
-        self._buffer = np.empty((len(rngs), 0))
-        self._end = self._next = 0
 
-    def random(self, size) -> np.ndarray:
-        count = math.prod(size) if isinstance(size, tuple) else size
-        start, self._next = self._next, self._next + count
-        if self._next <= self._end:
-            u = self._buffer[:, start : self._next]
-        else:
-            rest = self._buffer[:, start:]
-            self._buffer = np.empty((len(self._rngs), max(self._block, count)))
-            for rng, row in zip(self._rngs, self._buffer):
-                rng.random(out=row)
-            self._end, self._next = self._buffer.shape[1], count - rest.shape[1]
-            u = np.concatenate((rest, self._buffer[:, : self._next]), axis=1)
-        return u.reshape(len(u), *size) if isinstance(size, tuple) else u
+def _inputs(u: np.ndarray, sizes: tuple, problem: Problem, params: AlgorithmParams) -> list[tuple]:
+    """The random inputs of the iterations whose uniforms are ``u`` (K, T, draws), one tuple each.
 
-    def keep(self, kept: np.ndarray) -> None:
-        """Keep the generators where the boolean mask ``kept`` is set, and drop the rest."""
-        self._rngs = list(compress(self._rngs, kept))
-        self._buffer = self._buffer[kept]
+    An iteration of ``sizes`` (g, l, c) gets the global walk's (T * g, d)
+    steps and (T * g,) defenders, the local walk's (3, T * l) nests and
+    partners j and k and its (T * l, d) factors, and a (T * (l + c), d)
+    batch to score whose last T * c rows are the fresh nests.  Positions
+    are rows of the stack, trial by trial.
+    """
+    (K, T, _), n, d = u.shape, params.n, problem.dimension
+    g, local, c = sizes
+    random_defenders = params.compare_to == "random"
+    ends = list(accumulate((2 * g * d, g * random_defenders, 2 * local, local * (d + 1))))
+    levy, defenders, pairs, walk, fresh = (u[..., a:b] for a, b in zip([0, *ends], [*ends, None]))
+    column = _stack_rows(T, n, 1)  # (T, 1): each trial's first row
+    scale = step_scale(problem, params)
+    steps = global_walk(levy.reshape(K * T, 2, g, d), params, scale).reshape(K, T * g, d)
+    slots = (defenders * n).astype(np.intp) if random_defenders else np.broadcast_to(np.arange(g), (K, T, g))
+    targets = (slots + column).reshape(K, T * g)
+    rows = np.empty((K, 3, T, local), dtype=np.intp)  # each nest of the local walk, then its partners
+    rows[:, 0] = np.arange(local) + column
+    rows[:, 1:] = (partner_pairs(n, pairs.reshape(K, T, 2, local)) + column[:, None]).swapaxes(1, 2)
+    factors = local_walk(walk, params, scale).reshape(K, T * local, d)
+    # the local walk's candidates go before the fresh nests, to be scored with them
+    batches = np.empty((K, T * (local + c), d))
+    np.add(problem.lower, problem.width * fresh.reshape(K, T * c, d), out=batches[:, T * local :])
+    return list(zip(steps, targets, rows.reshape(K, 3, T * local), factors, batches))
 
 
 def abandon_fraction(pop: Population, X: np.ndarray, F: np.ndarray, feasible: np.ndarray) -> Population:
@@ -431,8 +439,12 @@ def cuckoo_search(
     ``seed`` is an integer (not a bool) or None, which draws fresh entropy
     as ``numpy.random.default_rng(None)`` does.  Given a sequence of them,
     runs one trial per seed, in consecutive stacks (see the module docstring)
-    of at most ``max(1, MAX_BLOCK // (2 * n * d))`` trials: a stack's global
-    walk draws at most MAX_BLOCK uniforms unless one trial needs more.  The
+    of at most ``max(1, MAX_BLOCK // (2 * n * d))`` trials, whose Levy steps
+    of one iteration are at most MAX_BLOCK values unless one trial's are more.
+    A stack draws its trials' uniforms in blocks of whole iterations, at most
+    BLOCK_ITERATIONS of them and at most MAX_BLOCK uniforms unless one
+    iteration needs more, so the draws, and the results, do not depend on
+    how the iterations are blocked.  The
     results come in seed order, each what that seed alone returns (none for
     no seeds).  Every seed is checked before any trial runs: anything else
     raises a TypeError.  An error in any trial stops the whole call.
@@ -454,25 +466,20 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             penalty: PenaltyConfig) -> list[RunResult]:
     """:func:`cuckoo_search` for a nonempty list of seeds, run as one stack (see the module docstring)."""
     T, n, d = len(seeds), params.n, problem.dimension
-    # four iterations' uniforms at a time (one draws at most 4n(d + 1)), but at most
-    # MAX_BLOCK: a larger request is drawn whole, so a large run holds about what it asks for
-    block = min(16 * n * (d + 1), MAX_BLOCK)
-    rng = _StackedStream([np.random.default_rng(s) for s in seeds], block)
-    # (T * n, d) rows, so that the steps and the fresh nests combine operands of one shape;
-    # the rows are identical, so any T * count of them serve T trials' count nests
-    rows = (step_scale(problem, params), problem.lower, problem.width)
-    scale, lower, width = np.repeat(np.stack(rows)[:, None], T * n, axis=1)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    lower, upper = problem.lower, problem.upper
     stop = params.stop
     budget, window = stop.max_evaluations, stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
-    random_defenders = params.compare_to == "random"
+    draws = iteration_draws(params, d)
 
-    pop = initialize(problem, params, rng, penalty)
+    pop = initialize(problem, params, rngs, penalty)
     # per trial in the stack: its seed's index, history and stall count
     ids, histories, stall = list(range(T)), [[] for _ in seeds], [0] * T
     spent = []  # the evaluations at each iteration's end, the same for every trial
     results = [None] * T
-    T = 0  # no views yet
+    # the drawn block: its uniforms, one tuple of inputs per iteration, and the next one's index
+    u, block, i = np.empty((0, T, 0)), [], 0
     while True:
         best = pop.best_objective.tolist()
         for history, value in zip(histories, best):
@@ -488,45 +495,48 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             if not any(kept):
                 return results
             ids, histories = list(compress(ids, kept)), list(compress(histories, kept))
-            stall = list(compress(stall, kept))
-            rng.keep(kept)
+            stall, rngs = list(compress(stall, kept)), list(compress(rngs, kept))
             rows = np.repeat(kept, n)
             pop = Population(pop.X[rows], pop.F[rows], pop.feasible[rows], pop.best_position[kept],
                              pop.best_objective[kept], pop.best_feasible[kept], pop.evaluations)
-        if len(ids) != T:  # the stack is new or changed: its (T, n) views
+            # the rest of the block, for the trials left: its stack rows are renumbered
+            u, i = u[i:, kept], 0
+            block = _inputs(u, sizes, problem, params) if len(u) else []
             T = len(ids)
-            # row t * n + i is slot i of trial t, and column[t] is t * n
-            nests, own, column = pop.X.reshape(T, n, d), np.arange(T * n).reshape(T, n), _stack_rows(T, n, 1)
-            steps = scale[: T * n].reshape(T, n, d)
+        if i == len(block):  # the block is used up: draw the next
+            left = budget - pop.evaluations
+            g, local, count = sizes = _iteration_sizes(params, left)
+            # whole iterations, up to BLOCK_ITERATIONS and MAX_BLOCK uniforms; else the budget's last
+            K = max(1, min(left // (2 * n + abandoned), BLOCK_ITERATIONS, MAX_BLOCK // (T * draws)))
+            u, i = _uniforms(rngs, K, iteration_draws(params, d, left)), 0
+            block = _inputs(u, sizes, problem, params)
+        steps, targets, partners, factors, batch = block[i]
+        i += 1
 
-        m = min(n, budget - pop.evaluations)
-        if m < n:  # the budget's last iteration: only the first m nests of each trial propose
-            nests, steps, own = nests[:, :m], steps[:, :m], own[:, :m]
-        candidates = global_walk(nests, problem, params, rng, steps)
+        candidates = (pop.X if g == n else pop.X.reshape(T, n, d)[:, :g].reshape(-1, d)) + steps
+        np.maximum(candidates, lower, out=candidates)  # clamp in place
+        np.minimum(candidates, upper, out=candidates)
         F, feasible = evaluate(problem, candidates, penalty)
-        pop.evaluations += m
-        # the defenders, as rows of the stack
-        targets = ((rng.random(m) * n).astype(np.intp) + column if random_defenders else own).ravel()
+        pop.evaluations += g
         won = winning_bids(targets, F)
         pop.replace(targets[won], candidates[won], F[won], feasible[won])
 
-        m = min(m, budget - pop.evaluations)
-        if m:
-            if m < nests.shape[1]:
-                nests, steps, own = nests[:, :m], steps[:, :m], own[:, :m]
-            x_j, x_k = pop.X.take(partner_pairs(n, m, rng) + column, axis=0)  # rows of the stack
-            # nests is a view of pop.X, so it holds the global walk's winners
-            candidates = local_walk(nests, x_j, x_k, problem, params, rng, steps)
-            count = min(abandoned, budget - pop.evaluations - m)
-            fresh = _fresh_nests(lower[: T * count], width[: T * count], count, rng)
-            F, feasible = evaluate(problem, np.concatenate((candidates, fresh)), penalty)
-            pop.evaluations += m
+        if local:
+            # the global walk's winners, and their partners
+            x_i = pop.X if local == n else pop.X.take(partners[0], axis=0)
+            x_j, x_k = pop.X.take(partners[1:], axis=0)
+            candidates, fresh = batch[: T * local], batch[T * local :]
+            np.add(x_i, factors * (x_j - x_k), out=candidates)
+            np.maximum(candidates, lower, out=candidates)
+            np.minimum(candidates, upper, out=candidates)
+            F, feasible = evaluate(problem, batch, penalty)
+            pop.evaluations += local
             # each nest keeps the better of itself and its local candidate
-            pop.replace(own.ravel(), candidates, F[: T * m], feasible[: T * m])
+            pop.replace(partners[0], candidates, F[: T * local], feasible[: T * local])
             if count:
                 if count == n:  # the abandonment replaces every nest
                     pop.record()
-                abandon_fraction(pop, fresh, F[T * m :], feasible[T * m :])
+                abandon_fraction(pop, fresh, F[T * local :], feasible[T * local :])
         pop.record()
         if window is not None:
             stall = [0 if value < history[-1] - STAGNATION_EPS else s + 1

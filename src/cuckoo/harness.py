@@ -55,7 +55,7 @@ from typing import Optional
 import yaml
 
 from .baselines import HillClimbParams, hill_climb_restart
-from .core import AlgorithmParams, StopCriterion, cuckoo_search
+from .core import AlgorithmParams, StopCriterion, cuckoo_search, iteration_draws
 from .problems import DEFAULT_PENALTY, PenaltyConfig, check_number, get_problem
 
 __all__ = [
@@ -174,10 +174,10 @@ class ExperimentSpec:
         if (size := len(os.fsencode(stem + ".meta.json.tmp"))) > 255:
             raise ConfigError(f"record file names would take {size} bytes, above the 255 of a file name")
         d = max((p.dimension for p in self.problems), default=1)
-        for a in self.algorithms:  # the global walk's (2, n, d) uniforms are the largest array
-            if isinstance(a.params, AlgorithmParams) and 16 * a.params.n * d > sys.maxsize:
-                raise ConfigError(f"{a.label}: n={a.params.n} at dimension {d} needs a"
-                                  f" (2, n, d) array of {16 * a.params.n * d} bytes, above sys.maxsize")
+        for a in self.algorithms:  # a trial's uniforms of one iteration are the largest array
+            if isinstance(a.params, AlgorithmParams) and 8 * (draws := iteration_draws(a.params, d)) > sys.maxsize:
+                raise ConfigError(f"{a.label}: n={a.params.n} at dimension {d} needs an iteration's"
+                                  f" {draws} uniforms, {8 * draws} bytes, above sys.maxsize")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a non-empty string, got {self.output!r}")
 

@@ -62,7 +62,7 @@ def _step_lengths(cfg: LevyConfig, u):
 
 
 def sample_levy_vector(
-    dim: int, cfg: LevyConfig, rng: np.random.Generator, n: Optional[int] = None
+    dim: int, cfg: LevyConfig, rng: np.random.Generator | np.ndarray, n: Optional[int] = None
 ) -> np.ndarray:
     """Signed heavy-tailed step for each of ``dim`` coordinates.
 
@@ -70,13 +70,14 @@ def sample_levy_vector(
     ``dim`` sign uniforms (< 0.5 maps to +1).  Components are independent
     and symmetric about zero.  With ``n`` set, returns an (n, dim) block
     of such steps: all n * dim magnitudes, then all signs, row by row.
-    From a stack's stream, which draws for T trials at once, it is (T, n, dim).
+    ``rng`` may instead be the uniforms already drawn, (2, n, dim), or
+    (B, 2, n, dim) for B blocks at once, which gives (B, n, dim).
     A sign is that of ``_BELOW_HALF - u``: u is a multiple of 2**-53, so
     the difference is never zero and is positive exactly where u < 0.5.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     shape = (2, dim) if n is None else (2, n, dim)
-    # a stack's stream puts its trial axis first: (T, 2, n, dim)
-    magnitudes, signs = rng.random(shape).swapaxes(0, -len(shape))
+    u = rng if isinstance(rng, np.ndarray) else rng.random(shape)
+    magnitudes, signs = u.swapaxes(0, -len(shape))  # a no-op but for B blocks: (2, B, n, dim)
     return np.copysign(_step_lengths(cfg, magnitudes), _BELOW_HALF - signs)

@@ -15,7 +15,6 @@ from cuckoo.baselines import HillClimbParams, hill_climb_restart
 from cuckoo.core import (
     AlgorithmParams,
     StopCriterion,
-    _fresh_nests,
     abandon_fraction,
     abandonment_count,
     cuckoo_search,
@@ -63,7 +62,7 @@ def test_criterion_2_gate_semantics():
     scale = step_scale(box, params)
     moved = total = 0
     for _ in range(5_000):  # 100k gate draws
-        candidate = local_walk(x_i[None], x_j[None], x_k[None], box, params, rng, scale)[0]
+        candidate = x_i + local_walk(rng.random(21), params, scale)[0] * (x_j - x_k)
         moved += int(np.count_nonzero(candidate != x_i))
         total += 20
     fraction = moved / total
@@ -73,7 +72,7 @@ def test_criterion_2_gate_semantics():
     rng = np.random.default_rng(8)
     scale = step_scale(small, closed)
     identical = all(
-        np.array_equal(local_walk(p[None], q[None], r[None], small, closed, rng, scale)[0], p)
+        np.array_equal(p + local_walk(rng.random(4), closed, scale)[0] * (q - r), p)
         for p, q, r in (
             (rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3))
             for _ in range(100_000)
@@ -87,7 +86,7 @@ def test_criterion_2_gate_semantics():
     rng = np.random.default_rng(9)
     scale = step_scale(four, open_gate)
     all_differing_moved = all(
-        (local_walk(np.zeros((1, 4)), x_j4[None], x_k4[None], four, open_gate, rng, scale)[0] != 0.0).tolist()
+        (0.0 + local_walk(rng.random(5), open_gate, scale)[0] * (x_j4 - x_k4) != 0.0).tolist()
         == [True, False, False, True]
         for _ in range(1_000)
     )
@@ -270,7 +269,7 @@ def test_criterion_8_abandonment_contract():
             before_evaluations = pop.evaluations
 
             count = abandonment_count(params.p_a, n)
-            X = _fresh_nests(problem.lower, problem.width, count, rng)
+            X = problem.lower + problem.width * rng.random((count, problem.dimension))
             abandon_fraction(pop, X, *evaluate(problem, X))
 
             changed = {

@@ -39,7 +39,7 @@ def budget(n):
 
 def abandon(pop, problem, count, rng):
     """Abandon the worst ``count`` nests for fresh ones, drawn and scored as cuckoo_search does."""
-    X = core._fresh_nests(problem.lower, problem.width, count, rng)
+    X = problem.lower + problem.width * rng.random((count, problem.dimension))
     return abandon_fraction(pop, X, *evaluate(problem, X))
 
 
@@ -129,7 +129,7 @@ class TestInitialize:
     def test_a_stack_starts_each_trial_as_alone(self, seeds, n):
         problem = get_problem("ackley", 3)
         params = AlgorithmParams(n=n, stop=budget(100))
-        stack = initialize(problem, params, core._StackedStream([np.random.default_rng(s) for s in seeds], 7))
+        stack = initialize(problem, params, [np.random.default_rng(s) for s in seeds])
         assert stack.best_position.shape == (len(seeds), 3) and stack.evaluations == n
         for t, seed in enumerate(seeds):
             alone = initialize(problem, params, np.random.default_rng(seed))
@@ -146,30 +146,45 @@ class TestGlobalWalk:
         params = AlgorithmParams(alpha=0.1, stop=budget(100))
         x, scale = np.array([[0.5]]), step_scale(problem, params)
         for seed, expected in ((7, 0.4998076674135267), (11, 0.5001096087090473), (42, 0.5002694871571326)):
-            candidate = global_walk(x, problem, params, np.random.default_rng(seed), scale)
+            candidate = x + global_walk(np.random.default_rng(seed).random((2, 1, 1)), params, scale)
             assert candidate[0, 0] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_draws_magnitudes_then_signs(self, m):
-        problem = unit_box(3, lo=-100.0, hi=100.0)
         params = AlgorithmParams(alpha=0.5, stop=budget(100))
-        X = np.arange(3.0 * m).reshape(m, 3)
-        rng = np.random.default_rng(22)
-        candidates = global_walk(X, problem, params, rng, step_scale(problem, params))
+        u = np.random.default_rng(22).random((2, m, 3))
         replay = np.random.default_rng(22)
         magnitudes = 1e-3 * (1.0 - replay.random((m, 3))) ** (-1.0 / 1.5)
         signs = np.where(replay.random((m, 3)) < 0.5, 1.0, -1.0)
-        assert np.array_equal(candidates, X + 0.5 * signs * magnitudes)
-        assert rng.random() == replay.random()
+        assert np.array_equal(global_walk(u, params, np.full(3, 0.5)), 0.5 * signs * magnitudes)
+        # B blocks at once give each block's steps
+        blocks = np.stack([u, u[::-1]])
+        assert np.array_equal(global_walk(blocks, params, np.full(3, 0.5)),
+                              [global_walk(b, params, np.full(3, 0.5)) for b in blocks])
 
-    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 50.0))
-    @settings(max_examples=80, deadline=None)
-    def test_stays_in_bounds(self, seed, alpha):
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 50.0), compare_to=st.sampled_from(["random", "parent"]))
+    @settings(max_examples=40, deadline=None)
+    def test_stays_in_bounds(self, seed, alpha, compare_to):
+        # every candidate the loop scores, of either walk, is clamped to the bounds
         problem = unit_box(3, lo=-0.5, hi=2.0)
-        params = AlgorithmParams(alpha=alpha, stop=budget(100))
-        x = np.array([[0.0, 1.0, 2.0]])
-        candidate = global_walk(x, problem, params, np.random.default_rng(seed), step_scale(problem, params))
-        assert np.all(candidate >= -0.5) and np.all(candidate <= 2.0)
+        params = AlgorithmParams(n=4, alpha=alpha, p_a=1.0, compare_to=compare_to, stop=budget(100))
+        batches = []
+
+        def recording(problem, X, penalty):
+            batches.append(X.copy())
+            return evaluate(problem, X, penalty)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "evaluate", recording)
+            cuckoo_search(problem, params, seed=seed)
+        points = np.concatenate(batches)
+        assert len(points) == 100 and np.all(points >= -0.5) and np.all(points <= 2.0)
+
+
+def local_candidates(x_i, x_j, x_k, params, rng, scale):
+    """What the loop proposes from nests x_i with partners x_j and x_k, each (m, d), drawing from ``rng``."""
+    m, d = x_i.shape
+    return x_i + local_walk(rng.random(m * (d + 1)), params, scale) * (x_j - x_k)
 
 
 class TestLocalWalk:
@@ -179,14 +194,13 @@ class TestLocalWalk:
         params = AlgorithmParams(alpha=1.0, stop=budget(100))
         rng = np.random.default_rng(5)
         X_i, X_j, X_k = (rng.uniform(-10.0, 10.0, (m, 3)) for _ in range(3))
-        candidates = local_walk(X_i, X_j, X_k, problem, params, rng, step_scale(problem, params))
+        candidates = local_candidates(X_i, X_j, X_k, params, rng, step_scale(problem, params))
         replay = np.random.default_rng(5)
         for _ in range(3):
             replay.uniform(-10.0, 10.0, (m, 3))
         s = replay.random(m)
         gate = replay.random((m, 3)) < 0.25
-        expected = np.clip(X_i + s[:, None] * gate * (X_j - X_k), -10.0, 10.0)
-        assert np.array_equal(candidates, expected)
+        assert np.array_equal(candidates, X_i + s[:, None] * gate * (X_j - X_k))
         assert rng.random() == replay.random()
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -196,7 +210,7 @@ class TestLocalWalk:
         params = AlgorithmParams(p_a=0.0, stop=budget(100))
         rng = np.random.default_rng(seed)
         x_i, x_j, x_k = (rng.uniform(-5.0, 5.0, (1, 4)) for _ in range(3))
-        assert np.array_equal(local_walk(x_i, x_j, x_k, problem, params, rng, step_scale(problem, params)), x_i)
+        assert np.array_equal(local_candidates(x_i, x_j, x_k, params, rng, step_scale(problem, params)), x_i)
 
     @given(seed=st.integers(0, 2**32 - 1), p_a=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -206,7 +220,7 @@ class TestLocalWalk:
         rng = np.random.default_rng(seed)
         x_i, x_j = (rng.uniform(-5.0, 5.0, (1, 3)) for _ in range(2))
         scale = step_scale(problem, params)
-        assert np.array_equal(local_walk(x_i, x_j, x_j.copy(), problem, params, rng, scale), x_i)
+        assert np.array_equal(local_candidates(x_i, x_j, x_j.copy(), params, rng, scale), x_i)
 
     def test_open_gate_moves_only_differing_components(self):
         problem = unit_box(4, lo=-5.0, hi=5.0)
@@ -216,20 +230,18 @@ class TestLocalWalk:
         x_k = np.array([[0.5, 0.0, 2.0, -3.0]])  # differs in components 0 and 3
         scale = step_scale(problem, params)
         for seed in range(25):
-            candidate = local_walk(x_i, x_j, x_k, problem, params, np.random.default_rng(seed), scale)
+            candidate = local_candidates(x_i, x_j, x_k, params, np.random.default_rng(seed), scale)
             moved = candidate != x_i
             assert moved.tolist() == [[True, False, False, True]]
 
     def test_dimension_mismatch(self):
-        problem = unit_box(3)
+        # the uniforms are m step factors and m * d gates: m * (d + 1) per row, d the length of scale
         params = AlgorithmParams(stop=budget(100))
-        scale, rng = step_scale(problem, params), np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            local_walk(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 3)), problem, params, rng, scale)
-        with pytest.raises(ValueError):
-            local_walk(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)), problem, params, rng, scale)
-        with pytest.raises(ValueError):  # one point is a (1, d) row
-            local_walk(np.zeros(3), np.zeros(3), np.zeros(3), problem, params, rng, scale)
+        scale, u = np.ones(3), np.random.default_rng(0).random((2, 12))
+        assert local_walk(u, params, scale).shape == (2, 3, 3)
+        for width in (3, 5, 11):
+            with pytest.raises(ValueError, match="m \\* \\(d \\+ 1\\)"):
+                local_walk(u[:, :width], params, scale)
 
 
 class TestSelectionAndPartners:
@@ -260,14 +272,14 @@ class TestSelectionAndPartners:
 
     def test_partners_valid(self):
         rng = np.random.default_rng(0)
-        j, k = partner_pairs(6, 2000, rng)
+        j, k = partner_pairs(6, rng.random((2, 2000)))
         assert np.all((0 <= j) & (j < 6) & (0 <= k) & (k < 6) & (j != k))
 
     def test_partners_uniform_over_ordered_pairs(self):
         rng = np.random.default_rng(1)
         n, draws = 5, 40_000
         counts = np.zeros((n, n))
-        j, k = partner_pairs(n, draws, rng)
+        j, k = partner_pairs(n, rng.random((2, draws)))
         np.add.at(counts, (j, k), 1)
         observed = counts[~np.eye(n, dtype=bool)]
         result = stats.chisquare(observed)
@@ -275,21 +287,23 @@ class TestSelectionAndPartners:
 
     def test_partners_two_nests(self):
         rng = np.random.default_rng(2)
-        j, k = partner_pairs(2, 50, rng)
+        j, k = partner_pairs(2, rng.random((2, 50)))
         assert set(zip(j.tolist(), k.tolist())) == {(0, 1), (1, 0)}
 
     def test_partner_draw_order(self):
-        # one block of 2m uniforms: j = floor(u * n) from the first m, then
+        # a block of 2m uniforms: j = floor(u * n) from the first m, then
         # k = floor(u * (n - 1)) from the last m, shifted up where it reaches j
-        rng = np.random.default_rng(3)
-        j, k = partner_pairs(7, 9, rng)
-        replay = np.random.default_rng(3)
-        u = replay.random(18)
+        u = np.random.default_rng(3).random(18)
+        j, k = partner_pairs(7, u.reshape(2, 9))
         expected_j = np.floor(u[:9] * 7)
         expected_k = np.floor(u[9:] * 6)
         assert np.array_equal(j, expected_j)
         assert np.array_equal(k, expected_k + (expected_k >= expected_j))
-        assert rng.random() == replay.random()
+        # (..., 2, m) blocks give each block's pairs
+        blocks = np.random.default_rng(4).random((3, 2, 2, 9))
+        pairs = partner_pairs(7, blocks)
+        assert pairs.shape == (3, 2, 2, 9)
+        assert all(np.array_equal(pairs[a, b], partner_pairs(7, blocks[a, b])) for a in range(3) for b in range(2))
 
     def test_largest_uniform_floors_below_n(self):
         # rng.random() < 1; even its largest value, times n, floors to n - 1
@@ -313,33 +327,29 @@ class TestSelectionAndPartners:
 
 class TestUniformStream:
     @given(
-        block=st.integers(1, 40),
-        sizes=st.lists(
-            st.one_of(st.integers(0, 90), st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple)),
-            max_size=12,
-        ),
+        sizes=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 40)), max_size=12),
         seed=st.integers(0, 2**32 - 1),
         trials=st.integers(1, 3),
         drop=st.integers(0, 12),
     )
-    # sizes 0, inside a block, across a block boundary, larger than a block; one generator, then three
-    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=1, drop=12)
-    @example(block=6, sizes=[0, 4, 5, 20, (2, 3), (0, 4), 1, (2, 2, 5)], seed=1, trials=3, drop=3)
+    # empty requests, one iteration and several; one generator, then three
+    @example(sizes=[(1, 0), (1, 4), (3, 5), (2, 20), (4, 0), (1, 1), (5, 7)], seed=1, trials=1, drop=12)
+    @example(sizes=[(1, 0), (1, 4), (3, 5), (2, 20), (4, 0), (1, 1), (5, 7)], seed=1, trials=3, drop=3)
     @settings(max_examples=200, deadline=None)
-    def test_stacked_stream_serves_each_generator(self, block, sizes, seed, trials, drop):
-        # row t of every request is what generator t alone draws; after the
-        # first trial leaves at request ``drop``, the others read on unchanged
+    def test_stacked_stream_serves_each_generator(self, sizes, seed, trials, drop):
+        # a stack's blocks of K iterations' uniforms: [k, t] of every block is
+        # what generator t alone draws next; after the first trial leaves at
+        # request ``drop``, the others read on unchanged
         seeds = [seed + t for t in range(trials)]
-        stream = core._StackedStream([np.random.default_rng(s) for s in seeds], block)
+        stack = [np.random.default_rng(s) for s in seeds]
         rngs = [np.random.default_rng(s) for s in seeds]
-        for i, size in enumerate(sizes):
+        for i, (K, count) in enumerate(sizes):
             if i == drop and len(rngs) > 1:
-                stream.keep(np.arange(len(rngs)) > 0)
-                rngs = rngs[1:]
-            got = stream.random(size)
-            assert got.shape == (len(rngs),) + (size if isinstance(size, tuple) else (size,))
-            for row, rng in zip(got, rngs):
-                assert row.tobytes() == rng.random(size).tobytes()
+                stack, rngs = stack[1:], rngs[1:]
+            got = core._uniforms(stack, K, count)
+            assert got.shape == (K, len(rngs), count) and got.flags.c_contiguous
+            for t, rng in enumerate(rngs):
+                assert got[:, t].tobytes() == rng.random((K, count)).tobytes()
 
 
 class TestAbandonment:
@@ -787,6 +797,80 @@ class TestRecord:
             params = AlgorithmParams(n=5, p_a=0.25, stop=budget(evaluations))
             cuckoo_search(get_problem("sphere", 2), params, seed=seed)
             assert calls == expected
+
+
+    @pytest.mark.parametrize("seed, trials", [(0, 1), ([0, 1, 2], 3)], ids=["one-seed", "stack-of-3"])
+    def test_the_traced_names_are_called(self, monkeypatch, seed, trials):
+        # the benchmark's tracer wraps these module globals: the Levy steps are
+        # transformed once per drawn block, the nests scored twice per iteration
+        calls = dict.fromkeys(("sample_levy_vector", "evaluate", "abandon_fraction"), 0)
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
+        for evaluations, blocks, evaluate_calls, abandonments in [
+            (5 + 3 * 12, 1, 1 + 3 * 2, 3),  # three whole iterations of 5 + 5 + 2 evaluations, one block
+            (5 + 2 * 12 + 5, 2, 1 + 2 * 2 + 1, 2),  # the last has no local walk, and is a block of its own
+        ]:
+            calls.update(dict.fromkeys(calls, 0))
+            params = AlgorithmParams(n=5, p_a=0.25, stop=budget(evaluations))
+            cuckoo_search(get_problem("sphere", 2), params, seed=seed)
+            assert calls == {"sample_levy_vector": blocks, "evaluate": evaluate_calls, "abandon_fraction": abandonments}
+
+
+def record_blocks(monkeypatch):
+    """A list to which each uniforms draw of cuckoo_search appends its number of iterations K."""
+    blocks, uniforms = [], core._uniforms
+
+    def recording(rngs, K, count):
+        blocks.append(K)
+        return uniforms(rngs, K, count)
+
+    monkeypatch.setattr(core, "_uniforms", recording)
+    return blocks
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("compare_to", ["random", "parent"])
+    @pytest.mark.parametrize("p_a", [0.0, 0.25, 1.0])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, p_a, compare_to):
+        # K = 1, 2 and BLOCK_ITERATIONS iterations drawn at once give the same
+        # results, for stacks of 1, 3 and 7 trials, whether the budget's last
+        # iteration cuts the global walk, the local walk, the abandonment or nothing
+        problem, n, default = get_problem("rastrigin", 3), 5, core.BLOCK_ITERATIONS
+        whole = 2 * n + abandonment_count(p_a, n)
+        blocks = record_blocks(monkeypatch)
+        for last in sorted({n - 2, n + 2, min(2 * n + 1, whole), whole}):
+            params = AlgorithmParams(n=n, p_a=p_a, compare_to=compare_to, stop=budget(n + 6 * whole + last))
+            runs = []
+            for K in (1, 2, default):
+                monkeypatch.setattr(core, "BLOCK_ITERATIONS", K)
+                blocks.clear()
+                runs.append([outcome(r) for seeds in ([0], [1, 2, 3], list(range(10, 17)))
+                             for r in cuckoo_search(problem, params, seed=seeds)])
+                assert max(blocks) == min(K, (params.stop.max_evaluations - n) // whole)
+            assert runs[0] == runs[1] == runs[2]
+
+    def test_trials_that_leave_mid_block(self, monkeypatch):
+        # blocks of 16 iterations: the stack's first five trials stop inside
+        # the second (iterations 17-32), the first of them first, by
+        # stagnation and by target; the rest of the block is rebuilt each time
+        problem = get_problem("sphere", 2)
+        params = AlgorithmParams(n=5, alpha=0.5, stop=StopCriterion(2000, 0.01, 3))
+        seeds = [29, 6, 3, 19, 1, 11]
+        blocks = record_blocks(monkeypatch)
+        stacked = cuckoo_search(problem, params, seed=seeds)
+        assert blocks == [1] + [16] * 5  # the initial nests, then iterations 1-80 in blocks of 16
+        assert [(r.terminated_by, (r.evaluations - 5) // 12) for r in stacked] == [
+            ("stagnation", 18), ("target", 20), ("stagnation", 22), ("target", 23), ("stagnation", 31),
+            ("target", 77),
+        ]
+        assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in seeds]
 
 
 def outcome(result):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cuckoo import core, harness
 from cuckoo.baselines import HillClimbParams
 from cuckoo.cli import main
-from cuckoo.core import AlgorithmParams, StopCriterion
+from cuckoo.core import AlgorithmParams, StopCriterion, abandonment_count
 from cuckoo.harness import (
     PARAM_KEYS,
     AlgorithmRef,
@@ -904,11 +904,18 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_cuckoo_block_too_large_for_an_array(self, tmp_path, capsys):
-        # the global walk draws (2, n, d) float64 uniforms: 16 * n * d bytes
-        largest = sys.maxsize // (16 * 3)
+        # a trial draws 3nd + 4n + ceil(p_a * n) * d float64 uniforms per iteration, at d = 3 and p_a = 0.25
+        def nbytes(n):
+            return 8 * (3 * n * 3 + 4 * n + abandonment_count(0.25, n) * 3)
+
+        largest = sys.maxsize // 110  # 8 * (13 + 3 / 4) bytes per nest
+        while nbytes(largest + 1) <= sys.maxsize:
+            largest += 1
+        while nbytes(largest) > sys.maxsize:
+            largest -= 1
         spec_from_dict({**BASE_SPEC, "algorithms": [{"name": "cuckoo", "params": {"n": largest}}]})
         path = write_spec(tmp_path, {"algorithms": [{"name": "cuckoo", "params": {"n": largest + 1}}]})
-        with pytest.raises(ConfigError, match=r"n=\d+ at dimension 3 needs a \(2, n, d\) array"):
+        with pytest.raises(ConfigError, match=r"n=\d+ at dimension 3 needs an iteration's \d+ uniforms"):
             load_experiment(path)
         assert main(["run", str(path)]) == 2
         assert "above sys.maxsize" in capsys.readouterr().err

@@ -58,6 +58,11 @@ class TestSampling:
         assert block.shape == (3, 4)
         assert np.array_equal(block, signs * magnitudes)
         assert rng.random() == replay.random()
+        # the uniforms themselves in place of the generator, and B blocks of them at once
+        u = np.random.default_rng(6).random((2, 3, 4))
+        assert np.array_equal(sample_levy_vector(4, cfg, u, n=3), block)
+        assert np.array_equal(sample_levy_vector(4, cfg, np.stack([u, u[::-1]]), n=3),
+                              [block, sample_levy_vector(4, cfg, u[::-1], n=3)])
 
     def test_sign_boundary(self):
         # u < 0.5 maps to +1, at and around 0.5 and at both ends of [0, 1)
