@@ -42,7 +42,9 @@ walk factors and fresh nests with array operations over all its
 iterations (see :func:`global_walk`, :func:`local_walk` and
 :func:`partner_pairs`).  Each iteration then does only the work that
 depends on the nests: it adds and clamps, evaluates, keeps the winners,
-abandons and records.  The budget's last iteration, the only one whose
+abandons and records.  Its clamps take the bounds as whole rows built
+once per stack: numpy makes such a small call ~2.5x dearer when it must
+broadcast a (d,) bound.  The budget's last iteration, the only one whose
 phases the budget can cut, is a block of its own at its cut sizes.
 
 One loop serves one seed and many.  :func:`cuckoo_search` runs its
@@ -124,18 +126,20 @@ class Population:
     best_feasible: np.ndarray
     evaluations: int
 
-    def replace(
-        self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray
-    ) -> None:
-        """Slot ``slots[c]`` takes candidate c where strictly better.
+    def replace(self, slots: np.ndarray, X: np.ndarray, F: np.ndarray, feasible: np.ndarray,
+                bids: Optional[np.ndarray] = None) -> None:
+        """Slot ``slots[c]`` takes candidate c where strictly better, of the candidates ``bids`` (default all).
 
-        Ties keep the incumbent, and the slots must be distinct.  Both walks keep their winners here.
+        Ties keep the incumbent, and the bidders' slots must be distinct.  Both walks keep their winners here.
         """
+        if bids is not None:
+            slots, F = slots.take(bids), F.take(bids)
         kept = (F < self.F[slots]).nonzero()[0]  # indices: on a phase's few rows, cheaper than a mask
+        rows = kept if bids is None else bids.take(kept)
         slots = slots.take(kept)
-        self.X[slots] = X.take(kept, axis=0)
+        self.X[slots] = X.take(rows, axis=0)
         self.F[slots] = F.take(kept)
-        self.feasible[slots] = feasible.take(kept)
+        self.feasible[slots] = feasible.take(rows)
 
     def record(self) -> None:
         """Each trial's first least nest, by slot, enters its (T,) record where strictly better."""
@@ -467,7 +471,8 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
     """:func:`cuckoo_search` for a nonempty list of seeds, run as one stack (see the module docstring)."""
     T, n, d = len(seeds), params.n, problem.dimension
     rngs = [np.random.default_rng(s) for s in seeds]
-    lower, upper = problem.lower, problem.upper
+    # whole (T * n, d) bound rows (see the module docstring): their first rows serve any phase of any T
+    lower, upper = (np.full((T * n, d), bound) for bound in (problem.lower, problem.upper))
     stop = params.stop
     budget, window = stop.max_evaluations, stop.stagnation_window
     abandoned = abandonment_count(params.p_a, n)
@@ -511,15 +516,16 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             u, i = _uniforms(rngs, K, iteration_draws(params, d, left)), 0
             block = _inputs(u, sizes, problem, params)
         steps, targets, partners, factors, batch = block[i]
+        if i == 0:  # a block drawn or rebuilt for T trials: the bound rows each walk clamps against
+            low, high, low_l, high_l = lower[: T * g], upper[: T * g], lower[: T * local], upper[: T * local]
         i += 1
 
         candidates = (pop.X if g == n else pop.X.reshape(T, n, d)[:, :g].reshape(-1, d)) + steps
-        np.maximum(candidates, lower, out=candidates)  # clamp in place
-        np.minimum(candidates, upper, out=candidates)
+        np.maximum(candidates, low, out=candidates)  # clamp in place
+        np.minimum(candidates, high, out=candidates)
         F, feasible = evaluate(problem, candidates, penalty)
         pop.evaluations += g
-        won = winning_bids(targets, F)
-        pop.replace(targets[won], candidates[won], F[won], feasible[won])
+        pop.replace(targets, candidates, F, feasible, winning_bids(targets, F))
 
         if local:
             # the global walk's winners, and their partners
@@ -527,8 +533,8 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             x_j, x_k = pop.X.take(partners[1:], axis=0)
             candidates, fresh = batch[: T * local], batch[T * local :]
             np.add(x_i, factors * (x_j - x_k), out=candidates)
-            np.maximum(candidates, lower, out=candidates)
-            np.minimum(candidates, upper, out=candidates)
+            np.maximum(candidates, low_l, out=candidates)
+            np.minimum(candidates, high_l, out=candidates)
             F, feasible = evaluate(problem, batch, penalty)
             pop.evaluations += local
             # each nest keeps the better of itself and its local candidate

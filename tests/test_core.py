@@ -37,6 +37,18 @@ def budget(n):
     return StopCriterion(max_evaluations=n)
 
 
+def skewed_box():
+    """A box whose three coordinates have bounds of their own, least at its corner (0, 0, 3)."""
+    return Problem("skewed box", [(-0.5, 2.0), (0.0, 1.0), (3.0, 4.0)], objective=lambda x: np.sum(x * x, axis=0))
+
+
+def trio():
+    """A stack of one trial of three nests at the origin, valued 4, 6 and 8, none feasible."""
+    return Population(X=np.zeros((3, 2)), F=np.array([4.0, 6.0, 8.0]), feasible=np.zeros(3, dtype=bool),
+                      best_position=np.zeros((1, 2)), best_objective=np.array([4.0]),
+                      best_feasible=np.zeros(1, dtype=bool), evaluations=3)
+
+
 def abandon(pop, problem, count, rng):
     """Abandon the worst ``count`` nests for fresh ones, drawn and scored as cuckoo_search does."""
     X = problem.lower + problem.width * rng.random((count, problem.dimension))
@@ -165,8 +177,8 @@ class TestGlobalWalk:
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 50.0), compare_to=st.sampled_from(["random", "parent"]))
     @settings(max_examples=40, deadline=None)
     def test_stays_in_bounds(self, seed, alpha, compare_to):
-        # every candidate the loop scores, of either walk, is clamped to the bounds
-        problem = unit_box(3, lo=-0.5, hi=2.0)
+        # every candidate the loop scores, of either walk, is clamped to its coordinates' bounds
+        problem = skewed_box()
         params = AlgorithmParams(n=4, alpha=alpha, p_a=1.0, compare_to=compare_to, stop=budget(100))
         batches = []
 
@@ -178,7 +190,30 @@ class TestGlobalWalk:
             patch.setattr(core, "evaluate", recording)
             cuckoo_search(problem, params, seed=seed)
         points = np.concatenate(batches)
-        assert len(points) == 100 and np.all(points >= -0.5) and np.all(points <= 2.0)
+        assert len(points) == 100 and np.all(points >= problem.lower) and np.all(points <= problem.upper)
+
+    def test_a_stack_stays_in_each_coordinates_bounds(self, monkeypatch):
+        # a stack of 3 whose first two trials leave inside a block of 12 iterations, by
+        # target and by window, and whose last trial's budget cuts its 13th iteration's
+        # global walk to g = 2 of n = 4: every point scored lies within its own
+        # coordinate's bounds, and the clamps put points on both bounds of each coordinate
+        problem, scored = skewed_box(), []
+
+        def recording(problem, X, penalty):
+            scored.append(X.copy())
+            return evaluate(problem, X, penalty)
+
+        monkeypatch.setattr(core, "evaluate", recording)
+        stop = StopCriterion(4 + 12 * 12 + 2, target_objective=9.05, stagnation_window=4)
+        results = cuckoo_search(problem, AlgorithmParams(n=4, alpha=5.0, p_a=1.0, stop=stop), seed=[3, 1, 0])
+        assert [(r.terminated_by, (r.evaluations - 4) // 12) for r in results] == [
+            ("target", 5), ("stagnation", 9), ("max_evaluations", 12)
+        ]
+        assert scored[-1].shape == (2, 3)  # the cut global walk of the trial left
+        points = np.concatenate(scored)
+        assert len(points) == 3 * 4 + sum(r.evaluations - 4 for r in results)
+        assert np.all(points >= problem.lower) and np.all(points <= problem.upper)
+        assert np.all((points == problem.lower).any(axis=0)) and np.all((points == problem.upper).any(axis=0))
 
 
 def local_candidates(x_i, x_j, x_k, params, rng, scale):
@@ -261,7 +296,7 @@ class TestSelectionAndPartners:
         )
         won = winning_bids(targets, values)
         candidates = np.arange(5.0)[:, None] + 10.0
-        pop.replace(targets[won], candidates[won], values[won], np.ones(5, dtype=bool)[won])
+        pop.replace(targets, candidates, values, np.ones(5, dtype=bool), won)
         # slot 0 ties and keeps its nest; slot 1 takes candidate 2; slot 2 ties too
         assert pop.X[:, 0].tolist() == [0.0, 12.0, 0.0]
         assert pop.F.tolist() == [9.0, 4.0, 3.0]
@@ -269,6 +304,40 @@ class TestSelectionAndPartners:
         pop.record()  # the loop's record rule
         # a tie does not replace the record
         assert pop.best_objective.tolist() == [3.0] and pop.best_position.tolist() == [[-1.0]]
+
+    def test_replace_keeps_each_slots_winning_bid(self):
+        # the global walk's call: candidates 1 and 3 bid the same value for slot 2, as two
+        # candidates clamped to one corner do, and the lower index is kept; candidate 0
+        # ties slot 0's nest, which stays; candidate 2 loses slot 2 to them
+        pop = trio()
+        targets, values = np.array([0, 2, 2, 2]), np.array([4.0, 1.0, 3.0, 1.0])
+        candidates = np.arange(8.0).reshape(4, 2) + 10.0  # distinct rows, to show which is kept
+        won = winning_bids(targets, values)
+        assert won.tolist() == [0, 1]
+        pop.replace(targets, candidates, values, np.array([True, True, True, False]), won)
+        assert pop.X.tolist() == [[0.0, 0.0], [0.0, 0.0], [12.0, 13.0]]
+        assert pop.F.tolist() == [4.0, 6.0, 1.0] and pop.feasible.tolist() == [False, False, True]
+
+    @given(targets=st.lists(st.integers(0, 2), min_size=1, max_size=9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_replace_with_the_winners_indices_writes_what_their_rows_write(self, targets, seed):
+        # values of four levels tie often, with each other and with the nests; the
+        # local walk's call, every candidate a bidder, keeps the rule slot by slot
+        rng = np.random.default_rng(seed)
+        targets = np.array(targets)
+        candidates = rng.random((len(targets), 2))
+        values, feasible = rng.integers(3, 7, len(targets)).astype(float), rng.random(len(targets)) < 0.5
+        won = winning_bids(targets, values)
+        by_index, by_rows, by_slot = trio(), trio(), trio()
+        by_index.replace(targets, candidates, values, feasible, won)
+        by_rows.replace(targets[won], candidates[won], values[won], feasible[won])
+        for c in won.tolist():
+            if values[c] < by_slot.F[targets[c]]:
+                slot = targets[c]
+                by_slot.X[slot], by_slot.F[slot], by_slot.feasible[slot] = candidates[c], values[c], feasible[c]
+        for pop in (by_index, by_rows):
+            assert pop.X.tobytes() == by_slot.X.tobytes() and pop.F.tobytes() == by_slot.F.tobytes()
+            assert pop.feasible.tolist() == by_slot.feasible.tolist()
 
     def test_partners_valid(self):
         rng = np.random.default_rng(0)
