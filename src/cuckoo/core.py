@@ -290,7 +290,7 @@ def global_walk(u: np.ndarray, params: AlgorithmParams, scale: np.ndarray) -> np
     for (m, d) or (B, m, d) steps.  A nest x proposes x + step, clamped to
     the bounds.
     """
-    return scale * sample_levy_vector(u.shape[-1], params.levy, u, u.shape[-2])
+    return scale * sample_levy_vector(u.shape[-1], params.levy, u)
 
 
 def local_walk(u: np.ndarray, params: AlgorithmParams, scale: np.ndarray) -> np.ndarray:

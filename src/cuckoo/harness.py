@@ -18,13 +18,13 @@ wall times).  Medians use the lower-median convention: the element at
 index (k - 1) // 2 of the sorted k values, never an average, so every
 reported number is one that actually occurred.
 
-With several workers, each pool task is a run of one cell's consecutive
-trials, and a run of cuckoo trials is one :func:`cuckoo_search` call, which
-sizes its stacks itself: the records equal the trials' records alone, but
-appear together when the call returns, however large the cell, and each
-trial's wall time is the call's times its share of the call's evaluations.
-Serial runs call one trial at a time, so that each record keeps a wall
-time measured around its own trial.
+Each task is a run of one cell's consecutive trials, one trial when
+serial.  A run of cuckoo trials is one :func:`cuckoo_search` call, which
+sizes its stacks itself: its records equal the trials' records alone but
+appear together when it returns; hill climbing runs one trial per call.
+A trial's wall time is its call's times its share of the call's
+evaluations (a serial trial's share is 1).  A call of one trial that
+raises records the error; a call of several reruns each trial alone.
 
 The worker pool is kept for the life of the process.  Its workers are
 forked once and run the code as it stood then; record paths are absolute.
@@ -95,7 +95,7 @@ PARAM_KEYS = {name: frozenset(_flat_params(cls())) for name, cls in _PARAMS_CLAS
 
 
 class ConfigError(ValueError):
-    """The experiment file is malformed; raised before any run starts."""
+    """The experiment file, or a record file read back, is malformed; exits 2 from the CLI."""
 
 
 @dataclass(frozen=True)
@@ -298,39 +298,30 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 # --- running ------------------------------------------------------------------
 
-def _execute_trial(task: dict) -> dict:
-    """Run one (problem, algorithm, trial) cell; never raises."""
-    started = time.perf_counter()
-    try:
-        problem = get_problem(task["problem"], task["dimension"])
-        params = task["params"]
-        optimizer = cuckoo_search if isinstance(params, AlgorithmParams) else hill_climb_restart
-        record = _record(task, optimizer(problem, params, seed=task["seed"], penalty=task["penalty"]))
-    except Exception as exc:  # a failed trial must not sink the rest of the grid
-        record = _record(task, error=f"{type(exc).__name__}: {exc}")
-    record["wall_time_seconds"] = time.perf_counter() - started
-    return record
+def _execute_trial(tasks: list[dict]) -> list[dict]:
+    """Run one call of one cell's consecutive trials; never raises.
 
-
-def _execute_stack(tasks: list[dict]) -> list[dict]:
-    """Run trials of one cuckoo cell in one :func:`cuckoo_search` call, as its stacks; never raises.
-
-    Each trial adds to its wall time the call's times its share of the
-    call's evaluations (equal shares if none has any), so a cell's wall
-    times add up to the time spent.  If the call raises, its trials run
-    one at a time instead, and each adds its share of the failed call's
-    time to the wall time of its own run.
+    Cuckoo trials run as one :func:`cuckoo_search` call, hill climbing
+    one by one.  Each trial's wall time is the call's times its share of
+    the call's evaluations (equal shares if none has any), so a cell's
+    wall times add up to the time spent.  A call of one trial that raises
+    records the error; one of several reruns each trial alone, which adds
+    its share of the failed call's time to the wall time of its own run.
     """
     started = time.perf_counter()
     try:
         problem = get_problem(tasks[0]["problem"], tasks[0]["dimension"])
-        seeds = [task["seed"] for task in tasks]
-        results = cuckoo_search(problem, tasks[0]["params"], seed=seeds, penalty=tasks[0]["penalty"])
-        records = [dict(_record(task, result), wall_time_seconds=0.0) for task, result in zip(tasks, results)]
-        elapsed = time.perf_counter() - started
-    except Exception:  # each trial then gets the record or the error it gets alone
-        elapsed = time.perf_counter() - started
-        records = [_execute_trial(task) for task in tasks]
+        params, penalty = tasks[0]["params"], tasks[0]["penalty"]
+        if isinstance(params, AlgorithmParams):
+            results = cuckoo_search(problem, params, seed=[task["seed"] for task in tasks], penalty=penalty)
+        else:
+            results = [hill_climb_restart(problem, params, seed=task["seed"], penalty=penalty) for task in tasks]
+        records = [_record(task, result) for task, result in zip(tasks, results)]
+    except Exception as exc:  # a failed trial must not sink the rest of the grid
+        records = [_record(tasks[0], error=f"{type(exc).__name__}: {exc}")] if len(tasks) == 1 else None
+    elapsed = time.perf_counter() - started
+    if records is None:  # each trial then gets the record or the error it gets alone
+        records = [record for task in tasks for record in _execute_trial([task])]
     spent = sum(record["evaluations"] for record in records)
     for record in records:
         record["wall_time_seconds"] += elapsed * (record["evaluations"] / spent if spent else 1 / len(records))
@@ -338,8 +329,9 @@ def _execute_stack(tasks: list[dict]) -> list[dict]:
 
 
 def _record(task: dict, result=None, error: Optional[str] = None) -> dict:
-    """A trial's record, from its result or its error, without the wall time."""
+    """A trial's record, from its result or its error, with no wall time yet."""
     record = {key: task[key] for key in ("problem", "dimension", "algorithm", "trial", "seed")}
+    record["wall_time_seconds"] = 0.0
     if result is None:
         return {**record, "status": "error", "error": error, "history": [], "history_evaluations": [],
                 "best_objective": None, "best_position": None, "best_feasible": False,
@@ -388,7 +380,8 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     # the pool forks every worker at the first submit, so start none that would idle
     workers = min(spec.workers, len(tasks))
     # a task is a run of one cell's consecutive trials: multiprocessing.Pool.map's
-    # rule, about four per worker; one trial when serial
+    # rule, about four per worker; one trial when serial, as the traced benchmark
+    # needs one _execute_trial call per serial record
     size = 1 if workers == 1 else -(-len(tasks) // (4 * workers))
     chunks = [
         tasks[cell + start : cell + min(start + size, spec.trials)]
@@ -437,17 +430,17 @@ def _shutdown_pool() -> None:
 
 
 def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
-    """Run one cell's consecutive trials where they ran, writing each record as it ends.
+    """Run one cell's consecutive trials where they ran, writing each record as its call ends.
 
-    Two or more cuckoo trials run in one :func:`cuckoo_search` call, which
-    sizes its own stacks; their records appear when it returns.  Others run
-    one by one: hill climbing in lockstep was measured slower than alone.
+    Cuckoo trials run in one call, whose records appear when it returns.
+    Hill-climbing trials run one per call: in lockstep they were measured
+    slower than alone.
     """
-    stacked = isinstance(tasks[0]["params"], AlgorithmParams) and len(tasks) > 1
     records = []
-    for record in _execute_stack(tasks) if stacked else map(_execute_trial, tasks):
-        _write_record(record, records_dir)
-        records.append(record)
+    for call in [tasks] if isinstance(tasks[0]["params"], AlgorithmParams) else [[task] for task in tasks]:
+        for record in _execute_trial(call):
+            _write_record(record, records_dir)
+            records.append(record)
     return records
 
 
@@ -484,16 +477,20 @@ def read_records(output_dir) -> list[dict]:
         raise FileNotFoundError(f"no records directory under {output_dir!r}")
     records = []
     for meta_path in sorted(records_dir.glob("*.meta.json")):
-        record = json.loads(meta_path.read_text(encoding="utf-8"))
-        # a grid repeats a few names in every record: share one copy of each
-        for key in ("problem", "algorithm", "status", "terminated_by"):
-            record[key] = sys.intern(record[key])
-        tsv_path = meta_path.with_name(meta_path.name.removesuffix(".meta.json") + ".tsv")
+        path = meta_path
         history, history_evaluations = [], []
-        for line in tsv_path.read_text(encoding="utf-8").splitlines()[1:]:
-            _, value, evals = line.split("\t")
-            history.append(float(value))
-            history_evaluations.append(int(evals))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            # a grid repeats a few names in every record: share one copy of each
+            for key in ("problem", "algorithm", "status", "terminated_by"):
+                record[key] = sys.intern(record[key])
+            path = meta_path.with_name(meta_path.name.removesuffix(".meta.json") + ".tsv")
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                _, value, evals = line.split("\t")
+                history.append(float(value))
+                history_evaluations.append(int(evals))
+        except ValueError as exc:  # not UTF-8, not JSON, or a row that is not three numbers
+            raise ConfigError(f"{path} is not a record file: {exc}") from exc
         record["history"] = history
         record["history_evaluations"] = history_evaluations
         records.append(record)

@@ -10,7 +10,6 @@ magnitude, and replays bit-identically from a seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,23 +60,21 @@ def _step_lengths(cfg: LevyConfig, u):
     return cfg.min_step * (1.0 - u) ** (-1.0 / cfg.tail_exponent)
 
 
-def sample_levy_vector(
-    dim: int, cfg: LevyConfig, rng: np.random.Generator | np.ndarray, n: Optional[int] = None
-) -> np.ndarray:
+def sample_levy_vector(dim: int, cfg: LevyConfig, rng: np.random.Generator | np.ndarray) -> np.ndarray:
     """Signed heavy-tailed step for each of ``dim`` coordinates.
 
     Consumes one block from ``rng``: ``dim`` magnitude uniforms, then
     ``dim`` sign uniforms (< 0.5 maps to +1).  Components are independent
-    and symmetric about zero.  With ``n`` set, returns an (n, dim) block
-    of such steps: all n * dim magnitudes, then all signs, row by row.
-    ``rng`` may instead be the uniforms already drawn, (2, n, dim), or
-    (B, 2, n, dim) for B blocks at once, which gives (B, n, dim).
+    and symmetric about zero.  ``rng`` may instead be the uniforms already
+    drawn, (..., 2, m, dim), which gives (..., m, dim) steps: a block's
+    m * dim magnitudes, then its signs, row by row.
     A sign is that of ``_BELOW_HALF - u``: u is a multiple of 2**-53, so
     the difference is never zero and is positive exactly where u < 0.5.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    shape = (2, dim) if n is None else (2, n, dim)
-    u = rng if isinstance(rng, np.ndarray) else rng.random(shape)
-    magnitudes, signs = u.swapaxes(0, -len(shape))  # a no-op but for B blocks: (2, B, n, dim)
+    if isinstance(rng, np.ndarray):
+        magnitudes, signs = rng[..., 0, :, :], rng[..., 1, :, :]
+    else:
+        magnitudes, signs = rng.random((2, dim))
     return np.copysign(_step_lengths(cfg, magnitudes), _BELOW_HALF - signs)

@@ -375,7 +375,7 @@ class TestExecuteTrial:
             "trial": 0,
             "seed": 0,
         }
-        record = _execute_trial(task)
+        (record,) = _execute_trial([task])
         assert record["status"] == "error"
         assert "no_such_problem" in record["error"]
         assert record["history"] == []
@@ -391,7 +391,7 @@ class TestExecuteTrial:
             "trial": 3,
             "seed": 103,
         }
-        record = _execute_trial(task)
+        (record,) = _execute_trial([task])
         assert record["status"] == "ok"
         assert harness._record_stem(record) == harness._record_stem(task)
         assert record["seed"] == 103
@@ -410,13 +410,17 @@ class TestStackedTrials:
     def without_wall(records):
         return [{k: v for k, v in r.items() if k != "wall_time_seconds"} for r in records]
 
+    @staticmethod
+    def alone(tasks):
+        return [_execute_trial([task])[0] for task in tasks]
+
     def test_stack_records_match_alone_and_share_the_wall_time(self):
         # the target stops the trials at different evaluations
         tasks = self.tasks({"stop": {"max_evaluations": 3000, "target_objective": 1e-3}}, 2)
         started = time.perf_counter()
-        stacked = harness._execute_stack(tasks)
+        stacked = _execute_trial(tasks)
         wall = time.perf_counter() - started
-        alone = [_execute_trial(t) for t in tasks]
+        alone = self.alone(tasks)
         assert self.without_wall(stacked) == self.without_wall(alone)
         assert len({r["evaluations"] for r in stacked}) == 2
         # each trial carries the stack's wall time in proportion to its evaluations
@@ -442,61 +446,85 @@ class TestStackedTrials:
         tasks = [{**task, "seed": seed, "trial": k} for k, seed in enumerate(seeds)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "get_problem", lambda name, dimension: nan_corner)
-            alone = [_execute_trial(t) for t in tasks]
-            assert self.without_wall(harness._execute_stack(tasks)) == self.without_wall(alone)
+            assert self.without_wall(_execute_trial(tasks)) == self.without_wall(self.alone(tasks))
 
     def test_a_failed_stack_counts_its_time(self, monkeypatch):
-        tasks = self.tasks({"stop": {"max_evaluations": 300}}, 2)
-        alone = [_execute_trial(t) for t in tasks]
-        real = harness.cuckoo_search
+        # a call of three trials that raises runs the optimizer 1 + 3 times: each trial reruns alone
+        tasks = self.tasks({"trials": 3, "stop": {"max_evaluations": 300}}, 3)
+        alone = self.alone(tasks)
+        real, calls = harness.cuckoo_search, []
 
         def failing_stack(problem, params, seed, penalty):
-            if isinstance(seed, list):
+            calls.append(len(seed))
+            if len(seed) > 1:
                 time.sleep(0.05)
                 raise RuntimeError("stack")
             return real(problem, params, seed=seed, penalty=penalty)
 
         monkeypatch.setattr(harness, "cuckoo_search", failing_stack)
         started = time.perf_counter()
-        records = harness._execute_stack(tasks)
+        records = _execute_trial(tasks)
         wall = time.perf_counter() - started
+        assert calls == [3, 1, 1, 1]
         assert self.without_wall(records) == self.without_wall(alone)
         # the reruns' wall times include their shares of the failed stack's
         assert 0.05 <= sum(r["wall_time_seconds"] for r in records) <= wall
 
-    def test_hill_climbing_runs_alone(self, tmp_path, monkeypatch):
-        def refuse(tasks):
-            raise AssertionError("stacked")
+    @pytest.mark.parametrize("algorithm, optimizer", [("cuckoo", "cuckoo_search"),
+                                                      ("hill_climb", "hill_climb_restart")])
+    def test_a_failed_trial_runs_once(self, monkeypatch, algorithm, optimizer):
+        calls = []
 
-        monkeypatch.setattr(harness, "_execute_stack", refuse)
+        def failing(problem, params, seed, penalty):
+            calls.append(seed)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, optimizer, failing)
+        spec = spec_from_dict({**BASE_SPEC, "output": "unused"})
+        task = next(t for t in harness._tasks(spec) if t["algorithm"] == algorithm)
+        started = time.perf_counter()
+        (record,) = _execute_trial([task])
+        assert len(calls) == 1
+        assert (record["status"], record["error"], record["evaluations"]) == ("error", "RuntimeError: boom", 0)
+        assert 0.0 <= record["wall_time_seconds"] <= time.perf_counter() - started
+
+    def test_hill_climbing_runs_alone(self, tmp_path, monkeypatch):
+        real, calls = harness._execute_trial, []
+
+        def one_call(tasks):
+            calls.append(len(tasks))
+            return real(tasks)
+
+        monkeypatch.setattr(harness, "_execute_trial", one_call)
         spec = spec_from_dict({**BASE_SPEC, "output": "unused"})
         tasks = [t for t in harness._tasks(spec) if t["algorithm"] == "hill_climb"]
         records = harness._run_and_write(tasks, tmp_path)
-        assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
+        assert calls == [1, 1]
+        assert self.without_wall(records) == self.without_wall(self.alone(tasks))
         assert len(list(tmp_path.glob("*.meta.json"))) == 2
 
     def test_a_large_cuckoo_cell_runs_in_one_call(self, tmp_path, monkeypatch):
         # 5 trials * 2 * n * d = 80000 values, above 2**16: one call, which
         # cuckoo_search runs as stacks of 4 and 1 trials
         calls, sizes = [], []
-        execute_stack, search = harness._execute_stack, core._search
+        execute_trial, search = harness._execute_trial, core._search
 
         def stack(tasks):
             calls.append(len(tasks))
-            return execute_stack(tasks)
+            return execute_trial(tasks)
 
         def recording(problem, params, seeds, penalty):
             sizes.append(len(seeds))
             return search(problem, params, seeds, penalty)
 
-        monkeypatch.setattr(harness, "_execute_stack", stack)
+        monkeypatch.setattr(harness, "_execute_trial", stack)
         monkeypatch.setattr(core, "_search", recording)
         tasks = self.tasks({"problems": [{"name": "sphere", "dimension": 20}], "trials": 5,
                             "algorithms": [{"name": "cuckoo", "params": {"n": 400, "p_a": 0.25}}],
                             "stop": {"max_evaluations": 2000}}, 5)
         records = harness._run_and_write(tasks, tmp_path)
         assert (calls, sizes) == ([5], [4, 1])
-        assert self.without_wall(records) == self.without_wall([_execute_trial(t) for t in tasks])
+        assert self.without_wall(records) == self.without_wall(self.alone(tasks))
         assert len(list(tmp_path.glob("*.meta.json"))) == 5
 
 
@@ -618,6 +646,25 @@ class TestRunExperiment:
             for line_a, line_b in zip(summary_serial, summary_parallel):
                 assert line_a.rsplit("\t", 1)[0] == line_b.rsplit("\t", 1)[0]
 
+    def test_a_serial_run_calls_one_trial_at_a_time(self, tmp_path, monkeypatch):
+        # the traced benchmark roots each serial record at one _execute_trial call,
+        # and checks the record's wall time against that call's span within 1 ms
+        real, calls = harness._execute_trial, []
+
+        def timed(tasks):
+            started = time.perf_counter()
+            records = real(tasks)
+            calls.append((len(tasks), records, time.perf_counter() - started))
+            return records
+
+        monkeypatch.setattr(harness, "_execute_trial", timed)
+        # 6 trials, which the pool's rule would split into tasks of 2 for one worker
+        run_experiment(load_experiment(write_spec(tmp_path, {"trials": 3, "workers": 1})))
+        assert len(calls) == len(read_records(tmp_path / "out")) == 6
+        for size, records, duration in calls:
+            assert size == len(records) == 1
+            assert abs(records[0]["wall_time_seconds"] - duration) <= 1e-3
+
     def test_no_more_workers_than_trials(self, tmp_path, monkeypatch, fresh_pool):
         started = []
 
@@ -686,10 +733,10 @@ class TestRunExperiment:
     def test_an_interrupt_in_a_worker_drops_the_pool(self, tmp_path, monkeypatch, fresh_pool):
         real = harness._execute_trial
 
-        def interrupted(task):  # runs in a forked worker
-            if task["trial"] == 1:
+        def interrupted(tasks):  # runs in a forked worker
+            if tasks[0]["trial"] == 1:
                 raise KeyboardInterrupt
-            return real(task)
+            return real(tasks)
 
         monkeypatch.setattr(harness, "_execute_trial", interrupted)
         spec = load_experiment(write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 8, "workers": 2}))
@@ -789,7 +836,7 @@ class TestSidecars:
         monkeypatch.setattr(harness, "hill_climb_restart", failing)
         # enough budget for a cuckoo best below 1e-4, which repr writes in exponent form
         spec = spec_from_dict({**BASE_SPEC, "stop": {"max_evaluations": 5000}})
-        records = [harness._execute_trial(task) for task in harness._tasks(spec)]
+        records = [harness._execute_trial([task])[0] for task in harness._tasks(spec)]
         assert records[-1]["error"] == f"RuntimeError: {message}"
         assert "e-" in repr(records[0]["best_objective"])
         (tmp_path / "records").mkdir()
@@ -854,6 +901,28 @@ class TestCli:
         capsys.readouterr()
         assert main(["summarize", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out / 'experiment.yaml'} is not UTF-8 YAML: ")
+        assert (out / "summary.tsv").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "suffix, text, message",
+        [
+            (".meta.json", b'{"problem": "sphere",\n', "Expecting"),
+            (".meta.json", b'{"problem": "\xff"}\n', "can't decode byte 0xff"),
+            (".tsv", b"iteration\tbest_objective\tevaluations\n0\t1.5\n", "not enough values to unpack"),
+        ],
+    )
+    def test_a_corrupt_record_file_exit_code(self, tmp_path, capsys, suffix, text, message):
+        # exit 2 (not 1, a failed trial) naming the file, and the old summary left as it was
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path))]) == 0
+        before = (out / "summary.tsv").read_bytes()
+        path = out / "records" / f"sphere__hill_climb__t001{suffix}"
+        path.write_bytes(text)
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a record file: ") and message in err
+        assert err.count("\n") == 1
         assert (out / "summary.tsv").read_bytes() == before
 
     def test_bad_workers_override_exit_code(self, tmp_path, capsys):
@@ -944,10 +1013,10 @@ class TestCli:
     def test_lost_worker_keeps_the_finished_trials(self, tmp_path, capsys, monkeypatch, fresh_pool):
         real = harness._execute_trial
 
-        def dying(task):  # runs in a forked worker, which it ends at trial 2
-            if task["trial"] == 2:
+        def dying(tasks):  # runs in a forked worker, which it ends at trial 2
+            if tasks[0]["trial"] == 2:
                 os._exit(1)
-            return real(task)
+            return real(tasks)
 
         monkeypatch.setattr(harness, "_execute_trial", dying)
         path = write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 6, "workers": 2})
@@ -966,10 +1035,10 @@ class TestCli:
     def test_a_lost_worker_leaves_no_pool_behind(self, tmp_path, monkeypatch, fresh_pool):
         real = harness._execute_trial
 
-        def dying(task):  # runs in a forked worker, which it ends at trial 2
-            if task["trial"] == 2:
+        def dying(tasks):  # runs in a forked worker, which it ends at trial 2
+            if tasks[0]["trial"] == 2:
                 os._exit(1)
-            return real(task)
+            return real(tasks)
 
         monkeypatch.setattr(harness, "_execute_trial", dying)
         path = write_spec(tmp_path, {"algorithms": ["hill_climb"], "trials": 6, "workers": 2})

@@ -48,21 +48,18 @@ class TestSampling:
         assert rng.random() == replay.random()
 
     def test_block_draw_order(self):
-        # an (n, dim) block: all magnitudes, then all signs, row by row
+        # uniforms drawn as (2, n, dim) give an (n, dim) block: all magnitudes, then all signs, row by row
         cfg = LevyConfig(tail_exponent=2.0, min_step=0.01)
-        rng = np.random.default_rng(6)
-        block = sample_levy_vector(4, cfg, rng, n=3)
+        u = np.random.default_rng(6).random((2, 3, 4))
+        block = sample_levy_vector(4, cfg, u)
         replay = np.random.default_rng(6)
         magnitudes = 0.01 * (1.0 - replay.random((3, 4))) ** (-1.0 / 2.0)
         signs = np.where(replay.random((3, 4)) < 0.5, 1.0, -1.0)
         assert block.shape == (3, 4)
         assert np.array_equal(block, signs * magnitudes)
-        assert rng.random() == replay.random()
-        # the uniforms themselves in place of the generator, and B blocks of them at once
-        u = np.random.default_rng(6).random((2, 3, 4))
-        assert np.array_equal(sample_levy_vector(4, cfg, u, n=3), block)
-        assert np.array_equal(sample_levy_vector(4, cfg, np.stack([u, u[::-1]]), n=3),
-                              [block, sample_levy_vector(4, cfg, u[::-1], n=3)])
+        # B blocks of them at once
+        assert np.array_equal(sample_levy_vector(4, cfg, np.stack([u, u[::-1]])),
+                              [block, sample_levy_vector(4, cfg, u[::-1])])
 
     def test_sign_boundary(self):
         # u < 0.5 maps to +1, at and around 0.5 and at both ends of [0, 1)
