@@ -428,7 +428,7 @@ def cuckoo_search(
     params: AlgorithmParams = AlgorithmParams(),
     seed: Optional[int] | Sequence[Optional[int]] = 0,
     penalty: PenaltyConfig = DEFAULT_PENALTY,
-) -> RunResult | list[RunResult]:
+) -> RunResult | list[RunResult | Exception]:
     """Run cuckoo search on ``problem`` until the stop criterion fires.
 
     The stop rule is checked after initialization and at the end of each
@@ -448,10 +448,10 @@ def cuckoo_search(
     A stack draws its trials' uniforms in blocks of whole iterations, at most
     BLOCK_ITERATIONS of them and at most MAX_BLOCK uniforms unless one
     iteration needs more, so the draws, and the results, do not depend on
-    how the iterations are blocked.  The
-    results come in seed order, each what that seed alone returns (none for
-    no seeds).  Every seed is checked before any trial runs: anything else
-    raises a TypeError.  An error in any trial stops the whole call.
+    how the iterations are blocked.  The results come in seed order, each
+    what that seed alone returns, or raises (none for no seeds): a stack that
+    raises reruns its seeds one at a time.  Every seed is checked before any
+    trial runs: anything else raises a TypeError.
     """
     if seed is None or _is_number(seed, integer=True):
         return _search(problem, params, [seed], penalty)[0]
@@ -463,7 +463,13 @@ def cuckoo_search(
         raise TypeError(f"seed must be an integer or a sequence of integers (None allowed,"
                         f" bools not), got {seed!r}")
     cap = max(1, MAX_BLOCK // (2 * params.n * problem.dimension))
-    return [r for i in range(0, len(seeds), cap) for r in _search(problem, params, seeds[i : i + cap], penalty)]
+    results = []
+    for stack in (seeds[i : i + cap] for i in range(0, len(seeds), cap)):
+        try:
+            results += _search(problem, params, stack, penalty)
+        except Exception as exc:  # each seed of this stack gets what it gets alone; no other stack reruns
+            results += [exc] if len(stack) == 1 else [cuckoo_search(problem, params, [s], penalty)[0] for s in stack]
+    return results
 
 
 def _search(problem: Problem, params: AlgorithmParams, seeds: list,

@@ -20,11 +20,10 @@ reported number is one that actually occurred.
 
 Each task is a run of one cell's consecutive trials, one trial when
 serial.  A run of cuckoo trials is one :func:`cuckoo_search` call, which
-sizes its stacks itself: its records equal the trials' records alone but
-appear together when it returns; hill climbing runs one trial per call.
-A trial's wall time is its call's times its share of the call's
-evaluations (a serial trial's share is 1).  A call of one trial that
-raises records the error; a call of several reruns each trial alone.
+sizes its stacks itself: its records, and a failed trial's error, equal
+the trials' own alone but appear together when it returns; hill climbing
+runs one trial per call.  A trial's wall time is its call's times its
+evaluations' share (1 serial; 0 for a failed trial beside finished ones).
 
 The worker pool is kept for the life of the process.  Its workers are
 forked once and run the code as it stood then; record paths are absolute.
@@ -200,6 +199,9 @@ class SummaryRow:
 
 
 _SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))[:-1]
+# the keys of a sidecar that read_records and summarize read
+_SIDECAR_KEYS = ("algorithm", "best_feasible", "best_objective", "error", "problem", "status",
+                 "terminated_by", "trial", "wall_time_seconds")
 
 
 def lower_median(values):
@@ -301,12 +303,12 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 def _execute_trial(tasks: list[dict]) -> list[dict]:
     """Run one call of one cell's consecutive trials; never raises.
 
-    Cuckoo trials run as one :func:`cuckoo_search` call, hill climbing
-    one by one.  Each trial's wall time is the call's times its share of
-    the call's evaluations (equal shares if none has any), so a cell's
-    wall times add up to the time spent.  A call of one trial that raises
-    records the error; one of several reruns each trial alone, which adds
-    its share of the failed call's time to the wall time of its own run.
+    Cuckoo trials run as one :func:`cuckoo_search` call, which returns each
+    failed trial's own error; hill climbing runs one by one.  A call that
+    raises (its problem not built, or a climb, sent one trial per call)
+    gives each of its trials that error.  Each trial's wall time is the
+    call's times its share of the call's evaluations (equal shares if none
+    has any), so a cell's wall times add up to the time spent.
     """
     started = time.perf_counter()
     try:
@@ -316,26 +318,23 @@ def _execute_trial(tasks: list[dict]) -> list[dict]:
             results = cuckoo_search(problem, params, seed=[task["seed"] for task in tasks], penalty=penalty)
         else:
             results = [hill_climb_restart(problem, params, seed=task["seed"], penalty=penalty) for task in tasks]
-        records = [_record(task, result) for task, result in zip(tasks, results)]
-    except Exception as exc:  # a failed trial must not sink the rest of the grid
-        records = [_record(tasks[0], error=f"{type(exc).__name__}: {exc}")] if len(tasks) == 1 else None
+    except Exception as exc:  # a failed call must not sink the rest of the grid
+        results = [exc] * len(tasks)
     elapsed = time.perf_counter() - started
-    if records is None:  # each trial then gets the record or the error it gets alone
-        records = [record for task in tasks for record in _execute_trial([task])]
+    records = [_record(task, result) for task, result in zip(tasks, results)]
     spent = sum(record["evaluations"] for record in records)
     for record in records:
-        record["wall_time_seconds"] += elapsed * (record["evaluations"] / spent if spent else 1 / len(records))
+        record["wall_time_seconds"] = elapsed * (record["evaluations"] / spent if spent else 1 / len(records))
     return records
 
 
-def _record(task: dict, result=None, error: Optional[str] = None) -> dict:
-    """A trial's record, from its result or its error, with no wall time yet."""
+def _record(task: dict, result) -> dict:
+    """A trial's record, from its result or the exception it raised, with no wall time yet."""
     record = {key: task[key] for key in ("problem", "dimension", "algorithm", "trial", "seed")}
-    record["wall_time_seconds"] = 0.0
-    if result is None:
-        return {**record, "status": "error", "error": error, "history": [], "history_evaluations": [],
-                "best_objective": None, "best_position": None, "best_feasible": False,
-                "evaluations": 0, "terminated_by": "error"}
+    if isinstance(result, Exception):
+        return {**record, "status": "error", "error": f"{type(result).__name__}: {result}", "history": [],
+                "history_evaluations": [], "best_objective": None, "best_position": None,
+                "best_feasible": False, "evaluations": 0, "terminated_by": "error"}
     return {**record, "status": "ok", "error": None, "history": [float(v) for v in result.history],
             "history_evaluations": [int(e) for e in result.history_evaluations],
             "best_objective": float(result.best_objective),
@@ -481,6 +480,8 @@ def read_records(output_dir) -> list[dict]:
         history, history_evaluations = [], []
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(record, dict) or not record.keys() >= set(_SIDECAR_KEYS):
+                raise ValueError(f"not a JSON object with the keys {', '.join(_SIDECAR_KEYS)}")
             # a grid repeats a few names in every record: share one copy of each
             for key in ("problem", "algorithm", "status", "terminated_by"):
                 record[key] = sys.intern(record[key])

@@ -88,6 +88,9 @@ class EvaluationError(RuntimeError):
         super().__init__(message)
         self.x = np.array(x, dtype=float)
 
+    def __reduce__(self):  # pickled with its point, as a seed list's result can be
+        return type(self), (self.args[0], self.x)
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:

@@ -1031,3 +1031,15 @@ class TestStack:
         for seed in (2.5, True, "ab", [True], [[1, 2]], [1, None, 2.0], np.array(3.0)):
             with pytest.raises(TypeError, match="seed must be an integer or a sequence of integers"):
                 cuckoo_search(problem, params, seed=seed)
+
+    def test_a_failed_seed_returns_its_own_error(self):
+        # NaN near x[0] = 1, which only seed 7 of 3..7 reaches alone; n = 4096 at d = 2 caps a stack at 4 trials
+        problem = Problem("nan_edge", [(0.0, 1.0)] * 2,
+                          objective=lambda x: np.where(x[0] > 1 - 1e-4, np.nan, x[0] + x[1] * x[1]))
+        params = AlgorithmParams(n=4096, stop=budget(12288))
+        with pytest.raises(EvaluationError) as raised:  # an integer seed raises
+            cuckoo_search(problem, params, seed=7)
+        *results, error = cuckoo_search(problem, params, seed=range(3, 8))
+        assert [outcome(r) for r in results] == [outcome(cuckoo_search(problem, params, seed=s)) for s in range(3, 7)]
+        assert (type(error), str(error)) == (EvaluationError, str(raised.value))
+        assert error.x.tolist() == raised.value.x.tolist()

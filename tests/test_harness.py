@@ -449,26 +449,48 @@ class TestStackedTrials:
             assert self.without_wall(_execute_trial(tasks)) == self.without_wall(self.alone(tasks))
 
     def test_a_failed_stack_counts_its_time(self, monkeypatch):
-        # a call of three trials that raises runs the optimizer 1 + 3 times: each trial reruns alone
+        # a stack of three trials that raises runs 1 + 3 times: each of its trials reruns alone
         tasks = self.tasks({"trials": 3, "stop": {"max_evaluations": 300}}, 3)
         alone = self.alone(tasks)
-        real, calls = harness.cuckoo_search, []
+        real, calls = core._search, []
 
-        def failing_stack(problem, params, seed, penalty):
-            calls.append(len(seed))
-            if len(seed) > 1:
+        def failing_stack(problem, params, seeds, penalty):
+            calls.append(len(seeds))
+            if len(seeds) > 1:
                 time.sleep(0.05)
                 raise RuntimeError("stack")
-            return real(problem, params, seed=seed, penalty=penalty)
+            return real(problem, params, seeds, penalty)
 
-        monkeypatch.setattr(harness, "cuckoo_search", failing_stack)
+        monkeypatch.setattr(core, "_search", failing_stack)
         started = time.perf_counter()
         records = _execute_trial(tasks)
         wall = time.perf_counter() - started
         assert calls == [3, 1, 1, 1]
         assert self.without_wall(records) == self.without_wall(alone)
-        # the reruns' wall times include their shares of the failed stack's
+        # the call's time, the failed stack's included, is shared among its records
         assert 0.05 <= sum(r["wall_time_seconds"] for r in records) <= wall
+
+    def test_only_the_failed_stack_reruns(self, monkeypatch):
+        # NaN near x[0] = 1, which only seed 7 of 3..7 reaches alone; n = 4096 at d = 2 caps a stack at 4 trials
+        nan_edge = Problem("nan_edge", [(0.0, 1.0)] * 2,
+                           objective=lambda x: np.where(x[0] > 1 - 1e-4, np.nan, x[0] + x[1] * x[1]))
+        task = self.tasks({"algorithms": [{"name": "cuckoo", "params": {"n": 4096, "p_a": 0.25}}],
+                           "stop": {"max_evaluations": 12288}}, 1)[0]
+        tasks = [{**task, "seed": seed, "trial": k} for k, seed in enumerate(range(3, 8))]
+        monkeypatch.setattr(harness, "get_problem", lambda name, dimension: nan_edge)
+        alone = self.alone(tasks)
+        assert [r["status"] for r in alone] == ["ok"] * 4 + ["error"]
+        assert alone[-1]["error"].startswith("EvaluationError: ")
+        sizes = []
+
+        def recording(problem, params, seeds, penalty, search=core._search):
+            sizes.append(len(seeds))
+            return search(problem, params, seeds, penalty)
+
+        monkeypatch.setattr(core, "_search", recording)
+        records = _execute_trial(tasks)
+        assert sizes == [4, 1]  # 5 trial runs for 5 trials: the finished stack of 4 does not rerun
+        assert self.without_wall(records) == self.without_wall(alone)
 
     @pytest.mark.parametrize("algorithm, optimizer", [("cuckoo", "cuckoo_search"),
                                                       ("hill_climb", "hill_climb_restart")])
@@ -487,6 +509,13 @@ class TestStackedTrials:
         assert len(calls) == 1
         assert (record["status"], record["error"], record["evaluations"]) == ("error", "RuntimeError: boom", 0)
         assert 0.0 <= record["wall_time_seconds"] <= time.perf_counter() - started
+        # a call of three trials that raises as a whole runs once and gives each trial its error
+        calls.clear()
+        tasks = [{**task, "trial": k, "seed": 100 + k} for k in range(3)]
+        records = _execute_trial(tasks)
+        assert len(calls) == 1
+        assert [(r["trial"], r["status"], r["error"]) for r in records] == [
+            (k, "error", "RuntimeError: boom") for k in range(3)]
 
     def test_hill_climbing_runs_alone(self, tmp_path, monkeypatch):
         real, calls = harness._execute_trial, []
@@ -909,6 +938,14 @@ class TestCli:
             (".meta.json", b'{"problem": "sphere",\n', "Expecting"),
             (".meta.json", b'{"problem": "\xff"}\n', "can't decode byte 0xff"),
             (".tsv", b"iteration\tbest_objective\tevaluations\n0\t1.5\n", "not enough values to unpack"),
+            # JSON, but not a record: not an object, or without a key that summarize reads
+            pytest.param(".meta.json", b"[]\n", "not a JSON object with the keys algorithm, ", id="a-list"),
+            pytest.param(".meta.json", b'{"problem": "sphere"}\n', "keys algorithm, best_feasible, ",
+                         id="no-algorithm"),
+            pytest.param(".meta.json", json.dumps({
+                "algorithm": "hill_climb", "best_feasible": True, "best_objective": 0.5, "error": None,
+                "problem": "sphere", "status": "ok", "terminated_by": "max_evaluations", "wall_time_seconds": 0.1,
+            }).encode(), "terminated_by, trial, wall_time_seconds", id="no-trial"),
         ],
     )
     def test_a_corrupt_record_file_exit_code(self, tmp_path, capsys, suffix, text, message):

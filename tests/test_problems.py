@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -230,6 +231,11 @@ class TestPenalty:
         nan = Problem("nan", [(0.0, 1.0)], objective=lambda x: float("nan"))
         with pytest.raises(EvaluationError):
             evaluate(nan, [0.5])
+
+    def test_an_evaluation_error_survives_pickling(self):
+        error = EvaluationError("non-finite", [1.0, 2.5])
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), copy.x.tolist()) == (EvaluationError, "non-finite", [1.0, 2.5])
 
 
 def _many_constraints() -> Problem:
