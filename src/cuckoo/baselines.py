@@ -53,7 +53,8 @@ def hill_climb_restart(
 ) -> RunResult:
     """Run the baseline on ``problem`` until the stop criterion fires.
 
-    Only strict improvements are accepted.  The budget bounds the loop,
+    Only strict improvements are accepted; a restart is a move to a fresh
+    point, accepted whatever it scores.  The budget bounds the loop,
     so max_evaluations is never overshot, and :meth:`StopCriterion.reason`
     decides every stop: it is asked after each evaluation that sets a new
     best and, under a stagnation window, after every other evaluation
@@ -91,10 +92,9 @@ def hill_climb_restart(
     moves = iter(())  # the (coordinate, uniform) pairs left in the block
 
     for evaluations in range(1, stop.max_evaluations + 1):
-        if failures >= stall_limit:  # a fresh climb: a new working point, the step reset
+        if failures >= stall_limit:  # a fresh climb: a move to a new point, the step reset
             current = lower + width * rng.random(dimension)
-            value, feasible = evaluate(problem, current, penalty)
-            current_value, failures, scale = value, 0, 1.0
+            current_value, scale = float("inf"), 1.0  # accepted, as evaluate raises on a value not finite
         else:  # a move of one coordinate of the working point, undone if rejected
             move = next(moves, None)
             if move is None:
@@ -109,13 +109,13 @@ def hill_climb_restart(
             x = old + (-half + 2.0 * half * u)
             # min(max(x, lo), hi) for every float, as lo < hi
             current[coord] = low[coord] if x < low[coord] else high[coord] if x > high[coord] else x
-            value, feasible = evaluate(problem, current, penalty)
-            if value < current_value:
-                current_value, failures = value, 0
-            else:  # no better than the working point, so no better than the best
-                current[coord] = old
-                failures += 1
-                scale *= shrink
+        value, feasible = evaluate(problem, current, penalty)
+        if value < current_value:
+            current_value, failures = value, 0
+        else:  # no better than the working point, so no better than the best
+            current[coord] = old
+            failures += 1
+            scale *= shrink
         if value < best_objective:
             if value < best_objective - STAGNATION_EPS:
                 gained = evaluations

@@ -56,7 +56,7 @@ would alone.  The budget, which all trials spend alike, cuts the same
 phase of each; at the end of an iteration, a trial for which
 :meth:`StopCriterion.reason` names a reason leaves the stack: its rows,
 record and generator are dropped, and so are its uniforms of the drawn
-block, whose inputs are then rebuilt for the rows of the trials left.
+block, the rest of which takes a fresh draw's one path to its inputs.
 """
 
 from __future__ import annotations
@@ -262,18 +262,16 @@ def abandonment_count(p_a: float, n: int) -> int:
 def initialize(
     problem: Problem,
     params: AlgorithmParams,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     penalty: PenaltyConfig = DEFAULT_PENALTY,
 ) -> Population:
     """Uniform random population inside the bounds, evaluated as one batch.
 
-    Draws one block of ``dimension`` uniforms per nest, in slot order.
-    From a generator it starts one trial, and from a stack's list of
-    generators one trial each; each trial's record starts as a copy of
-    its best initial nest (first one on ties).
+    Starts one trial from each of a stack's generators, each drawing one
+    block of ``dimension`` uniforms per nest, in slot order; each trial's
+    record starts as a copy of its best initial nest (first one on ties).
     """
     n, d = params.n, problem.dimension
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     X = problem.lower + problem.width * _uniforms(rngs, 1, n * d).reshape(-1, d)
     F, feasible = evaluate(problem, X, penalty)
     T = len(F) // n
@@ -316,16 +314,10 @@ def partner_pairs(n: int, u: np.ndarray) -> np.ndarray:
     j is ``floor(u * n)`` of the first m, k is ``floor(u * (n - 1))`` of
     the rest, shifted up where it reaches j; the result is (..., 2, m).
     """
-    pairs = (u * _partner_ranges(n)).astype(np.intp)
+    pairs = (u * np.array([[n], [n - 1]])).astype(np.intp)
     j, k = pairs[..., 0, :], pairs[..., 1, :]
     k += k >= j
     return pairs
-
-
-@functools.cache
-def _partner_ranges(n: int) -> np.ndarray:
-    """The read-only (2, 1) column [[n], [n - 1]] that scales a block of partner uniforms."""
-    return np.broadcast_to([[n], [n - 1]], (2, 1))
 
 
 def winning_bids(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -489,8 +481,8 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
     ids, histories, stall = list(range(T)), [[] for _ in seeds], [0] * T
     spent = []  # the evaluations at each iteration's end, the same for every trial
     results = [None] * T
-    # the drawn block: its uniforms, one tuple of inputs per iteration, and the next one's index
-    u, block, i = np.empty((0, T, 0)), [], 0
+    # the drawn block: its uniforms, the next iteration's index and its inputs (None: to build)
+    u, i, block = np.empty((0, T, 0)), 0, None
     while True:
         best = pop.best_objective.tolist()
         for history, value in zip(histories, best):
@@ -511,19 +503,17 @@ def _search(problem: Problem, params: AlgorithmParams, seeds: list,
             pop = Population(pop.X[rows], pop.F[rows], pop.feasible[rows], pop.best_position[kept],
                              pop.best_objective[kept], pop.best_feasible[kept], pop.evaluations)
             # the rest of the block, for the trials left: its stack rows are renumbered
-            u, i = u[i:, kept], 0
-            block = _inputs(u, sizes, problem, params) if len(u) else []
-            T = len(ids)
-        if i == len(block):  # the block is used up: draw the next
+            u, i, block, T = u[i:, kept], 0, None, len(ids)
+        if i == len(u):  # the block is used up: draw the next
             left = budget - pop.evaluations
             g, local, count = sizes = _iteration_sizes(params, left)
             # whole iterations, up to BLOCK_ITERATIONS and MAX_BLOCK uniforms; else the budget's last
             K = max(1, min(left // (2 * n + abandoned), BLOCK_ITERATIONS, MAX_BLOCK // (T * draws)))
-            u, i = _uniforms(rngs, K, iteration_draws(params, d, left)), 0
+            u, i, block = _uniforms(rngs, K, iteration_draws(params, d, left)), 0, None
+        if block is None:  # the inputs of a block drawn or left to fewer trials, and the walks' bound rows
             block = _inputs(u, sizes, problem, params)
-        steps, targets, partners, factors, batch = block[i]
-        if i == 0:  # a block drawn or rebuilt for T trials: the bound rows each walk clamps against
             low, high, low_l, high_l = lower[: T * g], upper[: T * g], lower[: T * local], upper[: T * local]
+        steps, targets, partners, factors, batch = block[i]
         i += 1
 
         candidates = (pop.X if g == n else pop.X.reshape(T, n, d)[:, :g].reshape(-1, d)) + steps

@@ -199,9 +199,10 @@ class SummaryRow:
 
 
 _SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))[:-1]
-# the keys of a sidecar that read_records and summarize read
-_SIDECAR_KEYS = ("algorithm", "best_feasible", "best_objective", "error", "problem", "status",
-                 "terminated_by", "trial", "wall_time_seconds")
+# the keys of a sidecar that read_records and summarize read, with their types (a bool only where named)
+_SIDECAR_KEYS = {"algorithm": str, "best_feasible": bool, "best_objective": (int, float, type(None)),
+                 "error": (str, type(None)), "problem": str, "status": str, "terminated_by": str,
+                 "trial": int, "wall_time_seconds": (int, float)}
 
 
 def lower_median(values):
@@ -432,8 +433,8 @@ def _run_and_write(tasks: list[dict], records_dir: Path) -> list[dict]:
     """Run one cell's consecutive trials where they ran, writing each record as its call ends.
 
     Cuckoo trials run in one call, whose records appear when it returns.
-    Hill-climbing trials run one per call: in lockstep they were measured
-    slower than alone.
+    Hill-climbing trials run one per call: a numpy-state lockstep prototype
+    ran 0.61-0.74x as fast at 5 seeds per chunk (ROADMAP item 16: at 30).
     """
     records = []
     for call in [tasks] if isinstance(tasks[0]["params"], AlgorithmParams) else [[task] for task in tasks]:
@@ -480,8 +481,11 @@ def read_records(output_dir) -> list[dict]:
         history, history_evaluations = [], []
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(record, dict) or not record.keys() >= set(_SIDECAR_KEYS):
+            if not isinstance(record, dict) or not record.keys() >= _SIDECAR_KEYS.keys():
                 raise ValueError(f"not a JSON object with the keys {', '.join(_SIDECAR_KEYS)}")
+            for key, types in _SIDECAR_KEYS.items():
+                if not isinstance(record[key], types) or isinstance(record[key], bool) and types is not bool:
+                    raise ValueError(f"{key} has a value of the wrong type: {record[key]!r}")
             # a grid repeats a few names in every record: share one copy of each
             for key in ("problem", "algorithm", "status", "terminated_by"):
                 record[key] = sys.intern(record[key])

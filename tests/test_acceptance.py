@@ -262,7 +262,7 @@ def test_criterion_8_abandonment_contract():
             expected = math.ceil(Fraction(str(p_a)) * n)
             params = AlgorithmParams(n=n, p_a=p_a, stop=StopCriterion(max_evaluations=10))
             rng = np.random.default_rng(int(master.integers(2**31)))
-            pop = initialize(problem, params, rng)
+            pop = initialize(problem, params, [rng])
             before_positions = [x.copy() for x in pop.X]
             before_objectives = pop.F.tolist()
             before_best = (pop.best_position.copy(), pop.best_objective.copy())

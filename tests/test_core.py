@@ -115,13 +115,13 @@ class TestInitialize:
     def test_contract(self):
         problem = unit_box(2)
         params = AlgorithmParams(n=3, stop=budget(100))
-        pop = initialize(problem, params, np.random.default_rng(0))
+        pop = initialize(problem, params, [np.random.default_rng(0)])
         assert pop.X.shape == (3, 2) and pop.F.shape == pop.feasible.shape == (3,)
         assert pop.evaluations == 3
         assert np.all(pop.X >= 0.0) and np.all(pop.X <= 1.0)
         for x, value, feasible in zip(pop.X, pop.F, pop.feasible):
             assert (value, feasible) == evaluate(problem, x)
-        # a generator starts a stack of one trial
+        # a list of one generator starts a stack of one trial
         assert pop.best_position.shape == (1, 2) and pop.best_objective.shape == pop.best_feasible.shape == (1,)
         assert pop.best_objective[0] == pop.F.min()
         assert np.array_equal(pop.best_position[0], pop.X[np.argmin(pop.F)])
@@ -131,7 +131,7 @@ class TestInitialize:
     def test_draw_order_one_block_per_nest(self):
         problem = unit_box(4, lo=-2.0, hi=3.0)
         params = AlgorithmParams(n=3, stop=budget(100))
-        pop = initialize(problem, params, np.random.default_rng(8))
+        pop = initialize(problem, params, [np.random.default_rng(8)])
         replay = np.random.default_rng(8)
         for x in pop.X:
             assert np.array_equal(x, replay.uniform(problem.lower, problem.upper))
@@ -144,7 +144,7 @@ class TestInitialize:
         stack = initialize(problem, params, [np.random.default_rng(s) for s in seeds])
         assert stack.best_position.shape == (len(seeds), 3) and stack.evaluations == n
         for t, seed in enumerate(seeds):
-            alone = initialize(problem, params, np.random.default_rng(seed))
+            alone = initialize(problem, params, [np.random.default_rng(seed)])
             rows = slice(t * n, t * n + n)
             assert stack.X[rows].tobytes() == alone.X.tobytes() and stack.F[rows].tobytes() == alone.F.tobytes()
             assert stack.feasible[rows].tolist() == alone.feasible.tolist()
@@ -435,7 +435,7 @@ class TestAbandonment:
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(n=8, p_a=0.25, stop=budget(10_000))
         rng = np.random.default_rng(5)
-        pop = initialize(problem, params, rng)
+        pop = initialize(problem, params, [rng])
         before_X, before_F = pop.X.copy(), pop.F.copy()
         worst_two = sorted(range(8), key=lambda i: before_F[i])[-2:]
         best_before = (pop.best_position.copy(), pop.best_objective.copy())
@@ -464,7 +464,7 @@ class TestAbandonment:
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(n=n, p_a=p_a, stop=budget(10_000))
         rng = np.random.default_rng(seed)
-        pop = initialize(problem, params, rng)
+        pop = initialize(problem, params, [rng])
         before = pop.X.copy()
         best_before = (pop.best_position.copy(), pop.best_objective.copy())
 
@@ -505,7 +505,7 @@ class TestAbandonment:
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(n=5, p_a=0.0, stop=budget(10_000))
         rng = np.random.default_rng(6)
-        pop = initialize(problem, params, rng)
+        pop = initialize(problem, params, [rng])
         abandon(pop, problem, abandonment_count(params.p_a, 5), rng)
         assert pop.evaluations == 5
         # the no-op path consumed nothing from the stream
@@ -518,7 +518,7 @@ class TestAbandonment:
         problem = get_problem("sphere", 2)
         params = AlgorithmParams(n=8, p_a=0.5, stop=budget(10_000))
         rng = np.random.default_rng(7)
-        pop = initialize(problem, params, rng)
+        pop = initialize(problem, params, [rng])
         before_X, before_F = pop.X.copy(), pop.F.copy()
         abandon(pop, problem, 3, rng)  # fewer than ceil(p_a * n) = 4
         changed = [i for i in range(8) if not np.array_equal(pop.X[i], before_X[i])]
@@ -938,6 +938,21 @@ class TestBlocks:
         assert [(r.terminated_by, (r.evaluations - 5) // 12) for r in stacked] == [
             ("stagnation", 18), ("target", 20), ("stagnation", 22), ("target", 23), ("stagnation", 31),
             ("target", 77),
+        ]
+        assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in seeds]
+
+    def test_a_trial_that_leaves_as_its_block_is_used_up(self, monkeypatch):
+        # the first trial stops after iteration 16, the last of the first
+        # block, so its departure leaves no uniforms and the next block is
+        # drawn for two trials; the second then stops inside that block
+        problem = get_problem("sphere", 2)
+        params = AlgorithmParams(n=5, alpha=0.5, stop=StopCriterion(2000, 0.01, 3))
+        seeds = [48, 6, 11]
+        blocks = record_blocks(monkeypatch)
+        stacked = cuckoo_search(problem, params, seed=seeds)
+        assert blocks == [1] + [16] * 5
+        assert [(r.terminated_by, (r.evaluations - 5) // 12) for r in stacked] == [
+            ("target", 16), ("target", 20), ("target", 77),
         ]
         assert [outcome(r) for r in stacked] == [outcome(cuckoo_search(problem, params, seed=s)) for s in seeds]
 

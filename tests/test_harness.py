@@ -50,6 +50,12 @@ BASE_SPEC = {
 }
 
 
+# a sidecar with every key that read_records checks, each value of its type
+SIDECAR = {"algorithm": "hill_climb", "best_feasible": True, "best_objective": 0.5, "error": None,
+           "problem": "sphere", "status": "ok", "terminated_by": "max_evaluations", "trial": 1,
+           "wall_time_seconds": 0.1}
+
+
 def write_spec(tmp_path, overrides=None, name="exp.yaml"):
     data = dict(BASE_SPEC)
     data["output"] = str(tmp_path / "out")
@@ -942,10 +948,15 @@ class TestCli:
             pytest.param(".meta.json", b"[]\n", "not a JSON object with the keys algorithm, ", id="a-list"),
             pytest.param(".meta.json", b'{"problem": "sphere"}\n', "keys algorithm, best_feasible, ",
                          id="no-algorithm"),
-            pytest.param(".meta.json", json.dumps({
-                "algorithm": "hill_climb", "best_feasible": True, "best_objective": 0.5, "error": None,
-                "problem": "sphere", "status": "ok", "terminated_by": "max_evaluations", "wall_time_seconds": 0.1,
-            }).encode(), "terminated_by, trial, wall_time_seconds", id="no-trial"),
+            pytest.param(".meta.json", json.dumps({k: v for k, v in SIDECAR.items() if k != "trial"}).encode(),
+                         "terminated_by, trial, wall_time_seconds", id="no-trial"),
+            # every key, one value of the wrong type, which summarize would fail on
+            pytest.param(".meta.json", json.dumps({**SIDECAR, "problem": 5}).encode(),
+                         "problem has a value of the wrong type: 5", id="problem-5"),
+            pytest.param(".meta.json", json.dumps({**SIDECAR, "trial": "1"}).encode(),
+                         "trial has a value of the wrong type: '1'", id="trial-a-string"),
+            pytest.param(".meta.json", json.dumps({**SIDECAR, "wall_time_seconds": "slow"}).encode(),
+                         "wall_time_seconds has a value of the wrong type: 'slow'", id="wall-time-a-string"),
         ],
     )
     def test_a_corrupt_record_file_exit_code(self, tmp_path, capsys, suffix, text, message):
